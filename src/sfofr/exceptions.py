@@ -44,9 +44,5 @@ class DivergenceError(NumericalError):
     """A spectral-radius condition fails, so the requested solve diverges."""
 
 
-class ConstraintError(NumericalError):
-    """The optimizer could not find a feasible step under the spectral constraint."""
-
-
 class GenerationError(NumericalError):
     """Simulated-response generation diverged instead of converging."""

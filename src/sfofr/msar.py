@@ -14,17 +14,16 @@ The objective is the least-squares criterion
 with Omega_e the error precision and m the entrywise inverse of diag(Omega),
 m[i, k] = 1 / (Omega_e[k, k] + (rho Omega_e rho')[k, k] * (W'W)[i, i]).
 
-Omega_e is parameterized through its upper-triangular Cholesky factor with
-log-diagonal, which keeps it positive definite without constraints. The fit
-runs a quasi-Newton (BFGS) descent with two safeguards: candidate steps that
-push the spectral radius of rho to 1 - iota or beyond are backtracked, and the
-descent starts from a profiled warm start (Q is exactly quadratic in B for
-fixed rho, so B is minimized in closed form along a low-dimensional search
-over rho). Without the warm start, strong-dependence data can drive rho to
-the spectral boundary before B adapts, stalling the line search. Solutions
-that end with the constraint binding are re-examined (see fit_msar): near the
-boundary the criterion loses its discriminating power and weakly dependent
-data can show spurious maximal-dependence minima.
+Omega_e is parameterized through its upper-triangular Cholesky factor U with
+log-diagonal (zeta), which keeps it positive definite without constraints.
+Q is exactly quadratic in B, so the fit profiles B out in closed form and runs
+one quasi-Newton (BFGS) descent over (vec rho, zeta), as concentrated
+quasi-maximum likelihood does for SAR models (Lee 2004, Econometrica). The
+gradient is analytic in every block. Q(c Omega_e) = Q(Omega_e) for any c > 0,
+so the first log-diagonal entry of U is held fixed. Candidate steps that push
+the spectral radius of rho to 1 - iota or beyond are backtracked, and a
+descent that ends at that bound is checked against one capped rerun (see
+fit_msar).
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from .exceptions import DivergenceError, NumericalError, ParameterError
 from .spatial import SpatialWeights
 
 IOTA = 1e-3  # spectral safety margin: |lambda_1(rho)| < 1 - IOTA
-
-_FD_STEP = 1e-6  # relative central-difference step for rho/zeta gradient blocks
 
 
 def spectral_radius(m) -> float:
@@ -183,8 +180,9 @@ class MsarFit:
     """Result of fit_msar: estimates plus convergence diagnostics.
 
     ``objective_trace`` and ``spectral_radius_trace`` record the objective and
-    |lambda_1(rho)| at the start and after every accepted step of the selected
-    descent (warm-start steps included).
+    |lambda_1(rho)| at the start and after every accepted step of the descent;
+    ``iterations`` counts those steps. ``fit_msar`` leaves ``warm_iterations``
+    at 0; fit bundles still record the field.
     """
 
     params: MsarParams
@@ -240,26 +238,29 @@ def preconditioner_m(
 
     Entry (i, k) is 1 / (Omega_e[k, k] + (rho Omega_e rho')[k, k] * (W'W)[i, i]).
     """
-    omega_e = prec_chol.T @ prec_chol
-    quad = np.einsum("ij,jk,ik->i", rho, omega_e, rho)  # diag(rho Omega_e rho')
-    return 1.0 / (np.diag(omega_e)[None, :] + np.outer(weights.diag_wtw(), quad))
+    return _m_from(prec_chol.T @ prec_chol, rho, weights.diag_wtw())
 
 
 def _m_from(omega_e, rho, dwtw):
-    quad = np.einsum("ij,jk,ik->i", rho, omega_e, rho)
+    quad = np.einsum("ij,jk,ik->i", rho, omega_e, rho)  # diag(rho Omega_e rho')
     return 1.0 / (np.diag(omega_e)[None, :] + np.outer(dwtw, quad))
 
 
-def _objective_raw(theta: np.ndarray, data: MsarData) -> float:
-    """Q at packed parameters, using the cached W products (no n^2 work)."""
+def _chain(theta: np.ndarray, data: MsarData):
+    """Parameters and the n x Ky pieces of Q: (rho, U, Omega_e,
+    R = Y - W Y rho - X B, W'R, G = R Omega_e - W'R Omega_e rho', m)."""
     rho, b, u = _unpack(theta, data.k_y, data.k_x)
     omega_e = u.T @ u
     p = data._products()
     r = data.ymat - p["wy"] @ rho - data.xmat @ b
-    n_mat = r @ omega_e
     rt = p["wty"] - p["wtwy"] @ rho - p["wtx"] @ b
-    g = n_mat - (rt @ omega_e) @ rho.T
-    m = _m_from(omega_e, rho, p["dwtw"])
+    g = r @ omega_e - (rt @ omega_e) @ rho.T
+    return rho, u, omega_e, r, rt, g, _m_from(omega_e, rho, p["dwtw"])
+
+
+def _objective_raw(theta: np.ndarray, data: MsarData) -> float:
+    """Q at packed parameters, using the cached W products (no n^2 work)."""
+    *_, g, m = _chain(theta, data)
     return float(np.sum((m * g) ** 2))
 
 
@@ -272,155 +273,75 @@ def objective(params: MsarParams, data: MsarData) -> float:
     return _objective_raw(_pack(params.rho, params.b, params.prec_chol), data)
 
 
-def _grad_b_analytic(theta: np.ndarray, data: MsarData) -> np.ndarray:
-    """Closed-form dQ/dB (the residual chain is affine in B)."""
-    rho, b, u = _unpack(theta, data.k_y, data.k_x)
-    omega_e = u.T @ u
-    p = data._products()
-    r = data.ymat - p["wy"] @ rho - data.xmat @ b
-    rt = p["wty"] - p["wtwy"] @ rho - p["wtx"] @ b
-    g = r @ omega_e - (rt @ omega_e) @ rho.T
-    m = _m_from(omega_e, rho, p["dwtw"])
-    c = 2.0 * (m * m * g)
-    # <c, dG> with dG = dN - W' dN rho', dN = -X dB Omega_e
-    inner = c - data.weights.matmul(c) @ rho
-    return -(data.xmat.T @ inner) @ omega_e
-
-
 def _gradient_raw(theta: np.ndarray, data: MsarData) -> np.ndarray:
-    grad = np.zeros_like(theta)
-    nr = data.k_y * data.k_y
-    nb = data.k_x * data.k_y
-    numeric = list(range(nr)) + list(range(nr + nb, theta.size))
-    for j in numeric:
-        h = _FD_STEP * max(1.0, abs(theta[j]))
-        plus = theta.copy()
-        plus[j] += h
-        minus = theta.copy()
-        minus[j] -= h
-        grad[j] = (_objective_raw(plus, data) - _objective_raw(minus, data)) / (2 * h)
-    grad[nr : nr + nb] = _grad_b_analytic(theta, data).ravel(order="F")
-    return grad
+    """Analytic dQ over the packed layout (vec rho, vec B, zeta).
+
+    With C = 2 m^2 (.) G and A = -2 m^3 (.) G^2 (the derivative of Q through
+    the denominators of m), the residual R carries gR = (C - W C rho) Omega_e,
+    and d = diag(W'W) weights A's share through diag(rho Omega_e rho'). The
+    Omega_e block S is chained to U by dQ/dU = U (S + S'), and to the
+    log-diagonal of zeta by one more factor of diag(U).
+    """
+    rho, u, omega_e, r, rt, g, m = _chain(theta, data)
+    p = data._products()
+    c = 2.0 * m * m * g
+    a = -2.0 * m**3 * g**2
+    a_d = p["dwtw"] @ a
+    g_r = (c - data.weights.matmul(c) @ rho) @ omega_e
+    g_rho = (
+        -p["wy"].T @ g_r - (c.T @ rt) @ omega_e + 2.0 * (a_d[:, None] * rho) @ omega_e
+    )
+    g_b = -data.xmat.T @ g_r
+    s = r.T @ c - (rt.T @ c) @ rho + np.diag(a.sum(axis=0)) + rho.T @ (a_d[:, None] * rho)
+    g_u = u @ (s + s.T)
+    iu = np.triu_indices(data.k_y)
+    g_z = g_u[iu]
+    g_z[iu[0] == iu[1]] *= np.diag(u)
+    return np.concatenate([g_rho.ravel(order="F"), g_b.ravel(order="F"), g_z])
 
 
 def gradient(params: MsarParams, data: MsarData) -> np.ndarray:
-    """Flat gradient of Q over (vec rho, vec B, zeta).
-
-    The B block is analytic; the rho and zeta blocks use central finite
-    differences with step 1e-6 * max(1, |theta_j|).
-    """
+    """Flat gradient of Q over (vec rho, vec B, zeta); all blocks analytic."""
     return _gradient_raw(_pack(params.rho, params.b, params.prec_chol), data)
 
 
-# --- profiled warm start ---------------------------------------------------
+# --- estimation -------------------------------------------------------------
 
 
-def _profile_b(rho: np.ndarray, u: np.ndarray, data: MsarData) -> np.ndarray:
-    """argmin_B Q(rho, B, zeta): assemble the affine map column by column and
-    solve the linear least-squares problem (size nKy x KxKy)."""
-    k_y, k_x, n = data.k_y, data.k_x, data.n
-    omega_e = u.T @ u
-    p = data._products()
-    m = _m_from(omega_e, rho, p["dwtw"])
-    r0 = data.ymat - p["wy"] @ rho
-    rt0 = p["wty"] - p["wtwy"] @ rho
-    target = (m * (r0 @ omega_e - (rt0 @ omega_e) @ rho.T)).ravel()
-    cols = np.empty((n * k_y, k_x * k_y))
-    j = 0
-    for q in range(k_y):  # column-major over (p, q): matches vec(B) F-order
-        row_v = omega_e[q, :]
-        row_r = row_v @ rho.T
-        for pp in range(k_x):
-            col = m * (
-                np.outer(data.xmat[:, pp], row_v) - np.outer(p["wtx"][:, pp], row_r)
-            )
-            cols[:, j] = col.ravel()
-            j += 1
-    sol, *_ = np.linalg.lstsq(cols, target, rcond=None)
+def _profile_b(theta: np.ndarray, data: MsarData) -> np.ndarray:
+    """argmin over B of Q at theta's rho and zeta (theta's B block is ignored).
+
+    G is affine in B, so this is one linear least-squares problem of size
+    nKy x KxKy.
+    """
+    k_y, k_x = data.k_y, data.k_x
+    theta = theta.copy()
+    theta[k_y * k_y : k_y * (k_y + k_x)] = 0.0
+    rho, _, omega_e, _, _, g0, m = _chain(theta, data)
+    wtx = data._products()["wtx"]
+    # design[i, k, q, pp] = -dG[i, k] / dB[pp, q]; (q, pp) flattens to vec(B)
+    design = np.einsum("ip,qk->ikqp", data.xmat, omega_e) - np.einsum(
+        "ip,qk->ikqp", wtx, omega_e @ rho.T
+    )
+    design = (m[:, :, None, None] * design).reshape(data.n * k_y, k_y * k_x)
+    sol, *_ = np.linalg.lstsq(design, (m * g0).ravel(), rcond=None)
     return sol.reshape(k_x, k_y, order="F")
 
 
 def _bfgs_update(h, s, yv):
     sy = s @ yv
     if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-        return h, False
+        return h
     hy = h @ yv
-    h = (
+    return (
         h
         + ((sy + yv @ hy) / sy**2) * np.outer(s, s)
         - (np.outer(hy, s) + np.outer(s, hy)) / sy
     )
-    return h, True
 
 
-def _warm_start(data: MsarData, u0: np.ndarray, max_iter: int = 60):
-    """Minimize the B-profiled objective over rho (zeta held at its start).
-
-    Because Q is quadratic in B, min_B Q has its minimum over rho at the
-    valley floor; searching the profiled surface cannot race rho to the
-    spectral boundary the way a joint first step from B = OLS can.
-    """
-    k_y, k_x = data.k_y, data.k_x
-    r = np.zeros(k_y * k_y)
-
-    def value(rvec):
-        rho = rvec.reshape(k_y, k_y, order="F")
-        b = _profile_b(rho, u0, data)
-        return _objective_raw(_pack(rho, b, u0), data), b
-
-    def grad(rvec, b_fixed):
-        # envelope theorem: at the inner minimum, dQp/drho is the partial
-        # derivative of Q with B held at its optimum
-        theta = _pack(rvec.reshape(k_y, k_y, order="F"), b_fixed, u0)
-        g = np.zeros(k_y * k_y)
-        for j in range(k_y * k_y):
-            h = _FD_STEP * max(1.0, abs(theta[j]))
-            plus = theta.copy()
-            plus[j] += h
-            minus = theta.copy()
-            minus[j] -= h
-            g[j] = (_objective_raw(plus, data) - _objective_raw(minus, data)) / (2 * h)
-        return g
-
-    q, b_star = value(r)
-    trace = [q]
-    sr_trace = [0.0]
-    g = grad(r, b_star)
-    h = np.eye(k_y * k_y)
-    iters = 0
-    for it in range(max_iter):
-        if np.linalg.norm(g) <= 1e-6 * max(1.0, q):
-            break
-        d = -h @ g
-        if d @ g >= 0:
-            h = np.eye(k_y * k_y)
-            d = -g
-        step = min(1.0, 0.5 * max(1.0, np.linalg.norm(r)) / max(np.linalg.norm(d), 1e-300))
-        accepted = False
-        while step > 1e-14:
-            r_new = r + step * d
-            sr_new = spectral_radius(r_new.reshape(k_y, k_y, order="F"))
-            if sr_new >= 1 - IOTA:
-                step *= 0.5
-                continue
-            q_new, b_new = value(r_new)
-            if np.isfinite(q_new) and q_new <= q + 1e-4 * step * (g @ d):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        g_new = grad(r_new, b_new)
-        h, _ = _bfgs_update(h, r_new - r, g_new - g)
-        r, q, g, b_star = r_new, q_new, g_new, b_new
-        trace.append(q)
-        sr_trace.append(sr_new)
-        iters = it + 1
-    return r.reshape(k_y, k_y, order="F"), b_star, iters, trace, sr_trace
-
-
-def _default_init(data: MsarData):
-    """rho = 0, B = per-column OLS, Omega_e = inverse OLS residual covariance."""
+def _default_init(data: MsarData) -> np.ndarray:
+    """Cholesky factor of the inverse OLS residual covariance (identity if singular)."""
     b0, *_ = np.linalg.lstsq(data.xmat, data.ymat, rcond=None)
     resid = data.ymat - data.xmat @ b0
     sigma = resid.T @ resid / data.n
@@ -430,97 +351,7 @@ def _default_init(data: MsarData):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         u0 = np.eye(data.k_y)
-    return b0, u0
-
-
-def _descend(theta, data: MsarData, tol, max_iter, trace_head=(), sr_head=(), cap=1 - IOTA):
-    """Safeguarded BFGS descent from a feasible starting point.
-
-    ``cap`` is the spectral-radius bound enforced on every iterate. Returns
-    (theta, q, grad_norm, iterations, converged, trace, sr_trace, tol, message).
-    """
-    k_y, k_x = data.k_y, data.k_x
-    trace = list(trace_head)
-    sr_trace = list(sr_head)
-    q = _objective_raw(theta, data)
-    if not np.isfinite(q):
-        err = NumericalError("objective is non-finite at the starting point")
-        err.trace = tuple(trace)
-        raise err
-    if tol is None:
-        tol = 1e-8 * max(1.0, q)
-    trace.append(q)
-    sr_trace.append(spectral_radius(_unpack(theta, k_y, k_x)[0]))
-    grad = _gradient_raw(theta, data)
-    h = np.eye(theta.size)
-    iterations = 0
-    converged = False
-    message = "max_iter reached"
-    for it in range(max_iter):
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
-            converged = True
-            message = "gradient norm below tolerance"
-            break
-        d = -h @ grad
-        if d @ grad >= 0:  # safeguard against loss of positive definiteness
-            h = np.eye(theta.size)
-            d = -grad
-        if it == 0:
-            step = min(1.0, max(1.0, np.linalg.norm(theta)) / max(np.linalg.norm(d), 1e-300))
-        else:
-            step = 1.0
-        accepted = False
-        saw_feasible = False
-        # stop once the trial displacement is negligible relative to theta
-        step_min = 1e-15 * max(1.0, np.linalg.norm(theta)) / max(np.linalg.norm(d), 1e-300)
-        while step > step_min:
-            cand = theta + step * d
-            sr_cand = spectral_radius(_unpack(cand, k_y, k_x)[0])
-            if sr_cand >= cap:
-                step *= 0.5
-                continue
-            saw_feasible = True
-            q_cand = _objective_raw(cand, data)
-            if np.isfinite(q_cand) and q_cand <= q + 1e-4 * step * (grad @ d):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            if not np.allclose(h, np.eye(theta.size)):
-                h = np.eye(theta.size)  # restart with steepest descent once
-                continue
-            iterations = it + 1
-            message = (
-                "line search found no further descent"
-                if saw_feasible
-                else "stopped at the spectral-radius constraint boundary"
-            )
-            break
-        grad_new = _gradient_raw(cand, data)
-        s = cand - theta
-        yv = grad_new - grad
-        if it == 0:
-            sy = s @ yv
-            if sy > 0:
-                h = (sy / (yv @ yv)) * np.eye(theta.size)
-        h, _ = _bfgs_update(h, s, yv)
-        theta, q, grad = cand, q_cand, grad_new
-        trace.append(q)
-        sr_trace.append(sr_cand)
-        iterations = it + 1
-    else:
-        iterations = max_iter
-    grad_norm = float(np.linalg.norm(grad))
-    if not converged and grad_norm <= tol:
-        converged = True
-        message = "gradient norm below tolerance"
-    return theta, q, grad_norm, iterations, converged, trace, sr_trace, float(tol), message
-
-
-def _boundary_active(theta, k_y, k_x) -> bool:
-    """True when the spectral constraint is essentially binding."""
-    return spectral_radius(_unpack(theta, k_y, k_x)[0]) >= 1 - 2 * IOTA
+    return u0
 
 
 def fit_msar(
@@ -529,78 +360,127 @@ def fit_msar(
     tol: float | None = None,
     max_iter: int = 500,
 ) -> MsarFit:
-    """Quasi-Newton minimization of Q with spectral-radius safeguarding.
+    """One safeguarded BFGS descent of Q with B profiled out.
 
-    Every candidate step is backtracked until |lambda_1(rho)| < 1 - iota and
-    an Armijo decrease holds, so the objective trace is nonincreasing and all
-    iterates are feasible. Convergence is declared when the gradient norm
-    drops to ``tol`` (default 1e-8 * max(1, Q_start)); otherwise the fit stops
-    at ``max_iter`` or when no further descent step exists, with the reason
-    recorded in ``message``.
+    The search runs over x = (vec rho, zeta without its first entry). Each
+    evaluation solves B = argmin_B Q in closed form (``_profile_b``), and by
+    the envelope theorem the search gradient is the rho and zeta blocks of the
+    analytic gradient at that B. The first log-diagonal entry of U stays at
+    its start value: Q(c Omega_e) = Q(Omega_e), so it is a flat direction.
 
-    When ``init`` is omitted, the default start (rho = 0, B = OLS, Omega_e
-    from OLS residuals) is refined by a profiled warm start over rho before
-    the joint descent begins. A descent that ends with the spectral
-    constraint binding is treated as suspect: near the boundary S approaches
-    singularity along the dominant direction and the preconditioned criterion
-    loses its discriminating power, so weakly dependent data sometimes show a
-    spurious boundary minimum. In that case the fit restarts from the plain
-    default; if every restart also pins the constraint, one more descent runs
-    under a tightened cap (spectral radius 0.5) and is accepted whenever its
-    objective is within 5% of the boundary value. Genuinely strong dependence
-    survives this rule because capping then costs far more than 5%.
+    The descent starts from ``init``'s rho and U (B is re-profiled), or by
+    default from rho = 0 and Omega_e the inverse OLS residual covariance,
+    where the profiled B is OLS. Every candidate step is backtracked until
+    |lambda_1(rho)| < 1 - iota and an Armijo decrease holds, so the objective
+    trace is nonincreasing and all iterates are feasible. Convergence is
+    declared when the search gradient norm drops to ``tol`` (default
+    1e-8 * max(1, Q_start)); otherwise the fit stops at ``max_iter`` or when
+    no further descent step exists, with the reason in ``message``.
+
+    A descent that ends with the spectral constraint binding is rerun from
+    the same start (when that start lies inside the cap) with the spectral
+    radius capped at 0.5, and the capped fit replaces it when its objective
+    is within 5%.
     """
     k_y, k_x = data.k_y, data.k_x
     if data.n <= k_y + k_x:
         raise ParameterError(
             f"need n > Ky + Kx = {k_y + k_x} observations for identifiability"
         )
-    warm_iters = 0
-    note = ""
     if init is not None:
         if init.k_y != k_y or init.k_x != k_x:
             raise ParameterError("init dimensions do not match data")
-        theta0 = _pack(init.rho, init.b, init.prec_chol)
-        result = _descend(theta0, data, tol, max_iter)
+        rho0, u0 = init.rho, init.prec_chol
     else:
-        b0, u0 = _default_init(data)
-        rho_w, b_w, warm_iters, warm_trace, warm_sr = _warm_start(data, u0)
-        result = _descend(
-            _pack(rho_w, b_w, u0), data, tol, max_iter,
-            trace_head=warm_trace[:-1], sr_head=warm_sr[:-1],
-        )
-        if _boundary_active(result[0], k_y, k_x):
-            candidates = [result]
-            plain_start = _pack(np.zeros((k_y, k_y)), b0, u0)
-            candidates.append(_descend(plain_start, data, tol, max_iter))
-            interior = [
-                c for c in candidates if not _boundary_active(c[0], k_y, k_x)
-            ]
-            if not interior:
-                tight = _descend(plain_start, data, tol, max_iter, cap=0.5)
-                candidates.append(tight)
-                interior = [tight]
-            best_q = min(c[1] for c in candidates)
-            best_interior = min(interior, key=lambda c: c[1])
-            if best_interior[1] <= 1.05 * best_q:
-                if best_interior[1] > best_q:
-                    note = "; interior solution preferred over boundary minimum"
-                result = best_interior
-            else:
-                result = min(candidates, key=lambda c: c[1])
-    theta, q, grad_norm, iterations, converged, trace, sr_trace, tol_used, message = result
+        rho0, u0 = np.zeros((k_y, k_y)), _default_init(data)
+    nr, nb = k_y * k_y, k_x * k_y
+    base = _pack(rho0, np.zeros((k_x, k_y)), u0)
+    free = np.r_[0:nr, nr + nb + 1 : base.size]
+
+    def evaluate(x):
+        theta = base.copy()
+        theta[free] = x
+        theta[nr : nr + nb] = _profile_b(theta, data).ravel(order="F")
+        return _objective_raw(theta, data), theta
+
+    x0 = base[free]
+    start = evaluate(x0)
+    if not np.isfinite(start[0]):
+        raise NumericalError("objective is non-finite at the starting point")
+    if tol is None:
+        tol = 1e-8 * max(1.0, start[0])
+    eye = np.eye(x0.size)
+
+    def descend(cap):
+        x, (q, theta) = x0, start
+        trace = [q]
+        sr_trace = [spectral_radius(rho0)]
+        grad = _gradient_raw(theta, data)[free]
+        h = eye
+        message = "max_iter reached"
+        for it in range(max_iter):
+            if np.linalg.norm(grad) <= tol:
+                break
+            d = -h @ grad
+            if d @ grad >= 0:  # safeguard against loss of positive definiteness
+                h, d = eye, -grad
+            reach = max(1.0, np.linalg.norm(x)) / max(np.linalg.norm(d), 1e-300)
+            step = min(1.0, reach) if it == 0 else 1.0
+            accepted = saw_feasible = False
+            # stop once the trial displacement is negligible relative to x
+            while step > 1e-15 * reach:
+                cand = x + step * d
+                sr_cand = spectral_radius(cand[:nr].reshape(k_y, k_y, order="F"))
+                if sr_cand < cap:
+                    saw_feasible = True
+                    q_cand, theta_cand = evaluate(cand)
+                    if np.isfinite(q_cand) and q_cand <= q + 1e-4 * step * (grad @ d):
+                        accepted = True
+                        break
+                step *= 0.5
+            if not accepted:
+                if h is not eye:
+                    h = eye  # restart with steepest descent once
+                    continue
+                message = (
+                    "line search found no further descent"
+                    if saw_feasible
+                    else "stopped at the spectral-radius constraint boundary"
+                )
+                break
+            grad_new = _gradient_raw(theta_cand, data)[free]
+            s, yv = cand - x, grad_new - grad
+            if it == 0 and s @ yv > 0:
+                h = ((s @ yv) / (yv @ yv)) * eye
+            h = _bfgs_update(h, s, yv)
+            x, q, theta, grad = cand, q_cand, theta_cand, grad_new
+            trace.append(q)
+            sr_trace.append(sr_cand)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= tol:
+            message = "gradient norm below tolerance"
+        return theta, q, grad_norm, trace, sr_trace, message
+
+    theta, q, grad_norm, trace, sr_trace, message = descend(1 - IOTA)
+    if sr_trace[-1] >= 1 - 2 * IOTA and sr_trace[0] < 0.5:
+        # Near the boundary S approaches singularity and Q loses its power to
+        # discriminate, so weakly dependent data can show a spurious
+        # maximal-dependence minimum. A rerun capped at spectral radius 0.5
+        # wins when it costs at most 5% of Q; strong dependence costs more.
+        capped = descend(0.5)
+        if capped[1] <= 1.05 * q:
+            theta, q, grad_norm, trace, sr_trace, message = capped
+            message += "; interior solution preferred over boundary minimum"
     rho, b, u = _unpack(theta, k_y, k_x)
-    params = MsarParams(rho=rho, b=b, prec_chol=u)
     return MsarFit(
-        params=params,
+        params=MsarParams(rho=rho, b=b, prec_chol=u),
         objective=q,
         grad_norm=grad_norm,
-        iterations=iterations,
-        converged=converged,
+        iterations=len(trace) - 1,
+        converged=grad_norm <= tol,
         objective_trace=tuple(trace),
-        tolerance=tol_used,
-        warm_iterations=warm_iters,
-        message=message + note,
+        tolerance=float(tol),
+        message=message,
         spectral_radius_trace=tuple(sr_trace),
     )
 

@@ -5,6 +5,8 @@ column-major vectorization; the library must match them without ever forming
 those matrices.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,14 @@ from sfofr import (
     MsarData,
     MsarParams,
     ParameterError,
+    SimConfig,
     SpatialWeights,
     apply_S,
     exponential_weights,
     fit_msar,
+    fit_sfofr,
+    gen_predictors,
+    gen_response,
     gradient,
     inverse_distance_weights,
     objective,
@@ -25,6 +31,7 @@ from sfofr import (
     spectral_radius,
 )
 from sfofr.msar import _gradient_raw, _objective_raw, _pack, _unpack
+from sfofr.simgen import replication_rng
 
 
 def vec(m):
@@ -63,6 +70,18 @@ def random_params(rng, k_y, k_x, target_sr=0.5):
     a = rng.standard_normal((k_y, k_y))
     u = np.linalg.cholesky(a @ a.T + k_y * np.eye(k_y)).T
     return MsarParams(rho=rho, b=b, prec_chol=u)
+
+
+def simulated_training_set(cfg, replication_index):
+    """The training curves and weights of one Monte Carlo replication."""
+    rng = replication_rng(cfg.seed, replication_index)
+    w = cfg.make_weights(cfg.n_train)
+    x = gen_predictors(cfg.n_train, cfg.grid, rng)
+    y = gen_response(
+        x, w, cfg.alpha, rng, noise_sd=cfg.noise_sd, neumann_tol=cfg.neumann_tol,
+        neumann_max_terms=cfg.neumann_max_terms, smooth_noise=cfg.smooth_noise,
+    )
+    return y, x, w
 
 
 def random_data(rng, n, k_y, k_x, kind="exponential"):
@@ -150,6 +169,20 @@ class TestObjective:
             got = objective(params, data)
             expected = dense_objective(params, data)
             assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_invariant_to_precision_scale(self):
+        # m scales by 1/c and G by c, so Q(c Omega_e) = Q(Omega_e): the
+        # first log-diagonal entry of prec_chol is a flat direction
+        rng = np.random.default_rng(27)
+        for k_y in (1, 2, 3):
+            data = random_data(rng, 9, k_y, 2)
+            params = random_params(rng, k_y, 2)
+            base = objective(params, data)
+            for c in (1e-3, 0.5, 7.0, 1e4):
+                scaled = MsarParams(
+                    rho=params.rho, b=params.b, prec_chol=c * params.prec_chol
+                )
+                assert objective(scaled, data) == pytest.approx(base, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -273,6 +306,32 @@ class TestFitMsar:
         data = MsarData(ymat=ymat, xmat=xmat, weights=w)
         with pytest.raises(ParameterError):
             fit_msar(data)
+
+    def test_strong_dependence_replication_converges(self):
+        # replication 3 of criterion 4's design: with a noisy gradient the
+        # line search stalls at Q's floor before the gradient test passes
+        cfg = SimConfig(
+            n_train=250, n_test=1000, alpha=0.9, weight_kind="exponential", seed=90210
+        )
+        y, x, w = simulated_training_set(cfg, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            fit = fit_sfofr(y, x, w, options=cfg.fit_options)
+        assert fit.msar_fit.converged
+        assert fit.msar_fit.grad_norm <= fit.msar_fit.tolerance
+
+    def test_spurious_boundary_minimum_is_capped(self):
+        # replication 76 of criterion 5's design: the descent pins the
+        # spectral constraint, where the fit predicts with MSPE near 23, and
+        # the rerun capped at spectral radius 0.5 costs under 5% of Q
+        cfg = SimConfig(
+            n_train=250, n_test=1000, alpha=0.1, weight_kind="inverse", seed=11235
+        )
+        y, x, w = simulated_training_set(cfg, 76)
+        with pytest.warns(UserWarning, match="interior solution preferred"):
+            fit = fit_sfofr(y, x, w, options=cfg.fit_options)
+        assert spectral_radius(fit.msar_fit.params.rho) < 0.5
+        assert fit.msar_fit.spectral_radius_trace[-1] < 0.5
 
     def test_converged_flag_semantics(self):
         rng = np.random.default_rng(18)
