@@ -27,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import DataError, ParameterError
 from .fdbasis import FunctionalDataset, make_bspline_basis
@@ -39,7 +40,7 @@ from .pipeline import (
     reconstruct_beta,
     reconstruct_rho,
 )
-from .spatial import SpatialWeights
+from .spatial import SPARSE_THRESHOLD, SpatialWeights
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
 BUNDLE_VERSION = 1
@@ -119,10 +120,9 @@ def write_weights_csv(path, weights: SpatialWeights, layout: str = "dense"):
         mat = weights.toarray()
         lines = [",".join(fmt(v) for v in row) for row in mat]
     elif layout == "triplet":
-        mat = weights.toarray()
-        i_idx, j_idx = np.nonzero(mat)
+        coo = sp.coo_array(weights.matrix)  # row-major, nonzeros only
         lines = ["i,j,w"] + [
-            f"{i},{j},{fmt(mat[i, j])}" for i, j in zip(i_idx, j_idx)
+            f"{i},{j},{fmt(w)}" for i, j, w in zip(coo.row, coo.col, coo.data)
         ]
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
@@ -152,14 +152,23 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise DataError(f"{path}:{no}: indices must be integers") from None
+            if i < 0 or j < 0:
+                raise DataError(f"{path}:{no}: indices must be nonnegative")
             entries.append((i, j, _parse_float(parts[2], path, no)))
-        n = max(max(i, j) for i, j, _ in entries) + 1
-        mat = np.zeros((n, n))
-        for i, j, w in entries:
-            mat[i, j] = w
+        if not entries:
+            raise DataError(f"{path}: triplet weights file has no entries")
+        rows, cols, vals = (np.array(v) for v in zip(*entries))
+        n = int(max(rows.max(), cols.max())) + 1
+        # a repeated (i, j) keeps its last value, as the file reads
+        key = rows * n + cols
+        _, first_rev = np.unique(key[::-1], return_index=True)
+        keep = key.size - 1 - first_rev
+        coo = sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+        coo.eliminate_zeros()
+        mat = coo.toarray() if n < SPARSE_THRESHOLD else sp.csr_array(coo)
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
-    sums = mat.sum(axis=1)
+    sums = np.asarray(mat.sum(axis=1)).ravel()
     normalized = bool(np.all((np.abs(sums - 1.0) <= 1e-12) | (sums == 0.0)))
     return SpatialWeights(matrix=mat, normalized=normalized, kind="custom")
 

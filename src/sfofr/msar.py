@@ -24,6 +24,11 @@ so the first log-diagonal entry of U is held fixed. Candidate steps that push
 the spectral radius of rho to 1 - iota or beyond are backtracked, and a
 descent that ends at that bound is checked against one capped rerun (see
 fit_msar).
+
+Fitted values come from the reduced form M - W M rho = C, which
+reduced_form_solve takes through the complex Schur form of rho: Ky shifted
+n x n solves in triangular order, one path for every rho. Its divergence
+guard bounds rho(W) by the maximum row sum of W (SpatialWeights.spectral_radius).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -41,39 +47,17 @@ IOTA = 1e-3  # spectral safety margin: |lambda_1(rho)| < 1 - IOTA
 
 
 def spectral_radius(m) -> float:
-    """Largest absolute eigenvalue, accurate to about 1e-8 relative.
+    """Largest absolute eigenvalue of a small dense square matrix.
 
-    Small matrices go straight to a dense eigenvalue solve; larger ones use
-    power iteration with a dense fallback when the iteration stalls (for
-    example on complex-conjugate dominant pairs).
+    Every caller passes a Ky x Ky matrix (rho or a candidate step), so one
+    dense eigenvalue solve is exact to rounding and cheap.
     """
-    if sp.issparse(m):
-        mat = m
-        n = mat.shape[0]
-    else:
-        mat = np.asarray(m, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ParameterError("spectral_radius needs a square matrix")
-        n = mat.shape[0]
-    if n == 0:
+    mat = np.asarray(m, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ParameterError("spectral_radius needs a square matrix")
+    if mat.size == 0:
         return 0.0
-    if n <= 64 and not sp.issparse(mat):
-        return float(np.max(np.abs(np.linalg.eigvals(mat))))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est_prev = np.inf
-    for _ in range(5000):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-        if abs(norm - est_prev) <= 1e-9 * max(norm, 1e-300):
-            return float(norm)
-        est_prev = norm
-    dense = mat.toarray() if sp.issparse(mat) else mat
-    return float(np.max(np.abs(np.linalg.eigvals(dense))))
+    return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
 @dataclass(frozen=True)
@@ -489,20 +473,22 @@ def fit_msar(
 
 
 def reduced_form_solve(
-    rho: np.ndarray,
-    weights: SpatialWeights,
-    c: np.ndarray,
-    strategy: str = "auto",
-    neumann_tol: float = 1e-10,
-    neumann_max_iter: int = 10_000,
+    rho: np.ndarray, weights: SpatialWeights, c: np.ndarray
 ) -> np.ndarray:
     """Solve M - W M rho = C, the matrix form of (I - rho' (x) W) vec(M) = vec(C).
 
-    ``strategy`` is one of 'auto', 'eigen', 'neumann', 'dense'. The automatic
-    choice eigen-decomposes rho when the eigenvector matrix is well conditioned
-    (Ky independent shifted solves (I - lambda_k W) z = c_k), falls back to the
-    Neumann iteration M <- C + W M rho, and finally to a dense nKy-dimensional
-    solve when n * Ky <= 4000.
+    With the complex Schur form rho = Z T Z^H (T upper triangular) and N = M Z,
+    the system becomes N - W N T = C Z, which is solved column by column:
+
+        (I - T[k, k] W) N[:, k] = (C Z)[:, k] + W sum_{j<k} N[:, j] T[j, k],
+
+    one shifted n x n solve per column (dense LU, or sparse LU for CSR W),
+    and M = Re(N Z^H). This is the Bartels-Stewart reduction (1972), backward
+    stable for every rho, defective ones included. W stays real: it is applied
+    to the real and imaginary parts separately.
+
+    Raises DivergenceError when |lambda_1(rho)| times the bound
+    ``weights.spectral_radius()`` on rho(W) reaches 1.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -514,65 +500,18 @@ def reduced_form_solve(
     sr = spectral_radius(rho) * weights.spectral_radius()
     if sr >= 1:
         raise DivergenceError(
-            f"spectral radius of rho' (x) W is {sr:.6g} >= 1; system diverges"
+            f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
         )
-    if strategy not in ("auto", "eigen", "neumann", "dense"):
-        raise ParameterError(f"unknown strategy {strategy!r}")
-
-    if strategy in ("auto", "eigen"):
-        lam, p = np.linalg.eig(rho)
-        cond = np.linalg.cond(p)
-        if cond < 1e8:
-            return _solve_eigen(lam, p, weights, c)
-        if strategy == "eigen":
-            raise NumericalError(
-                f"rho eigenvector matrix too ill-conditioned ({cond:.3g}) for the "
-                "eigen strategy"
-            )
-    if strategy in ("auto", "neumann"):
-        try:
-            return _solve_neumann(rho, weights, c, neumann_tol, neumann_max_iter)
-        except NumericalError:
-            if strategy == "neumann":
-                raise
-    if n * k_y > 4000:
-        raise NumericalError(
-            f"dense fallback refused: n * Ky = {n * k_y} exceeds 4000"
-        )
-    return _solve_dense(rho, weights, c)
-
-
-def _solve_eigen(lam, p, weights, c):
-    n, k_y = c.shape
-    cp = c.astype(complex) @ p
-    z = np.empty_like(cp)
-    sparse = sp.issparse(weights.matrix)
+    t, z = linalg.schur(rho, output="complex")
+    rhs = c @ z
+    out = np.empty((n, k_y), dtype=complex)
+    w = weights.matrix
+    if sp.issparse(w):
+        w, eye, solve = sp.csc_array(w), sp.identity(n, format="csc"), spla.spsolve
+    else:
+        eye, solve = np.eye(n), np.linalg.solve
     for k in range(k_y):
-        if sparse:
-            a = sp.eye(n, format="csc") - lam[k] * sp.csc_array(weights.matrix)
-            z[:, k] = spla.spsolve(a, cp[:, k])
-        else:
-            a = np.eye(n) - lam[k] * weights.matrix
-            z[:, k] = np.linalg.solve(a, cp[:, k])
-    m = z @ np.linalg.inv(p)
-    return np.ascontiguousarray(m.real)
-
-
-def _solve_neumann(rho, weights, c, tol, max_iter):
-    m = c.copy()
-    term = c
-    for _ in range(max_iter):
-        term = weights.matmul(term) @ rho
-        m += term
-        if np.max(np.abs(term)) < tol:
-            return m
-    raise NumericalError(
-        f"Neumann iteration did not reach {tol:g} within {max_iter} terms"
-    )
-
-
-def _solve_dense(rho, weights, c):
-    n, k_y = c.shape
-    s = np.eye(n * k_y) - np.kron(rho.T, weights.toarray())
-    vec = np.linalg.solve(s, c.ravel(order="F"))
-    return vec.reshape(n, k_y, order="F")
+        lag = out[:, :k] @ t[:k, k]
+        b = rhs[:, k] + weights.matmul(lag.real) + 1j * weights.matmul(lag.imag)
+        out[:, k] = solve(eye - t[k, k] * w, b)
+    return np.ascontiguousarray((out @ z.conj().T).real)

@@ -41,7 +41,6 @@ from .msar import (
     fit_msar,
     objective,
     reduced_form_solve,
-    spectral_radius,
 )
 from .spatial import SpatialWeights
 
@@ -448,7 +447,3 @@ def r_squared(pred: FunctionalDataset, obs: FunctionalDataset) -> float:
             "observed curves have no variation around their mean curve"
         )
     return 1.0 - float(np.sum((resid * resid) @ w)) / denom
-
-
-def rho_spectral_radius(fit: SfofrFit) -> float:
-    return spectral_radius(fit.msar_fit.params.rho)

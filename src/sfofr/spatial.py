@@ -100,13 +100,13 @@ class SpatialWeights:
         return float(np.max(self.row_sums())) if self.n else 0.0
 
     def spectral_radius(self) -> float:
-        cached = getattr(self, "_spec_rad", None)
-        if cached is None:
-            from .msar import spectral_radius as _sr
+        """Upper bound on rho(W): the maximum row sum (``inf_norm``).
 
-            cached = _sr(self.toarray() if self.n <= 4000 else self.matrix)
-            object.__setattr__(self, "_spec_rad", cached)
-        return cached
+        W is nonnegative, so rho(W) <= max row sum, with equality whenever all
+        row sums agree. A row-normalized W without isolated units therefore
+        has rho(W) = 1 exactly; for other W the bound is conservative.
+        """
+        return self.inf_norm()
 
 
 @dataclass(frozen=True)

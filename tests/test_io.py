@@ -1,16 +1,21 @@
 """Round-trip tests for the file formats and the fit bundle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sfofr import (
     DataError,
     FunctionalDataset,
+    GeoCoordinates,
     exponential_weights,
     fit_sfofr,
     fitted_values,
     gen_predictors,
     gen_response,
+    knn_weights,
     predict,
 )
 from sfofr.io import (
@@ -81,6 +86,42 @@ class TestWeightsCsv:
         write_weights_csv(path, w, layout="triplet")
         back = read_weights_csv(path, layout="triplet")
         np.testing.assert_array_equal(back.toarray(), w.toarray())
+
+    def test_triplet_repeated_entry_keeps_last_value(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("i,j,w\n0,1,0.25\n1,0,1\n0,1,0.5\n")
+        np.testing.assert_array_equal(
+            read_weights_csv(path, layout="triplet").toarray(), [[0, 0.5], [1, 0]]
+        )
+
+    def test_triplet_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("i,j,w\n0,1,0.5\n1,2,0.5\n2,0,0.5\n-3,1,0.5\n")
+        with pytest.raises(DataError, match=":5: indices must be nonnegative"):
+            read_weights_csv(path, layout="triplet")
+
+    def test_triplet_without_entries_rejected(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("i,j,w\n")
+        with pytest.raises(DataError, match="no entries"):
+            read_weights_csv(path, layout="triplet")
+
+    def test_sparse_triplet_round_trip_never_densifies(self, tmp_path):
+        n = 3000
+        rng = np.random.default_rng(7)
+        coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
+        w = knn_weights(coords, 5)
+        path = tmp_path / "w.csv"
+        tracemalloc.start()
+        try:
+            write_weights_csv(path, w, layout="triplet")
+            back = read_weights_csv(path, layout="triplet")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.issparse(back.matrix) and back.normalized
+        assert (back.matrix != w.matrix).nnz == 0
+        assert peak < n * n * 8 / 10  # a dense n x n array is 72 MB
 
     def test_non_square_dense_rejected(self, tmp_path):
         path = tmp_path / "w.csv"

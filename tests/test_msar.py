@@ -9,9 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sfofr import (
     DivergenceError,
+    GeoCoordinates,
     MsarData,
     MsarParams,
     ParameterError,
@@ -25,6 +28,7 @@ from sfofr import (
     gen_response,
     gradient,
     inverse_distance_weights,
+    knn_weights,
     objective,
     preconditioner_m,
     reduced_form_solve,
@@ -32,6 +36,7 @@ from sfofr import (
 )
 from sfofr.msar import _gradient_raw, _objective_raw, _pack, _unpack
 from sfofr.simgen import replication_rng
+from sfofr.spatial import SPARSE_THRESHOLD
 
 
 def vec(m):
@@ -360,25 +365,50 @@ class TestReducedFormSolve:
         expected = unvec(np.linalg.solve(s, vec(c)), 8, 2)
         np.testing.assert_allclose(got, expected, atol=1e-8)
 
-    def test_strategies_agree_pairwise(self):
+    def test_random_trials_match_dense_oracle(self):
         rng = np.random.default_rng(21)
         for trial in range(5):
             n, k_y = 10, 3
             w = inverse_distance_weights(n)
             params = random_params(rng, k_y, 2, target_sr=rng.uniform(0.2, 0.8))
             c = rng.standard_normal((n, k_y))
-            results = {
-                name: reduced_form_solve(params.rho, w, c, strategy=name)
-                for name in ("eigen", "neumann", "dense")
-            }
-            np.testing.assert_allclose(results["eigen"], results["dense"], atol=1e-8)
-            np.testing.assert_allclose(results["neumann"], results["dense"], atol=1e-8)
+            s = dense_s(params.rho, w.toarray())
+            expected = unvec(np.linalg.solve(s, vec(c)), n, k_y)
+            got = reduced_form_solve(params.rho, w, c)
+            np.testing.assert_allclose(got, expected, atol=1e-8)
+
+    def test_defective_rho_matches_dense_oracle(self):
+        # a Jordan block: rho has no eigenvector basis
+        rng = np.random.default_rng(25)
+        w = exponential_weights(8, 0.5)
+        rho = np.array([[0.5, 1.0], [0.0, 0.5]])
+        c = rng.standard_normal((8, 2))
+        expected = unvec(np.linalg.solve(dense_s(rho, w.toarray()), vec(c)), 8, 2)
+        np.testing.assert_allclose(reduced_form_solve(rho, w, c), expected, atol=1e-8)
+
+    def test_sparse_weights_match_sparse_oracle(self):
+        rng = np.random.default_rng(26)
+        n = SPARSE_THRESHOLD
+        coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
+        w = knn_weights(coords, 5)
+        assert sp.issparse(w.matrix)
+        params = random_params(rng, 2, 2, target_sr=0.6)
+        c = rng.standard_normal((n, 2))
+        s = sp.identity(2 * n, format="csc") - sp.kron(params.rho.T, w.matrix, format="csc")
+        expected = unvec(spla.spsolve(s, vec(c)), n, 2)
+        got = reduced_form_solve(params.rho, w, c)
+        np.testing.assert_allclose(got, expected, atol=1e-8)
 
     def test_divergent_system_rejected(self):
         w = exponential_weights(5, 0.5)  # spectral radius 1 (row stochastic)
         rho = np.array([[1.05]])
         with pytest.raises(DivergenceError):
             reduced_form_solve(rho, w, np.ones((5, 1)))
+
+    def test_unnormalized_weights_rejected_by_row_sum_bound(self):
+        w = SpatialWeights(matrix=2.0 * exponential_weights(5, 0.5).toarray())
+        with pytest.raises(DivergenceError):
+            reduced_form_solve(np.array([[0.6]]), w, np.ones((5, 1)))
 
     def test_verifies_shapes(self):
         w = exponential_weights(5, 0.5)
@@ -401,7 +431,7 @@ class TestSpectralRadius:
             assert spectral_radius(m) == pytest.approx(expected, rel=1e-8)
 
     def test_power_iteration_path(self):
-        # 100 x 100 goes through power iteration; row-stochastic W has sr 1
+        # row-stochastic W has sr 1, which its max row sum gives exactly
         w = exponential_weights(100, 0.5)
         assert w.spectral_radius() == pytest.approx(1.0, rel=1e-7)
 

@@ -186,16 +186,17 @@ class TestFittedAndPredict:
         ) + fit.y_mean
         np.testing.assert_allclose(pred.values, manual, atol=1e-10)
 
-    def test_fitted_values_solver_strategy_invariance(self, toy_fit):
+    def test_fitted_values_solve_matches_dense_oracle(self, toy_fit):
+        rho = toy_fit.msar_fit.params.rho
         scores = toy_fit.predictor_decomp.scores @ toy_fit.msar_fit.params.b
-        outs = [
-            reduced_form_solve(
-                toy_fit.msar_fit.params.rho, toy_fit.weights, scores, strategy=s
-            )
-            for s in ("eigen", "neumann", "dense")
-        ]
-        np.testing.assert_allclose(outs[0], outs[1], atol=1e-8)
-        np.testing.assert_allclose(outs[0], outs[2], atol=1e-8)
+        n, k_y = scores.shape
+        s = np.eye(n * k_y) - np.kron(rho.T, toy_fit.weights.toarray())
+        expected = np.linalg.solve(s, scores.ravel(order="F")).reshape(
+            n, k_y, order="F"
+        )
+        np.testing.assert_allclose(
+            reduced_form_solve(rho, toy_fit.weights, scores), expected, atol=1e-8
+        )
 
     def test_closed_loop_noiseless_recovery(self, toy_fit):
         # response generated exactly from the score-space model with zero

@@ -165,6 +165,36 @@ class TestRowNormalize:
             SpatialWeights(matrix=np.eye(3))
 
 
+def eigen_modulus(w):
+    return float(np.max(np.abs(np.linalg.eigvals(w.toarray()))))
+
+
+class TestSpectralRadiusBound:
+    @pytest.mark.parametrize(
+        "w",
+        [
+            exponential_weights(30, 0.5),
+            inverse_distance_weights(30),
+            knn_weights(
+                GeoCoordinates(
+                    lat=np.random.default_rng(3).uniform(-60, 60, 30),
+                    lon=np.random.default_rng(4).uniform(-170, 170, 30),
+                ),
+                4,
+            ),
+            SpatialWeights(matrix=np.zeros((5, 5))),
+        ],
+        ids=["exponential", "inverse_distance", "knn", "zero"],
+    )
+    def test_equals_eigenvalue_modulus_when_row_sums_agree(self, w):
+        assert w.spectral_radius() == pytest.approx(eigen_modulus(w), rel=1e-10, abs=1e-14)
+
+    def test_upper_bound_for_unequal_row_sums(self):
+        w = SpatialWeights(matrix=np.array([[0, 2, 2], [1, 0, 0], [3, 1, 0.0]]))
+        assert w.spectral_radius() == 4.0
+        assert w.spectral_radius() > eigen_modulus(w)
+
+
 class TestMoransI:
     def test_hand_computed_pair(self):
         w = SpatialWeights(matrix=np.array([[0.0, 1], [1, 0]]), normalized=True)
