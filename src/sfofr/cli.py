@@ -263,17 +263,8 @@ def cmd_fit(cfg: dict) -> int:
             ("fpca_y.json", fit.response_decomp, "chi_y.csv", "scores_y.csv"),
             ("fpca_x.json", fit.predictor_decomp, "chi_x.csv", "scores_x.csv"),
         ):
-            sio.write_json(
-                out / name,
-                {
-                    "kind": decomp.kind,
-                    "eigenvalues": [float(v) for v in decomp.eigenvalues],
-                    "variance_explained": [float(v) for v in decomp.variance_explained],
-                    "total_variance": float(decomp.total_variance),
-                    "chi_csv": chi_csv,
-                    "scores_csv": scores_csv,
-                },
-            )
+            meta = sio.decomp_meta(decomp)
+            sio.write_json(out / name, {**meta, "chi_csv": chi_csv, "scores_csv": scores_csv})
             outputs.append(name)
     sio.save_fit_bundle(
         fit, out,

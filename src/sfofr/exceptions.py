@@ -45,4 +45,4 @@ class DivergenceError(NumericalError):
 
 
 class GenerationError(NumericalError):
-    """Simulated-response generation diverged instead of converging."""
+    """Generated simulation responses fail their residual certificate."""

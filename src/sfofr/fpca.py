@@ -227,17 +227,11 @@ def choose_k(decomp: FpcDecomposition, threshold: float) -> int:
     return int(min(idx, decomp.n_components - 1) + 1)
 
 
-def same_basis(a: BSplineBasis, b: BSplineBasis) -> bool:
-    return (
-        a.degree == b.degree
-        and a.num_basis == b.num_basis
-        and np.array_equal(a.knots, b.knots)
-    )
-
-
 def project(coeffs: BasisCoefficients, decomp: FpcDecomposition) -> np.ndarray:
     """Exact L2 projections of curves onto the components: scores = A Gamma chi."""
-    if not same_basis(coeffs.basis, decomp.basis):
+    a, b = coeffs.basis, decomp.basis
+    same_shape = a.degree == b.degree and a.num_basis == b.num_basis
+    if not (same_shape and np.array_equal(a.knots, b.knots)):
         raise ParameterError("coefficients use a different basis than the decomposition")
     return coeffs.coef @ decomp.basis.gram @ decomp.chi
 

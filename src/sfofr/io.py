@@ -16,7 +16,10 @@ Moran CSV      : tidy pairs with header ``t,value``.
 Fit bundle     : a directory holding manifest.json plus CSV matrices for the
                  eigenfunction coefficients, scores, rho, B, the precision
                  factor, mean curves, the training weights, and both fitted
-                 surfaces on a 101 x 101 grid.
+                 surfaces on a 101 x 101 grid. The training weights are
+                 written in the triplet layout when stored as CSR, else
+                 dense (manifest key ``weights_layout``, dense when absent);
+                 a lattice W's balance vector goes to w_balance.csv.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +44,7 @@ from .pipeline import (
     reconstruct_beta,
     reconstruct_rho,
 )
-from .spatial import SPARSE_THRESHOLD, SpatialWeights
+from .spatial import SPARSE_THRESHOLD, SpatialWeights, _with_balance
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
 BUNDLE_VERSION = 1
@@ -260,7 +264,11 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
     write_matrix_csv(directory / "prec_chol.csv", fit.msar_fit.params.prec_chol)
     write_matrix_csv(directory / "y_mean.csv", np.vstack([fit.y_grid, fit.y_mean]))
     write_matrix_csv(directory / "x_mean.csv", np.vstack([fit.x_grid, fit.x_mean]))
-    write_weights_csv(directory / "w_train.csv", fit.weights, layout="dense")
+    w_layout = "triplet" if sp.issparse(fit.weights.matrix) else "dense"
+    write_weights_csv(directory / "w_train.csv", fit.weights, layout=w_layout)
+    balance = getattr(fit.weights, "_balance", None)
+    if balance is not None:
+        write_matrix_csv(directory / "w_balance.csv", balance)
     write_surface_csv(directory / "rho_surface.csv", rho_surface)
     write_surface_csv(directory / "beta_surface.csv", beta_surface)
 
@@ -278,8 +286,10 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
         "options": dict(fit.options),
         "weights_normalized": bool(fit.weights.normalized),
         "weights_kind": fit.weights.kind,
-        "response_decomposition": _decomp_meta(fit.response_decomp),
-        "predictor_decomposition": _decomp_meta(fit.predictor_decomp),
+        "weights_layout": w_layout,
+        "weights_balanced": balance is not None,
+        "response_decomposition": decomp_meta(fit.response_decomp),
+        "predictor_decomposition": decomp_meta(fit.predictor_decomp),
         "convergence": {
             "objective": msar.objective,
             "grad_norm": msar.grad_norm,
@@ -302,7 +312,8 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
     return manifest
 
 
-def _decomp_meta(decomp: FpcDecomposition) -> dict:
+def decomp_meta(decomp: FpcDecomposition) -> dict:
+    """Eigenvalues and variance shares of a decomposition, as JSON values."""
     return {
         "kind": decomp.kind,
         "eigenvalues": [float(v) for v in decomp.eigenvalues],
@@ -357,13 +368,13 @@ def load_fit_bundle(directory) -> SfofrFit:
     )
     y_mean = read_matrix_csv(directory / "y_mean.csv")
     x_mean = read_matrix_csv(directory / "x_mean.csv")
-    weights = read_weights_csv(directory / "w_train.csv", layout="dense")
+    weights = read_weights_csv(
+        directory / "w_train.csv", layout=manifest.get("weights_layout", "dense")
+    )
     if manifest.get("weights_kind"):
-        weights = SpatialWeights(
-            matrix=weights.matrix,
-            normalized=weights.normalized,
-            kind=manifest["weights_kind"],
-        )
+        weights = replace(weights, kind=manifest["weights_kind"])
+    if manifest.get("weights_balanced"):
+        weights = _with_balance(weights, read_matrix_csv(directory / "w_balance.csv"))
     return SfofrFit(
         response_decomp=response,
         predictor_decomp=predictor,

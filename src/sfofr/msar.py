@@ -27,8 +27,10 @@ fit_msar).
 
 Fitted values come from the reduced form M - W M rho = C, which
 reduced_form_solve takes through the complex Schur form of rho: Ky shifted
-n x n solves in triangular order, one path for every rho. Its divergence
-guard bounds rho(W) by the maximum row sum of W (SpatialWeights.spectral_radius).
+n x n solves in triangular order, one path for every rho. A W with a cached
+eigendecomposition (the lattice kernels, see spatial) turns each shifted
+solve into a division in W's eigenbasis. The divergence guard bounds rho(W)
+by the maximum row sum of W (SpatialWeights.spectral_radius).
 """
 
 from __future__ import annotations
@@ -485,7 +487,14 @@ def reduced_form_solve(
     one shifted n x n solve per column (dense LU, or sparse LU for CSR W),
     and M = Re(N Z^H). This is the Bartels-Stewart reduction (1972), backward
     stable for every rho, defective ones included. W stays real: it is applied
-    to the real and imaginary parts separately.
+    to the real and imaginary parts separately. A W with a spectral form
+    W = P diag(lambda) P^-1 (``SpatialWeights._spectrum``; how W was built
+    decides) is solved in its eigenbasis instead, N = P Y, where each shifted
+    solve is a division:
+
+        Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
+
+    and M = P Re(Y Z^H). rho = 0 returns a copy of C.
 
     Raises DivergenceError when |lambda_1(rho)| times the bound
     ``weights.spectral_radius()`` on rho(W) reaches 1.
@@ -502,9 +511,18 @@ def reduced_form_solve(
         raise DivergenceError(
             f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
         )
+    if not np.any(rho):
+        return c.copy()
     t, z = linalg.schur(rho, output="complex")
-    rhs = c @ z
     out = np.empty((n, k_y), dtype=complex)
+    spectrum = weights._spectrum()
+    if spectrum is not None:
+        lam, q, root = spectrum
+        rhs = (q.T @ (root[:, None] * c)) @ z  # P^-1 C Z, with P^-1 = Q' D^{1/2}
+        for k in range(k_y):
+            out[:, k] = (rhs[:, k] + lam * (out[:, :k] @ t[:k, k])) / (1 - t[k, k] * lam)
+        return q @ (out @ z.conj().T).real / root[:, None]
+    rhs = c @ z
     w = weights.matrix
     if sp.issparse(w):
         w, eye, solve = sp.csc_array(w), sp.identity(n, format="csc"), spla.spsolve

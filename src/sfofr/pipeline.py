@@ -152,19 +152,14 @@ def _resolve_options(options: dict | None) -> dict:
 def _center_and_smooth(data: FunctionalDataset, basis: BSplineBasis, ridge: float):
     centered, mean_curve = center(data)
     coeffs = smooth_curves(centered, basis, ridge)
-    mean_coef = _smooth_single(mean_curve, data.grid, basis, ridge)
+    pair = FunctionalDataset(grid=data.grid, values=np.vstack([mean_curve, mean_curve]))
     coeffs = BasisCoefficients(
         coef=coeffs.coef,
         basis=basis,
-        mean_coeff=mean_coef,
+        mean_coeff=smooth_curves(pair, basis, ridge).coef[0],
         residual_rms=coeffs.residual_rms,
     )
     return coeffs, mean_curve
-
-
-def _smooth_single(values, grid, basis, ridge):
-    pair = FunctionalDataset(grid=grid, values=np.vstack([values, values]))
-    return smooth_curves(pair, basis, ridge).coef[0]
 
 
 def fit_sfofr(
@@ -423,9 +418,6 @@ def mse_curves(pred: FunctionalDataset, obs: FunctionalDataset) -> float:
     w = trapezoid_weights(pred.grid)
     diff = pred.values - obs.values
     return float(np.mean((diff * diff) @ w))
-
-
-mspe_curves = mse_curves
 
 
 def r_squared(pred: FunctionalDataset, obs: FunctionalDataset) -> float:

@@ -1,13 +1,13 @@
 """Simulation-study data generator and Monte Carlo harness.
 
 Predictors are finite Fourier series with k^{-3/2} coefficient decay; the
-response is built from the model identity Y = T Y + G, where G collects the
-regression integral of the predictor plus noise and T is the spatial mixing
-operator (W-average of the rho-weighted integral). Because the mixing operator
-is a contraction for the surfaces used here, Y is accumulated through the
-Neumann series Y = sum_m T^m G until the max-abs increment falls below a
-tolerance; the residual Y - T Y - G then satisfies the same tolerance, which
-is re-verified directly before returning.
+response solves the model identity Y = W Y R + G exactly, where G collects the
+regression integral of the predictor plus noise and R is the rho surface
+weighted by the trapezoid rule. That identity is a reduced form of the same
+kind the fitted model predicts through, so gen_response is one
+msar.reduced_form_solve, certified by its residual max|Y - W Y R - G|.
+SimConfig.make_weights hands out one shared, read-only weight matrix per
+(kind, decay, n), so every replication reuses its eigendecomposition.
 
 True surfaces:
     beta(s, t) = 2 + s + t + 0.5 sin(2 pi s t)
@@ -22,6 +22,7 @@ out-of-sample MSPE. Replications draw from independent streams keyed by
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ import numpy as np
 
 from .exceptions import GenerationError, ParameterError
 from .fdbasis import FunctionalDataset, make_bspline_basis, smooth_curves, trapezoid_weights
+from .msar import reduced_form_solve
 from .pipeline import (
     SurfaceEstimate,
     fit_fofr_fpc,
@@ -49,7 +51,11 @@ N_FOURIER_PAIRS = 10
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one simulated scenario."""
+    """Configuration of one simulated scenario.
+
+    ``neumann_tol`` bounds the certified residual of the generated responses
+    (see gen_response); ``neumann_max_terms`` is accepted and unused.
+    """
 
     n_train: int
     n_test: int
@@ -85,9 +91,15 @@ class SimConfig:
         return np.arange(1, g + 1) / g
 
     def make_weights(self, n: int) -> SpatialWeights:
-        if self.weight_kind == "inverse":
-            return inverse_distance_weights(n)
-        return exponential_weights(n, self.decay)
+        """The shared, read-only lattice weight matrix of this kind for n units."""
+        return _shared_weights(self.weight_kind, self.decay, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _shared_weights(kind: str, decay: float, n: int) -> SpatialWeights:
+    if kind == "inverse":
+        return inverse_distance_weights(n)
+    return exponential_weights(n, decay)
 
 
 @dataclass(frozen=True)
@@ -157,13 +169,15 @@ def gen_response(
     neumann_max_terms: int = 10_000,
     smooth_noise: bool = False,
 ) -> FunctionalDataset:
-    """Generate responses from the model identity via the Neumann series.
+    """Generate responses that solve the model identity Y = W Y R + G.
 
     G_i(t) = int x_i(s) beta(s, t) ds + eps_i(t) (trapezoid quadrature, i.i.d.
-    N(0, noise_sd^2) noise per grid point); then Y accumulates T^m G until the
-    max-abs increment drops below ``neumann_tol``. Raises GenerationError when
-    increments grow for 50 consecutive terms (spatial operator not a
-    contraction).
+    N(0, noise_sd^2) noise per grid point) and R = diag(trapezoid weights)
+    rho(s, t) on the grid. Y is the exact solve reduced_form_solve(R, W, G),
+    which raises DivergenceError when |lambda_1(R)| times the maximum row sum
+    of W reaches 1. The result is certified directly: GenerationError is
+    raised unless max|Y - W Y R - G| <= ``neumann_tol``. ``neumann_max_terms``
+    is accepted for compatibility and unused.
     """
     if not 0 <= alpha < 1:
         raise ParameterError("alpha must lie in [0, 1)")
@@ -176,71 +190,41 @@ def gen_response(
         return FunctionalDataset(grid=grid, values=g, ids=x_data.ids)
 
     rho_quad = w_quad[:, None] * true_rho(grid[:, None], grid[None, :], alpha)
-
-    def mix(m):
-        return weights.matmul(m) @ rho_quad
-
-    y = g.copy()
-    term = g
-    prev_max = np.inf
-    growing = 0
-    converged = False
-    for _ in range(neumann_max_terms):
-        term = mix(term)
-        y += term
-        t_max = float(np.max(np.abs(term)))
-        if t_max >= prev_max:
-            growing += 1
-            if growing >= 50:
-                l1_bound = float(np.max(w_quad @ np.abs(true_rho(
-                    grid[:, None], grid[None, :], alpha))))
-                raise GenerationError(
-                    "Neumann series increments grew for 50 consecutive terms; "
-                    f"operator bound sup_t int|rho| * ||W||_inf = "
-                    f"{l1_bound * weights.inf_norm():.4g}"
-                )
-        else:
-            growing = 0
-        prev_max = t_max
-        if t_max < neumann_tol:
-            # certify the model residual Y - T Y - G = -T(term) directly
-            term = mix(term)
-            if np.max(np.abs(term)) < neumann_tol:
-                converged = True
-                break
-            y += term  # tolerance not yet certified: keep accumulating
-    if not converged:
+    y = reduced_form_solve(rho_quad, weights, g)
+    residual = float(np.max(np.abs(y - weights.matmul(y) @ rho_quad - g)))
+    if not residual <= neumann_tol:
         raise GenerationError(
-            f"Neumann series did not converge within {neumann_max_terms} terms"
+            f"generated responses miss the model identity by {residual:.3g} "
+            f"> {neumann_tol:g}"
         )
     return FunctionalDataset(grid=grid, values=y, ids=x_data.ids)
+
+
+def _draw(cfg: SimConfig, n: int, rng):
+    """Weights, predictors and responses of one n-unit data set."""
+    weights = cfg.make_weights(n)
+    x_data = gen_predictors(n, cfg.grid, rng)
+    y_data = gen_response(
+        x_data, weights, cfg.alpha, rng, noise_sd=cfg.noise_sd,
+        neumann_tol=cfg.neumann_tol, smooth_noise=cfg.smooth_noise,
+    )
+    return weights, x_data, y_data
+
+
+def _true_surfaces(cfg: SimConfig):
+    """The true beta and rho surfaces on the configuration's grid."""
+    grid, pts = cfg.grid, (cfg.grid[:, None], cfg.grid[None, :])
+    return (
+        SurfaceEstimate(ugrid=grid, tgrid=grid, values=true_beta(*pts), kind="beta"),
+        SurfaceEstimate(ugrid=grid, tgrid=grid, values=true_rho(*pts, cfg.alpha), kind="rho"),
+    )
 
 
 def generate(cfg: SimConfig, n: int | None = None, rng=None) -> SimTruth:
     """Generate one dataset (default size n_train) with its truth surfaces."""
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    n = cfg.n_train if n is None else n
-    grid = cfg.grid
-    weights = cfg.make_weights(n)
-    x_data = gen_predictors(n, grid, rng)
-    y_data = gen_response(
-        x_data,
-        weights,
-        cfg.alpha,
-        rng,
-        noise_sd=cfg.noise_sd,
-        neumann_tol=cfg.neumann_tol,
-        neumann_max_terms=cfg.neumann_max_terms,
-        smooth_noise=cfg.smooth_noise,
-    )
-    beta_surface = SurfaceEstimate(
-        ugrid=grid, tgrid=grid,
-        values=true_beta(grid[:, None], grid[None, :]), kind="beta",
-    )
-    rho_surface = SurfaceEstimate(
-        ugrid=grid, tgrid=grid,
-        values=true_rho(grid[:, None], grid[None, :], cfg.alpha), kind="rho",
-    )
+    weights, x_data, y_data = _draw(cfg, cfg.n_train if n is None else n, rng)
+    beta_surface, rho_surface = _true_surfaces(cfg)
     return SimTruth(
         config=cfg,
         beta_surface=beta_surface,
@@ -268,54 +252,23 @@ def run_replication(cfg: SimConfig, replication_index: int = 0) -> dict:
     """
     rng = replication_rng(cfg.seed, replication_index)
     grid = cfg.grid
-
-    w_train = cfg.make_weights(cfg.n_train)
-    x_train = gen_predictors(cfg.n_train, grid, rng)
-    y_train = gen_response(
-        x_train, w_train, cfg.alpha, rng,
-        noise_sd=cfg.noise_sd, neumann_tol=cfg.neumann_tol,
-        neumann_max_terms=cfg.neumann_max_terms, smooth_noise=cfg.smooth_noise,
-    )
-    w_test = cfg.make_weights(cfg.n_test)
-    x_test = gen_predictors(cfg.n_test, grid, rng)
-    y_test = gen_response(
-        x_test, w_test, cfg.alpha, rng,
-        noise_sd=cfg.noise_sd, neumann_tol=cfg.neumann_tol,
-        neumann_max_terms=cfg.neumann_max_terms, smooth_noise=cfg.smooth_noise,
-    )
-
-    beta_truth = SurfaceEstimate(
-        ugrid=grid, tgrid=grid,
-        values=true_beta(grid[:, None], grid[None, :]), kind="beta",
-    )
-    rho_truth = SurfaceEstimate(
-        ugrid=grid, tgrid=grid,
-        values=true_rho(grid[:, None], grid[None, :], cfg.alpha), kind="rho",
-    )
-
+    w_train, x_train, y_train = _draw(cfg, cfg.n_train, rng)
+    w_test, x_test, y_test = _draw(cfg, cfg.n_test, rng)
+    beta_truth, rho_truth = _true_surfaces(cfg)
     results = {}
-
-    sp_fit = fit_sfofr(y_train, x_train, w_train, options=cfg.fit_options)
-    results["sfofr"] = {
-        "ise_beta": ise_surface(reconstruct_beta(sp_fit, grid, grid), beta_truth),
-        "ise_rho": ise_surface(reconstruct_rho(sp_fit, grid, grid), rho_truth),
-        "mse": mse_curves(fitted_values(sp_fit), represent_response(sp_fit, y_train)),
-        "mspe": mse_curves(
-            predict(sp_fit, x_test, w_test), represent_response(sp_fit, y_test)
-        ),
-    }
-
-    base_fit = fit_fofr_fpc(y_train, x_train, options=cfg.fit_options)
-    results["fpc"] = {
-        "ise_beta": ise_surface(reconstruct_beta(base_fit, grid, grid), beta_truth),
-        "ise_rho": float("nan"),
-        "mse": mse_curves(
-            fitted_values(base_fit), represent_response(base_fit, y_train)
-        ),
-        "mspe": mse_curves(
-            predict(base_fit, x_test, w_test), represent_response(base_fit, y_test)
-        ),
-    }
+    for method in ("sfofr", "fpc"):
+        if method == "sfofr":
+            fit = fit_sfofr(y_train, x_train, w_train, options=cfg.fit_options)
+            ise_rho = ise_surface(reconstruct_rho(fit, grid, grid), rho_truth)
+        else:
+            fit = fit_fofr_fpc(y_train, x_train, options=cfg.fit_options)
+            ise_rho = float("nan")
+        results[method] = {
+            "ise_beta": ise_surface(reconstruct_beta(fit, grid, grid), beta_truth),
+            "ise_rho": ise_rho,
+            "mse": mse_curves(fitted_values(fit), represent_response(fit, y_train)),
+            "mspe": mse_curves(predict(fit, x_test, w_test), represent_response(fit, y_test)),
+        }
     return results
 
 

@@ -6,6 +6,10 @@ constructions are provided: inverse distance 1/(1+|i-i'|), exponential decay
 exp(-d|i-i'|), and K-nearest-neighbor weights from great-circle (Haversine)
 distances. Moran's I comes in the scalar flavor x'Wx / x'x (on centered x)
 and the functional flavor evaluated pointwise along curves.
+
+Both lattice kernels K are symmetric, so W = D^-1 K (d the row sums of K)
+records d and is similar to the symmetric D^{1/2} W D^{-1/2}, whose cached
+``eigh`` diagonalizes W; such a W is read-only, so the cache cannot go stale.
 """
 
 from __future__ import annotations
@@ -108,6 +112,22 @@ class SpatialWeights:
         """
         return self.inf_norm()
 
+    def _spectrum(self):
+        """(lambda, Q, sqrt(d)) with W = P diag(lambda) P^-1 and P = D^{-1/2} Q,
+        from one cached dense ``eigh``; None when W records no balance d."""
+        d = getattr(self, "_balance", None)
+        if d is None:
+            return None
+        cached = getattr(self, "_eig", None)
+        if cached is None:
+            root = np.sqrt(d)
+            sym = self.toarray()
+            sym *= root[:, None]
+            sym /= root[None, :]
+            cached = tuple(_read_only(a) for a in (*np.linalg.eigh(sym), root))
+            object.__setattr__(self, "_eig", cached)
+        return cached
+
 
 @dataclass(frozen=True)
 class GeoCoordinates:
@@ -133,11 +153,31 @@ class GeoCoordinates:
         return self.lat.size
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _with_balance(weights: SpatialWeights, balance) -> SpatialWeights:
+    """Record W's balance vector d (d_i w_ij = d_j w_ji) on ``weights``, which
+    gives it a spectral form, and make its arrays read-only."""
+    d = np.asarray(balance, dtype=float).ravel()
+    if d.shape != (weights.n,) or not np.all(d > 0):
+        raise DataError("balance vector must hold one positive entry per unit")
+    mat = weights.matrix
+    for a in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
+        _read_only(a)
+    object.__setattr__(weights, "_balance", _read_only(d))
+    return weights
+
+
 def _lattice_weights(n: int, values: np.ndarray, kind: str) -> SpatialWeights:
     np.fill_diagonal(values, 0.0)
-    values /= values.sum(axis=1, keepdims=True)
+    balance = values.sum(axis=1)
+    values /= balance[:, None]
     np.fill_diagonal(values, 0.0)  # keep the diagonal exactly zero
-    return SpatialWeights(matrix=values, normalized=True, kind=kind)
+    weights = SpatialWeights(matrix=values, normalized=True, kind=kind)
+    return _with_balance(weights, balance)
 
 
 def inverse_distance_weights(n: int) -> SpatialWeights:

@@ -20,12 +20,14 @@ from sfofr import (
 )
 from sfofr.io import (
     load_fit_bundle,
+    read_json,
     read_coords_csv,
     read_curves_csv,
     read_matrix_csv,
     read_weights_csv,
     save_fit_bundle,
     write_curves_csv,
+    write_json,
     write_matrix_csv,
     write_weights_csv,
 )
@@ -193,6 +195,47 @@ class TestFitBundle:
         assert conv["objective"] == fit.msar_fit.objective
         assert "rho_spectral_radius" in manifest["diagnostics"]
         assert "contraction" in manifest["diagnostics"]
+
+    def test_sparse_weights_bundle_round_trip_never_densifies(self, tmp_path):
+        n = 2000
+        rng = np.random.default_rng(56)
+        coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
+        w = knn_weights(coords, 5)
+        grid = np.arange(1, 32) / 31
+        x = gen_predictors(n, grid, rng)
+        y = gen_response(x, w, 0.0, rng)
+        fit = fit_sfofr(y, x, w, options={"num_basis": 8})
+        tracemalloc.start()
+        try:
+            manifest = save_fit_bundle(fit, tmp_path / "bundle")
+            loaded = load_fit_bundle(tmp_path / "bundle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert manifest["weights_layout"] == "triplet"
+        assert sp.issparse(loaded.weights.matrix)
+        assert (loaded.weights.matrix != w.matrix).nnz == 0
+        assert peak < n * n * 8 / 4  # a dense n x n array is 32 MB
+        np.testing.assert_array_equal(
+            fitted_values(loaded).values, fitted_values(fit).values
+        )
+
+    def test_bundle_without_layout_key_reads_dense(self, tmp_path, small_fit):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "old")
+        manifest = read_json(tmp_path / "old" / "manifest.json")
+        assert manifest.pop("weights_layout") == "dense"
+        write_json(tmp_path / "old" / "manifest.json", manifest)
+        loaded = load_fit_bundle(tmp_path / "old")
+        np.testing.assert_array_equal(loaded.weights.toarray(), fit.weights.toarray())
+
+    def test_corrupt_balance_vector_rejected(self, tmp_path, small_fit):
+        fit, _, _ = small_fit
+        manifest = save_fit_bundle(fit, tmp_path / "bad")
+        assert manifest["weights_balanced"]
+        write_matrix_csv(tmp_path / "bad" / "w_balance.csv", -np.ones(fit.weights.n))
+        with pytest.raises(DataError, match="balance vector"):
+            load_fit_bundle(tmp_path / "bad")
 
     def test_not_a_bundle_rejected(self, tmp_path):
         (tmp_path / "notbundle").mkdir()

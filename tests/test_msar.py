@@ -34,6 +34,7 @@ from sfofr import (
     reduced_form_solve,
     spectral_radius,
 )
+from sfofr.io import read_weights_csv, write_weights_csv
 from sfofr.msar import _gradient_raw, _objective_raw, _pack, _unpack
 from sfofr.simgen import replication_rng
 from sfofr.spatial import SPARSE_THRESHOLD
@@ -398,6 +399,50 @@ class TestReducedFormSolve:
         expected = unvec(spla.spsolve(s, vec(c)), n, 2)
         got = reduced_form_solve(params.rho, w, c)
         np.testing.assert_allclose(got, expected, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    @pytest.mark.parametrize("kind", ["exponential", "inverse"])
+    @pytest.mark.parametrize("rho_kind", ["random", "jordan", "complex"])
+    def test_spectral_path_matches_dense_oracle(self, n, kind, rho_kind):
+        rng = np.random.default_rng([27, n])
+        w = exponential_weights(n, 0.5) if kind == "exponential" else inverse_distance_weights(n)
+        assert w._spectrum() is not None
+        if rho_kind == "random":
+            rho = random_params(rng, 3, 2, target_sr=rng.uniform(0.2, 0.9)).rho
+        elif rho_kind == "jordan":
+            rho = np.array([[0.5, 1.0], [0.0, 0.5]])
+        else:  # eigenvalues 0.3 +- 0.6i
+            rho = np.array([[0.3, -0.6], [0.6, 0.3]])
+        c = rng.standard_normal((n, rho.shape[0]))
+        expected = unvec(np.linalg.solve(dense_s(rho, w.toarray()), vec(c)), *c.shape)
+        got = reduced_form_solve(rho, w, c)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_sparse_lattice_takes_spectral_path(self):
+        # a fast decay keeps the Kronecker oracle banded, so spsolve stays cheap
+        rng = np.random.default_rng(28)
+        n = SPARSE_THRESHOLD
+        w = exponential_weights(n, 8.0)
+        assert sp.issparse(w.matrix) and w._spectrum() is not None
+        rho = np.array([[0.5, 0.2], [-0.1, 0.3]])
+        c = rng.standard_normal((n, 2))
+        s = sp.identity(2 * n, format="csc") - sp.kron(rho.T, w.matrix, format="csc")
+        expected = unvec(spla.spsolve(s, vec(c)), n, 2)
+        got = reduced_form_solve(rho, w, c)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_csv_read_lattice_takes_schur_path(self, tmp_path):
+        rng = np.random.default_rng(29)
+        w = exponential_weights(40, 0.5)
+        write_weights_csv(tmp_path / "w.csv", w)
+        back = read_weights_csv(tmp_path / "w.csv")
+        np.testing.assert_array_equal(back.toarray(), w.toarray())
+        assert back._spectrum() is None
+        rho = random_params(rng, 3, 2, target_sr=0.8).rho
+        c = rng.standard_normal((40, 3))
+        spectral = reduced_form_solve(rho, w, c)
+        schur = reduced_form_solve(rho, back, c)
+        assert np.max(np.abs(schur - spectral)) <= 1e-12 * np.max(np.abs(spectral))
 
     def test_divergent_system_rejected(self):
         w = exponential_weights(5, 0.5)  # spectral radius 1 (row stochastic)

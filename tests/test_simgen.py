@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfofr import (
+    DivergenceError,
     GenerationError,
     ParameterError,
     SimConfig,
@@ -108,6 +109,16 @@ class TestGenResponse:
         oracle = dense_mixing_solve(x, w, 0.9, g)
         np.testing.assert_allclose(y.values, oracle, atol=1e-6)
 
+    def test_exact_solve_matches_dense_discretized_solve(self):
+        rng = np.random.default_rng(12)
+        x = gen_predictors(6, GRID, rng)
+        w = exponential_weights(6, 0.5)
+        y = gen_response(x, w, 0.9, rng, noise_sd=0.0)
+        w_quad = trapezoid_weights(GRID)
+        g = (x.values * w_quad) @ true_beta(GRID[:, None], GRID[None, :])
+        oracle = dense_mixing_solve(x, w, 0.9, g)
+        np.testing.assert_allclose(y.values, oracle, rtol=0, atol=1e-10)
+
     def test_model_identity_residual_within_tolerance(self):
         rng = np.random.default_rng(4)
         x = gen_predictors(20, GRID, rng)
@@ -150,12 +161,19 @@ class TestGenResponse:
     def test_divergent_operator_detected(self):
         rng = np.random.default_rng(9)
         x = gen_predictors(5, GRID, rng)
-        # rows sum to 3: operator bound far above 1, increments must grow
+        # rows sum to 3: the reduced form's spectral radius bound is far above 1
         mat = np.ones((5, 5)) * 0.75
         np.fill_diagonal(mat, 0.0)
         w_big = SpatialWeights(matrix=mat)
-        with pytest.raises(GenerationError, match="operator bound"):
+        with pytest.raises(DivergenceError, match="spectral radius bound"):
             gen_response(x, w_big, 0.9, rng)
+
+    def test_residual_certificate_enforced(self):
+        rng = np.random.default_rng(13)
+        x = gen_predictors(6, GRID, rng)
+        w = exponential_weights(6, 0.5)
+        with pytest.raises(GenerationError, match="miss the model identity"):
+            gen_response(x, w, 0.9, rng, neumann_tol=1e-300)
 
     def test_alpha_range_validated(self):
         rng = np.random.default_rng(10)

@@ -10,6 +10,7 @@ from sfofr import (
     FunctionalDataset,
     GeoCoordinates,
     ParameterError,
+    SimConfig,
     SpatialWeights,
     UndefinedStatisticError,
     center,
@@ -193,6 +194,53 @@ class TestSpectralRadiusBound:
         w = SpatialWeights(matrix=np.array([[0, 2, 2], [1, 0, 0], [3, 1, 0.0]]))
         assert w.spectral_radius() == 4.0
         assert w.spectral_radius() > eigen_modulus(w)
+
+
+class TestSpectralForm:
+    @pytest.mark.parametrize(
+        "w", [exponential_weights(30, 0.5), inverse_distance_weights(30)],
+        ids=["exponential", "inverse_distance"],
+    )
+    def test_lattice_weights_are_diagonalized(self, w):
+        lam, q, root = w._spectrum()
+        mat = w.toarray()
+        d = root**2
+        np.testing.assert_allclose(d[:, None] * mat, (d[:, None] * mat).T, rtol=1e-14)
+        p_mat = q / root[:, None]
+        p_inv = q.T * root[None, :]
+        np.testing.assert_allclose(p_mat @ np.diag(lam) @ p_inv, mat, atol=1e-14)
+        np.testing.assert_allclose(p_inv @ p_mat, np.eye(30), atol=1e-13)
+        assert np.max(lam) == pytest.approx(1.0, abs=1e-13)
+
+    def test_spectrum_is_cached_and_read_only(self):
+        w = exponential_weights(12, 0.5)
+        first = w._spectrum()
+        assert w._spectrum() is first
+        for a in (w.matrix, *first):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_other_weights_have_no_spectrum(self):
+        coords = GeoCoordinates(
+            lat=np.random.default_rng(3).uniform(-60, 60, 30),
+            lon=np.random.default_rng(4).uniform(-170, 170, 30),
+        )
+        lattice = exponential_weights(8, 0.5)
+        for w in (
+            knn_weights(coords, 4),
+            SpatialWeights(matrix=lattice.toarray(), normalized=True),
+            row_normalize(lattice),
+        ):
+            assert w._spectrum() is None
+
+    def test_config_weights_shared_and_read_only(self):
+        cfg = SimConfig(n_train=10, n_test=10, alpha=0.5, seed=1)
+        w = cfg.make_weights(17)
+        assert cfg.make_weights(17) is w
+        assert SimConfig(n_train=5, n_test=5, alpha=0.2, seed=9).make_weights(17) is w
+        assert cfg.make_weights(18) is not w
+        with pytest.raises(ValueError):
+            w.matrix[0, 1] = 0.5
 
 
 class TestMoransI:
