@@ -9,7 +9,9 @@ Formats
 Curve CSV      : header row ``t,<t_1>,...,<t_T>`` with the grid, then one row
                  ``<id>,<v_1>,...,<v_T>`` per curve.
 Weights CSV    : either ``dense`` (n header-less rows of n values) or
-                 ``triplet`` (``i,j,w`` rows with 0-based indices).
+                 ``triplet`` (``i,j,w`` rows with 0-based indices, ending
+                 with ``n-1,n-1,0`` when unit n-1 has none, so n survives).
+                 Either reads back stored as CSR or dense by W's density.
 Coordinates CSV: header ``id,lat,lon``.
 Surface CSV    : tidy triples with header ``u,t,value``.
 Moran CSV      : tidy pairs with header ``t,value``.
@@ -44,7 +46,7 @@ from .pipeline import (
     reconstruct_beta,
     reconstruct_rho,
 )
-from .spatial import SPARSE_THRESHOLD, SpatialWeights, _with_balance
+from .spatial import SpatialWeights, _with_balance
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
 BUNDLE_VERSION = 1
@@ -116,6 +118,17 @@ def _read_lines(path):
     return [ln for ln in text.splitlines() if ln.strip()]
 
 
+def _parse_rows(lines, path) -> np.ndarray:
+    """Header-less numeric rows as a 2-D array; reports the first ragged row."""
+    rows = []
+    for no, line in enumerate(lines, start=1):
+        tokens = line.split(",")
+        if rows and len(tokens) != len(rows[0]):
+            raise DataError(f"{path}:{no}: expected {len(rows[0])} fields, got {len(tokens)}")
+        rows.append([_parse_float(tok, path, no) for tok in tokens])
+    return np.array(rows)
+
+
 # --- weights CSV -------------------------------------------------------------
 
 
@@ -128,6 +141,9 @@ def write_weights_csv(path, weights: SpatialWeights, layout: str = "dense"):
         lines = ["i,j,w"] + [
             f"{i},{j},{fmt(w)}" for i, j, w in zip(coo.row, coo.col, coo.data)
         ]
+        last = weights.n - 1  # the reader sizes W by the largest index
+        if last not in coo.row and last not in coo.col:
+            lines.append(f"{last},{last},0")
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -138,16 +154,13 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
     if not lines:
         raise DataError(f"{path}: empty weights file")
     if layout == "dense":
-        rows = []
-        for no, line in enumerate(lines, start=1):
-            rows.append([_parse_float(tok, path, no) for tok in line.split(",")])
-        mat = np.array(rows)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        mat = _parse_rows(lines, path)
+        if mat.shape[0] != mat.shape[1]:
             raise DataError(f"{path}: dense weights must form a square matrix")
     elif layout == "triplet":
         if lines[0].replace(" ", "") != "i,j,w":
             raise DataError(f"{path}:1: triplet weights need an 'i,j,w' header")
-        entries = []
+        entries = {}  # a repeated (i, j) keeps its last value, as the file reads
         for no, line in enumerate(lines[1:], start=2):
             parts = line.split(",")
             if len(parts) != 3:
@@ -158,18 +171,13 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
                 raise DataError(f"{path}:{no}: indices must be integers") from None
             if i < 0 or j < 0:
                 raise DataError(f"{path}:{no}: indices must be nonnegative")
-            entries.append((i, j, _parse_float(parts[2], path, no)))
+            entries[i, j] = _parse_float(parts[2], path, no)
         if not entries:
             raise DataError(f"{path}: triplet weights file has no entries")
-        rows, cols, vals = (np.array(v) for v in zip(*entries))
-        n = int(max(rows.max(), cols.max())) + 1
-        # a repeated (i, j) keeps its last value, as the file reads
-        key = rows * n + cols
-        _, first_rev = np.unique(key[::-1], return_index=True)
-        keep = key.size - 1 - first_rev
-        coo = sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-        coo.eliminate_zeros()
-        mat = coo.toarray() if n < SPARSE_THRESHOLD else sp.csr_array(coo)
+        ij = np.array(list(entries)).T
+        n = int(ij.max()) + 1
+        mat = sp.coo_array((list(entries.values()), tuple(ij)), shape=(n, n))
+        mat.eliminate_zeros()
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
     sums = np.asarray(mat.sum(axis=1)).ravel()
@@ -226,11 +234,7 @@ def write_matrix_csv(path, mat):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    lines = _read_lines(path)
-    return np.array(
-        [[_parse_float(tok, path, no) for tok in line.split(",")]
-         for no, line in enumerate(lines, start=1)]
-    )
+    return _parse_rows(_read_lines(path), path)
 
 
 def write_json(path, payload: dict):

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import (
     ParameterError,
@@ -240,7 +241,7 @@ def fit_fofr_fpc(
     )
     b_hat, *_ = np.linalg.lstsq(x_decomp.scores, y_decomp.scores, rcond=None)
     zero_w = SpatialWeights(
-        matrix=np.zeros((y_data.n, y_data.n)), normalized=False, kind="custom"
+        matrix=sp.csr_array((y_data.n, y_data.n)), normalized=False, kind="custom"
     )
     params = MsarParams(
         rho=np.zeros((y_decomp.n_components, y_decomp.n_components)),

@@ -30,14 +30,15 @@ from .fdbasis import BasisCoefficients, evaluate_basis
 
 EARTH_RADIUS_KM = 6371.0
 
-# Matrices of at least this many rows are stored in CSR form; KNN and other
-# thresholded constructions are sparse at that scale.
-SPARSE_THRESHOLD = 2000
+# W is stored in CSR form when at most this share of its n^2 entries is
+# nonzero, and dense otherwise: near that density one complex shifted solve
+# (I - tW)x = b costs the same either way, and KNN W lies far below it.
+_CSR_MAX_DENSITY = 0.1
 
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """n x n spatial weight matrix with nonnegative entries and zero diagonal."""
+    """n x n spatial weight matrix with finite nonnegative entries and zero diagonal."""
 
     matrix: np.ndarray | sp.csr_array
     normalized: bool = False
@@ -46,17 +47,22 @@ class SpatialWeights:
     def __post_init__(self):
         mat = self.matrix
         if sp.issparse(mat):
-            mat = sp.csr_array(mat)
+            nnz = mat.count_nonzero()
         else:
             mat = np.asarray(mat, dtype=float)
             if mat.ndim != 2:
                 raise ParameterError("weight matrix must be 2-D")
+            nnz = np.count_nonzero(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ParameterError("weight matrix must be square")
-        if mat.shape[0] >= SPARSE_THRESHOLD and not sp.issparse(mat):
-            mat = sp.csr_array(mat)
+        if nnz <= _CSR_MAX_DENSITY * mat.shape[0] ** 2:
+            mat = sp.csr_array(mat, dtype=float)
+        elif sp.issparse(mat):
+            mat = mat.toarray().astype(float, copy=False)
         object.__setattr__(self, "matrix", mat)
         data = mat.data if sp.issparse(mat) else mat
+        if not np.all(np.isfinite(data)):
+            raise DataError("weight matrix has non-finite entries")
         if data.size and np.min(data) < 0:
             raise DataError("weight matrix has negative entries")
         diag = mat.diagonal()
@@ -74,14 +80,10 @@ class SpatialWeights:
         return self.matrix.shape[0]
 
     def row_sums(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return np.asarray(self.matrix.sum(axis=1)).ravel()
-        return self.matrix.sum(axis=1)
+        return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def toarray(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return self.matrix.toarray()
-        return np.array(self.matrix)
+        return self.matrix.toarray() if sp.issparse(self.matrix) else np.array(self.matrix)
 
     # --- linear-algebra helpers used by the estimation core ---
 
@@ -95,9 +97,7 @@ class SpatialWeights:
 
     def diag_wtw(self) -> np.ndarray:
         """Diagonal of W'W, i.e. squared column norms."""
-        if sp.issparse(self.matrix):
-            return np.asarray(self.matrix.multiply(self.matrix).sum(axis=0)).ravel()
-        return np.einsum("ij,ij->j", self.matrix, self.matrix)
+        return np.asarray((self.matrix * self.matrix).sum(axis=0)).ravel()
 
     def inf_norm(self) -> float:
         """Maximum absolute row sum (entries are nonnegative, so max row sum)."""
@@ -242,12 +242,7 @@ def knn_weights(coords: GeoCoordinates, h: int) -> SpatialWeights:
         # lexsort: primary key distance, secondary key index (lower index wins ties)
         neighbors = np.lexsort((order_idx, dist[i]))[:h]
         cols[i * h : (i + 1) * h] = neighbors
-    vals = np.full(n * h, 1.0 / h)
-    if n >= SPARSE_THRESHOLD:
-        mat = sp.csr_array((vals, (rows, cols)), shape=(n, n))
-    else:
-        mat = np.zeros((n, n))
-        mat[rows, cols] = vals
+    mat = sp.csr_array((np.full(n * h, 1.0 / h), (rows, cols)), shape=(n, n))
     return SpatialWeights(matrix=mat, normalized=True, kind="knn")
 
 
@@ -261,12 +256,8 @@ def row_normalize(weights: SpatialWeights) -> SpatialWeights:
             "their rows stay zero",
             stacklevel=2,
         )
-    scale = np.where(zero_rows, 1.0, sums)
-    if sp.issparse(weights.matrix):
-        mat = sp.csr_array(weights.matrix.multiply(1.0 / scale[:, None]))
-    else:
-        mat = weights.matrix / scale[:, None]
-    return SpatialWeights(matrix=mat, normalized=True, kind=weights.kind)
+    scale = np.where(zero_rows, 1.0, sums)[:, None]
+    return SpatialWeights(matrix=weights.matrix / scale, normalized=True, kind=weights.kind)
 
 
 def morans_i(x, weights: SpatialWeights) -> float:

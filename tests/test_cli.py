@@ -267,6 +267,37 @@ class TestExitCodes:
         assert result.returncode == 1
         assert "coefficient rows must match weight matrix size" in result.stderr
 
+    def test_non_finite_weight_is_data_error(self, sim_dir, tmp_path):
+        rows = (sim_dir / "w.csv").read_text().splitlines()
+        rows[1] = "nan" + rows[1][rows[1].index(","):]
+        w_nan = tmp_path / "w_nan.csv"
+        w_nan.write_text("\n".join(rows) + "\n")
+        result = run_cli(
+            [
+                "fit", "--y", str(sim_dir / "y.csv"), "--x", str(sim_dir / "x.csv"),
+                "--w", str(w_nan), "--out", str(tmp_path / "o"),
+            ],
+            cwd=tmp_path,
+        )
+        assert result.returncode == 1
+        assert "error: weight matrix has non-finite entries" in result.stderr
+
+    def test_ragged_weights_is_data_error(self, sim_dir, tmp_path):
+        rows = (sim_dir / "w.csv").read_text().splitlines()
+        rows[2] = rows[2].rsplit(",", 1)[0]
+        w_ragged = tmp_path / "w_ragged.csv"
+        w_ragged.write_text("\n".join(rows) + "\n")
+        result = run_cli(
+            [
+                "fit", "--y", str(sim_dir / "y.csv"), "--x", str(sim_dir / "x.csv"),
+                "--w", str(w_ragged), "--out", str(tmp_path / "o"),
+            ],
+            cwd=tmp_path,
+        )
+        assert result.returncode == 1
+        assert "error: " in result.stderr
+        assert "w_ragged.csv:3: expected 30 fields, got 29" in result.stderr
+
     def test_numerical_failure_is_exit_two(self, tmp_path):
         # grid confined to [0, 0.3]: basis functions supported on the right
         # part of [0, 1] vanish at every sample, so with ridge 0 the smoothing

@@ -10,7 +10,9 @@ from sfofr import (
     DataError,
     FunctionalDataset,
     GeoCoordinates,
+    SpatialWeights,
     exponential_weights,
+    fit_fofr_fpc,
     fit_sfofr,
     fitted_values,
     gen_predictors,
@@ -131,6 +133,38 @@ class TestWeightsCsv:
         with pytest.raises(DataError, match="square"):
             read_weights_csv(path, layout="dense")
 
+    def test_ragged_dense_rows_reported_with_line_numbers(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("0,1,0\n1,0,0\n1,0\n")
+        with pytest.raises(DataError, match=r"w\.csv:3: expected 3 fields, got 2"):
+            read_weights_csv(path, layout="dense")
+        path.write_text("0,1,0\n1,0,0,0\n1,0,0\n")
+        with pytest.raises(DataError, match=r"w\.csv:2: expected 3 fields, got 4"):
+            read_matrix_csv(path)
+
+    def test_triplet_keeps_trailing_units_without_entries(self, tmp_path):
+        n = 2000
+        mat = sp.csr_array(([1.0, 1.0], ([0, 1], [1, 0])), shape=(n, n))
+        w = SpatialWeights(matrix=mat, normalized=True)
+        path = tmp_path / "w.csv"
+        write_weights_csv(path, w, layout="triplet")
+        assert path.read_text().splitlines()[-1] == f"{n - 1},{n - 1},0"
+        back = read_weights_csv(path, layout="triplet")
+        assert back.n == n and sp.issparse(back.matrix) and back.normalized
+        assert (back.matrix != w.matrix).nnz == 0
+
+    def test_triplet_names_last_unit_only_when_needed(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_weights_csv(path, exponential_weights(3, 0.5), layout="triplet")
+        assert len(path.read_text().splitlines()) == 1 + 6
+
+    def test_all_zero_triplet_round_trip(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_weights_csv(path, SpatialWeights(matrix=np.zeros((4, 4))), layout="triplet")
+        assert path.read_text() == "i,j,w\n3,3,0\n"
+        back = read_weights_csv(path, layout="triplet")
+        assert back.n == 4 and back.matrix.nnz == 0 and back.normalized
+
     def test_matrix_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         mat = rng.standard_normal((4, 7)) / 3.0
@@ -216,6 +250,21 @@ class TestFitBundle:
         assert sp.issparse(loaded.weights.matrix)
         assert (loaded.weights.matrix != w.matrix).nnz == 0
         assert peak < n * n * 8 / 4  # a dense n x n array is 32 MB
+        np.testing.assert_array_equal(
+            fitted_values(loaded).values, fitted_values(fit).values
+        )
+
+    def test_baseline_bundle_round_trip(self, tmp_path):
+        rng = np.random.default_rng(57)
+        grid = np.arange(1, 32) / 31
+        x = gen_predictors(20, grid, rng)
+        y = gen_response(x, exponential_weights(20, 0.5), 0.5, rng, noise_sd=0.5)
+        fit = fit_fofr_fpc(y, x, options={"num_basis": 8})
+        assert sp.issparse(fit.weights.matrix) and fit.weights.matrix.nnz == 0
+        manifest = save_fit_bundle(fit, tmp_path / "baseline")
+        loaded = load_fit_bundle(tmp_path / "baseline")
+        assert manifest["weights_layout"] == "triplet"
+        assert loaded.weights.n == 20 and loaded.weights.matrix.nnz == 0
         np.testing.assert_array_equal(
             fitted_values(loaded).values, fitted_values(fit).values
         )

@@ -37,7 +37,6 @@ from sfofr import (
 from sfofr.io import read_weights_csv, write_weights_csv
 from sfofr.msar import _gradient_raw, _objective_raw, _pack, _unpack
 from sfofr.simgen import replication_rng
-from sfofr.spatial import SPARSE_THRESHOLD
 
 
 def vec(m):
@@ -51,6 +50,12 @@ def unvec(v, n, k):
 def dense_s(rho, w_mat):
     n = w_mat.shape[0]
     return np.eye(n * rho.shape[0]) - np.kron(rho.T, w_mat)
+
+
+def sparse_oracle(rho, w, c):
+    """Solve of the sparse Kronecker operator I - rho' (x) W for CSR W."""
+    s = sp.identity(c.size, format="csc") - sp.kron(rho.T, w.matrix, format="csc")
+    return unvec(spla.spsolve(s, vec(c)), *c.shape)
 
 
 def dense_objective(params, data):
@@ -389,16 +394,28 @@ class TestReducedFormSolve:
 
     def test_sparse_weights_match_sparse_oracle(self):
         rng = np.random.default_rng(26)
-        n = SPARSE_THRESHOLD
+        n = 500
         coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
         w = knn_weights(coords, 5)
         assert sp.issparse(w.matrix)
         params = random_params(rng, 2, 2, target_sr=0.6)
         c = rng.standard_normal((n, 2))
-        s = sp.identity(2 * n, format="csc") - sp.kron(params.rho.T, w.matrix, format="csc")
-        expected = unvec(spla.spsolve(s, vec(c)), n, 2)
+        expected = sparse_oracle(params.rho, w, c)
         got = reduced_form_solve(params.rho, w, c)
         np.testing.assert_allclose(got, expected, atol=1e-8)
+
+    def test_csv_read_knn_is_sparse_and_matches_sparse_oracle(self, tmp_path):
+        # a dense CSV holds no storage hint: the 1% density alone makes it CSR
+        rng = np.random.default_rng(30)
+        n = 500
+        coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
+        write_weights_csv(tmp_path / "w.csv", knn_weights(coords, 5), layout="dense")
+        w = read_weights_csv(tmp_path / "w.csv", layout="dense")
+        assert sp.issparse(w.matrix) and w.normalized
+        params = random_params(rng, 2, 2, target_sr=0.6)
+        c = rng.standard_normal((n, 2))
+        expected = sparse_oracle(params.rho, w, c)
+        np.testing.assert_allclose(reduced_form_solve(params.rho, w, c), expected, atol=1e-8)
 
     @pytest.mark.parametrize("n", [5, 40, 300])
     @pytest.mark.parametrize("kind", ["exponential", "inverse"])
@@ -419,17 +436,42 @@ class TestReducedFormSolve:
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_sparse_lattice_takes_spectral_path(self):
-        # a fast decay keeps the Kronecker oracle banded, so spsolve stays cheap
+        # exp(-40|i-j|) underflows beyond |i-j| = 18, so W is 7% full and
+        # stored as CSR; the Kronecker oracle is banded, so spsolve stays cheap
         rng = np.random.default_rng(28)
-        n = SPARSE_THRESHOLD
-        w = exponential_weights(n, 8.0)
+        n = 500
+        w = exponential_weights(n, 40.0)
         assert sp.issparse(w.matrix) and w._spectrum() is not None
         rho = np.array([[0.5, 0.2], [-0.1, 0.3]])
         c = rng.standard_normal((n, 2))
-        s = sp.identity(2 * n, format="csc") - sp.kron(rho.T, w.matrix, format="csc")
-        expected = unvec(spla.spsolve(s, vec(c)), n, 2)
+        expected = sparse_oracle(rho, w, c)
         got = reduced_form_solve(rho, w, c)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_large_lattice_is_dense_and_takes_spectral_path(self):
+        # 93% of exp(-|i-j|/2) survives underflow at n = 2000, so W stays
+        # dense; the n Ky x n Ky oracle is too large to factor here, so the
+        # solve is certified by its residual C - (M - W M rho)
+        rng = np.random.default_rng(31)
+        n = 2000
+        w = exponential_weights(n, 0.5)
+        assert isinstance(w.matrix, np.ndarray) and w._spectrum() is not None
+        rho = np.array([[0.5, 0.2], [-0.1, 0.3]])
+        c = rng.standard_normal((n, 2))
+        got = reduced_form_solve(rho, w, c)
+        assert np.max(np.abs(apply_S(rho, w, got) - c)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_triplet_read_lattice_is_dense_and_matches_dense_oracle(self, tmp_path):
+        rng = np.random.default_rng(32)
+        w = exponential_weights(40, 0.5)
+        write_weights_csv(tmp_path / "w.csv", w, layout="triplet")
+        back = read_weights_csv(tmp_path / "w.csv", layout="triplet")
+        assert isinstance(back.matrix, np.ndarray)
+        np.testing.assert_array_equal(back.matrix, w.matrix)
+        params = random_params(rng, 3, 2, target_sr=0.6)
+        c = rng.standard_normal((40, 3))
+        expected = unvec(np.linalg.solve(dense_s(params.rho, back.matrix), vec(c)), 40, 3)
+        np.testing.assert_allclose(reduced_form_solve(params.rho, back, c), expected, atol=1e-8)
 
     def test_csv_read_lattice_takes_schur_path(self, tmp_path):
         rng = np.random.default_rng(29)

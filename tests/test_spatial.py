@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sfofr import (
     DataError,
@@ -138,6 +139,13 @@ class TestKnn:
             with pytest.raises(ParameterError):
                 knn_weights(coords, h)
 
+    def test_sparse_graph_is_stored_as_csr(self):
+        rng = np.random.default_rng(5)
+        coords = GeoCoordinates(lat=rng.uniform(-33, -3, 200), lon=rng.uniform(-73, -35, 200))
+        w = knn_weights(coords, 5)
+        assert sp.issparse(w.matrix) and w.matrix.nnz == 1000
+        check_weight_contract(w)
+
 
 class TestRowNormalize:
     def test_idempotent(self):
@@ -164,6 +172,48 @@ class TestRowNormalize:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(DataError):
             SpatialWeights(matrix=np.eye(3))
+
+
+class TestStorage:
+    def ring(self, n):
+        mat = np.zeros((n, n))
+        idx = np.arange(n)
+        mat[idx, (idx + 1) % n] = 1.0
+        return mat
+
+    def test_density_chooses_storage_in_both_directions(self):
+        # a ring has n nonzeros: a tenth of n^2 at n = 10, more below
+        assert sp.issparse(SpatialWeights(matrix=self.ring(10)).matrix)
+        assert isinstance(SpatialWeights(matrix=self.ring(9)).matrix, np.ndarray)
+        full = np.ones((3, 3)) - np.eye(3)
+        w = SpatialWeights(matrix=sp.csr_array(full))
+        assert isinstance(w.matrix, np.ndarray)
+        np.testing.assert_array_equal(w.matrix, full)
+
+    def test_both_storages_give_the_same_sums(self):
+        rng = np.random.default_rng(6)
+        for mat in (self.ring(40), rng.uniform(0.5, 1, (40, 40)) * (1 - np.eye(40))):
+            w = SpatialWeights(matrix=mat)
+            v = SpatialWeights(matrix=sp.coo_array(mat))
+            assert type(w.matrix) is type(v.matrix)
+            for a in (w, v):
+                np.testing.assert_array_equal(a.row_sums(), mat.sum(axis=1))
+                np.testing.assert_allclose(a.diag_wtw(), (mat * mat).sum(axis=0), rtol=1e-15)
+
+    def test_row_normalize_keeps_sparse_storage(self):
+        mat = 3.0 * self.ring(30)
+        out = row_normalize(SpatialWeights(matrix=mat))
+        assert sp.issparse(out.matrix) and out.normalized
+        np.testing.assert_array_equal(out.toarray(), self.ring(30))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_non_finite_entries_rejected(self, bad, storage):
+        mat = sp.csr_array(([1.0, bad, 1.0], ([0, 1, 2], [1, 0, 0])), shape=(12, 12))
+        if storage == "dense":
+            mat = mat.toarray()[:3, :3]
+        with pytest.raises(DataError, match="non-finite"):
+            SpatialWeights(matrix=mat)
 
 
 def eigen_modulus(w):
