@@ -3,6 +3,9 @@
 All numeric text is written with 17 significant digits, which round-trips
 IEEE doubles bit-exactly. Files are written atomically (temp file in the
 target directory, then rename) so a crashed run never leaves a partial file.
+Numbers are parsed by numpy's reader, so Python-only spellings such as
+``1_000`` are rejected. Error messages name a file's physical line numbers,
+blank lines included.
 
 Formats
 -------
@@ -79,54 +82,99 @@ def _parse_float(token: str, path, line_no: int) -> float:
         raise DataError(f"{path}:{line_no}: cannot parse number {token!r}") from None
 
 
+# --- numeric codec -----------------------------------------------------------
+#
+# Every numeric reader and writer handles a whole matrix at a time: numpy
+# parses all rows in one call, and one %-format string per row shape writes
+# them. "%.17g" gives the same text as fmt().
+
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
+def _format_rows(mat, row_format=None) -> list[str]:
+    """CSV lines of a 2-D array, all values "%.17g" unless ``row_format`` is
+    given."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if row_format is None:
+        row_format = ",".join(["%.17g"] * mat.shape[1])
+    return [row_format % tuple(row) for row in mat.tolist()]
+
+
+def _write_csv(path, lines):
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _read_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines of a file, each with its physical (1-based) number."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
+def _parse_numeric(path, numbered, width=None, first_col: int = 0, dtype=float):
+    """Parse ``(line_no, line)`` rows of ``width`` comma-separated fields (by
+    default the first row's count), from column ``first_col`` on, in one
+    ``np.loadtxt`` call; no rows give an empty 2-D array.
+
+    Field counts are checked line by line first, so a ragged row is named by
+    its physical line. Only when numpy rejects a value are the lines walked
+    again with Python's parsers to name the first bad line.
+    """
+    if width is None:
+        width = numbered[0][1].count(",") + 1 if numbered else 0
+    if not numbered:
+        return np.empty((0, width - first_col), dtype)
+    for no, line in numbered:
+        got = line.count(",") + 1
+        if got != width:
+            raise DataError(f"{path}:{no}: expected {width} fields, got {got}")
+    lines = [line for _, line in numbered]
+    try:
+        return np.loadtxt(
+            lines, delimiter=",", comments=None, ndmin=2, dtype=dtype,
+            usecols=range(first_col, width),
+        )
+    except ValueError as exc:
+        _raise_first_bad_field(path, numbered, first_col, np.dtype(dtype))
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _raise_first_bad_field(path, numbered, first_col: int, dtype: np.dtype):
+    """Raise DataError at the first field Python's parser rejects (``int`` for
+    the integer fields of a structured ``dtype``); return if there is none."""
+    kinds = [dtype[name].kind for name in dtype.names] if dtype.names else ()
+    for no, line in numbered:
+        for col, token in enumerate(line.split(",")[first_col:]):
+            if col < len(kinds) and kinds[col] == "i":
+                try:
+                    int(token)
+                except ValueError:
+                    raise DataError(f"{path}:{no}: indices must be integers") from None
+            else:
+                _parse_float(token, path, no)
+
+
 # --- curve CSV ---------------------------------------------------------------
 
 
 def write_curves_csv(path, data: FunctionalDataset):
     ids = data.ids if data.ids is not None else tuple(str(i) for i in range(data.n))
-    lines = ["t," + ",".join(fmt(t) for t in data.grid)]
-    for uid, row in zip(ids, data.values):
-        lines.append(str(uid) + "," + ",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = _format_rows(np.vstack([data.grid, data.values]))
+    _write_csv(path, [f"{label},{line}" for label, line in zip(["t", *ids], lines)])
 
 
 def read_curves_csv(path) -> FunctionalDataset:
-    lines = _read_lines(path)
-    if not lines:
+    numbered = _read_lines(path)
+    if not numbered:
         raise DataError(f"{path}: empty curve file")
-    header = lines[0].split(",")
-    if header[0].strip() != "t":
-        raise DataError(f"{path}:1: curve files must start with a 't' header row")
-    grid = [_parse_float(tok, path, 1) for tok in header[1:]]
-    ids, rows = [], []
-    for no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(grid) + 1:
-            raise DataError(
-                f"{path}:{no}: expected {len(grid) + 1} fields, got {len(parts)}"
-            )
-        ids.append(parts[0])
-        rows.append([_parse_float(tok, path, no) for tok in parts[1:]])
-    return FunctionalDataset(grid=np.array(grid), values=np.array(rows), ids=ids)
-
-
-def _read_lines(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return [ln for ln in text.splitlines() if ln.strip()]
-
-
-def _parse_rows(lines, path) -> np.ndarray:
-    """Header-less numeric rows as a 2-D array; reports the first ragged row."""
-    rows = []
-    for no, line in enumerate(lines, start=1):
-        tokens = line.split(",")
-        if rows and len(tokens) != len(rows[0]):
-            raise DataError(f"{path}:{no}: expected {len(rows[0])} fields, got {len(tokens)}")
-        rows.append([_parse_float(tok, path, no) for tok in tokens])
-    return np.array(rows)
+    no, header = numbered[0]
+    if header.split(",")[0].strip() != "t":
+        raise DataError(f"{path}:{no}: curve files must start with a 't' header row")
+    mat = _parse_numeric(path, numbered, first_col=1)
+    ids = [line.split(",", 1)[0] for _, line in numbered[1:]]
+    return FunctionalDataset(grid=mat[0], values=mat[1:], ids=ids)
 
 
 # --- weights CSV -------------------------------------------------------------
@@ -134,49 +182,45 @@ def _parse_rows(lines, path) -> np.ndarray:
 
 def write_weights_csv(path, weights: SpatialWeights, layout: str = "dense"):
     if layout == "dense":
-        mat = weights.toarray()
-        lines = [",".join(fmt(v) for v in row) for row in mat]
+        lines = _format_rows(weights.toarray())
     elif layout == "triplet":
         coo = sp.coo_array(weights.matrix)  # row-major, nonzeros only
-        lines = ["i,j,w"] + [
-            f"{i},{j},{fmt(w)}" for i, j, w in zip(coo.row, coo.col, coo.data)
-        ]
+        # indices below 2**53 are exact as floats
+        triplets = np.column_stack([coo.row, coo.col, coo.data])
+        lines = ["i,j,w"] + _format_rows(triplets, row_format="%d,%d,%.17g")
         last = weights.n - 1  # the reader sizes W by the largest index
         if last not in coo.row and last not in coo.col:
             lines.append(f"{last},{last},0")
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
 def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
-    lines = _read_lines(path)
-    if not lines:
+    numbered = _read_lines(path)
+    if not numbered:
         raise DataError(f"{path}: empty weights file")
     if layout == "dense":
-        mat = _parse_rows(lines, path)
+        mat = _parse_numeric(path, numbered)
         if mat.shape[0] != mat.shape[1]:
             raise DataError(f"{path}: dense weights must form a square matrix")
     elif layout == "triplet":
-        if lines[0].replace(" ", "") != "i,j,w":
-            raise DataError(f"{path}:1: triplet weights need an 'i,j,w' header")
-        entries = {}  # a repeated (i, j) keeps its last value, as the file reads
-        for no, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{no}: expected 3 fields")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{no}: indices must be integers") from None
-            if i < 0 or j < 0:
-                raise DataError(f"{path}:{no}: indices must be nonnegative")
-            entries[i, j] = _parse_float(parts[2], path, no)
-        if not entries:
+        no, header = numbered[0]
+        if header.replace(" ", "") != "i,j,w":
+            raise DataError(f"{path}:{no}: triplet weights need an 'i,j,w' header")
+        rows = numbered[1:]
+        if not rows:
             raise DataError(f"{path}: triplet weights file has no entries")
-        ij = np.array(list(entries)).T
+        rec = _parse_numeric(path, rows, 3, dtype=_TRIPLET).ravel()
+        negative = np.flatnonzero((rec["i"] < 0) | (rec["j"] < 0))
+        if negative.size:
+            raise DataError(f"{path}:{rows[negative[0]][0]}: indices must be nonnegative")
+        # a repeated (i, j) keeps its last value, as the file reads
+        ij = np.column_stack([rec["i"], rec["j"]])[::-1]
+        ij, first = np.unique(ij, axis=0, return_index=True)
         n = int(ij.max()) + 1
-        mat = sp.coo_array((list(entries.values()), tuple(ij)), shape=(n, n))
+        values = rec["w"][::-1][first]
+        mat = sp.coo_array((values, (ij[:, 0], ij[:, 1])), shape=(n, n))
         mat.eliminate_zeros()
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
@@ -192,49 +236,41 @@ def read_coords_csv(path):
     """Read ``id,lat,lon`` rows; returns (ids, GeoCoordinates)."""
     from .spatial import GeoCoordinates
 
-    lines = _read_lines(path)
-    if not lines or lines[0].replace(" ", "").lower() != "id,lat,lon":
-        raise DataError(f"{path}:1: coordinate files need an 'id,lat,lon' header")
-    ids, lat, lon = [], [], []
-    for no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{no}: expected 3 fields")
-        ids.append(parts[0])
-        lat.append(_parse_float(parts[1], path, no))
-        lon.append(_parse_float(parts[2], path, no))
-    return ids, GeoCoordinates(lat=np.array(lat), lon=np.array(lon))
+    numbered = _read_lines(path)
+    no, header = numbered[0] if numbered else (1, "")
+    if header.replace(" ", "").lower() != "id,lat,lon":
+        raise DataError(f"{path}:{no}: coordinate files need an 'id,lat,lon' header")
+    rows = numbered[1:]
+    latlon = _parse_numeric(path, rows, 3, first_col=1)
+    bad = np.flatnonzero(~np.isfinite(latlon).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{rows[bad[0]][0]}: coordinates must be finite")
+    ids = [line.split(",", 1)[0] for _, line in rows]
+    return ids, GeoCoordinates(lat=latlon[:, 0], lon=latlon[:, 1])
 
 
 # --- tidy outputs ------------------------------------------------------------
 
 
 def write_surface_csv(path, surface: SurfaceEstimate):
-    lines = ["u,t,value"]
-    for a, u in enumerate(surface.ugrid):
-        for b, t in enumerate(surface.tgrid):
-            lines.append(f"{fmt(u)},{fmt(t)},{fmt(surface.values[a, b])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    u, t = np.meshgrid(surface.ugrid, surface.tgrid, indexing="ij")
+    rows = np.column_stack([u.ravel(), t.ravel(), np.ravel(surface.values)])
+    _write_csv(path, ["u,t,value"] + _format_rows(rows))
 
 
 def write_moran_csv(path, tgrid, values):
-    lines = ["t,value"]
-    for t, v in zip(tgrid, values):
-        lines.append(f"{fmt(t)},{fmt(v)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["t,value"] + _format_rows(np.column_stack([tgrid, values])))
 
 
 # --- plain matrix CSV (header-less) ------------------------------------------
 
 
 def write_matrix_csv(path, mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    lines = [",".join(fmt(v) for v in row) for row in mat]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, _format_rows(mat))
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return _parse_rows(_read_lines(path), path)
+    return _parse_numeric(path, _read_lines(path))
 
 
 def write_json(path, payload: dict):

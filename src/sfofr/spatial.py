@@ -141,6 +141,12 @@ class GeoCoordinates:
         lon = np.atleast_1d(np.asarray(self.lon, dtype=float))
         if lat.shape != lon.shape or lat.ndim != 1:
             raise ParameterError("lat and lon must be 1-D arrays of equal length")
+        bad = np.flatnonzero(~(np.isfinite(lat) & np.isfinite(lon)))
+        if bad.size:
+            k = bad[0]
+            raise ParameterError(
+                f"coordinates must be finite; unit {k} has lat={lat[k]}, lon={lon[k]}"
+            )
         if np.any(np.abs(lat) > 90):
             raise ParameterError("latitudes must lie in [-90, 90]")
         if np.any(np.abs(lon) > 180):

@@ -105,6 +105,19 @@ class TestWeightsCommand:
         )
         assert np.all(mat.sum(axis=1) == 1.0)
 
+    def test_knn_rejects_non_finite_coordinate(self, tmp_path):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,lat,lon\na,0,0\nb,nan,1\nc,0,2\nd,0,3.5\n")
+        result = run_cli(
+            [
+                "weights", "--kind", "knn", "--coords", str(coords),
+                "--knn-h", "2", "--out", str(tmp_path / "knn"),
+            ],
+            cwd=tmp_path,
+        )
+        assert result.returncode == 1
+        assert "coords.csv:3: coordinates must be finite" in result.stderr
+
     def test_triplet_format(self, tmp_path):
         result = run_cli(
             [

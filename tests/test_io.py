@@ -21,6 +21,7 @@ from sfofr import (
     predict,
 )
 from sfofr.io import (
+    fmt,
     load_fit_bundle,
     read_json,
     read_coords_csv,
@@ -31,8 +32,25 @@ from sfofr.io import (
     write_curves_csv,
     write_json,
     write_matrix_csv,
+    write_moran_csv,
+    write_surface_csv,
     write_weights_csv,
 )
+from sfofr.pipeline import SurfaceEstimate
+
+# Values whose text is easy to get wrong: signed zero, the smallest subnormal,
+# the smallest normal, the largest double, and decimals with no exact binary.
+SPECIAL_FINITE = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+SPECIAL = SPECIAL_FINITE + [np.nan, np.inf, -np.inf]
+
+
+def per_value_lines(rows):
+    """The reference text: every value through fmt(), one row per line."""
+    return "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
 
 
 @pytest.fixture
@@ -66,6 +84,10 @@ class TestCurveCsv:
             read_curves_csv(path)
         path.write_text("t,0.0,0.5,0.75,1.0\nu0,1,2,oops,4\nu1,1,2,3,4\n")
         with pytest.raises(DataError, match=":2"):
+            read_curves_csv(path)
+        # blank lines count: the ragged row is physical line 4
+        path.write_text("t,0.0,0.5,0.75,1.0\n\nu0,1,2,3,4\nu1,1,2,3\n")
+        with pytest.raises(DataError, match=r"bad\.csv:4: expected 5 fields, got 4"):
             read_curves_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
@@ -102,6 +124,9 @@ class TestWeightsCsv:
         path = tmp_path / "w.csv"
         path.write_text("i,j,w\n0,1,0.5\n1,2,0.5\n2,0,0.5\n-3,1,0.5\n")
         with pytest.raises(DataError, match=":5: indices must be nonnegative"):
+            read_weights_csv(path, layout="triplet")
+        path.write_text("i,j,w\n0,1,0.5\n\n1,-2,0.5\n")
+        with pytest.raises(DataError, match=":4: indices must be nonnegative"):
             read_weights_csv(path, layout="triplet")
 
     def test_triplet_without_entries_rejected(self, tmp_path):
@@ -141,6 +166,10 @@ class TestWeightsCsv:
         path.write_text("0,1,0\n1,0,0,0\n1,0,0\n")
         with pytest.raises(DataError, match=r"w\.csv:2: expected 3 fields, got 4"):
             read_matrix_csv(path)
+        # blank lines count: the ragged row is physical line 4
+        path.write_text("0,1,0\n\n1,0,0\n1,0\n")
+        with pytest.raises(DataError, match=r"w\.csv:4: expected 3 fields, got 2"):
+            read_weights_csv(path, layout="dense")
 
     def test_triplet_keeps_trailing_units_without_entries(self, tmp_path):
         n = 2000
@@ -173,6 +202,116 @@ class TestWeightsCsv:
         np.testing.assert_array_equal(read_matrix_csv(path), mat)
 
 
+class TestNumericCodec:
+    """Every writer gives the text of fmt() applied value by value, and every
+    reader gives those doubles back bit for bit."""
+
+    def test_matrix_writer(self, tmp_path):
+        mat = np.array([SPECIAL, [-v for v in SPECIAL_FINITE] + [np.inf, np.nan, -np.inf]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, mat)
+        assert path.read_text() == per_value_lines(mat)
+        assert bits(read_matrix_csv(path)) == bits(mat)
+
+    def test_curve_writer(self, tmp_path):
+        grid = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1.0])
+        values = np.array(SPECIAL_FINITE, ndmin=2).repeat(3, axis=0)
+        values[1] *= -1
+        values[2] = values[2, ::-1]
+        data = FunctionalDataset(grid=grid, values=values, ids=["a", "b", "c"])
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, data)
+        expected = per_value_lines([grid, *values])
+        expected = "".join(
+            f"{label},{line}\n"
+            for label, line in zip(["t", "a", "b", "c"], expected.splitlines())
+        )
+        assert path.read_text() == expected
+        back = read_curves_csv(path)
+        assert bits(back.grid) == bits(grid) and bits(back.values) == bits(values)
+
+    @pytest.fixture
+    def special_weights(self):
+        # nonnegative, zero diagonal, and one huge value per row so row sums
+        # stay finite; dense by density
+        mat = np.array(
+            [
+                [0.0, 0.1, 1.7976931348623157e308],
+                [5e-324, -0.0, 1 / 3],
+                [2.2250738585072014e-308, -0.0, 0.0],
+            ]
+        )
+        return mat, SpatialWeights(matrix=mat)
+
+    def test_dense_weights_writer(self, tmp_path, special_weights):
+        mat, w = special_weights
+        path = tmp_path / "w.csv"
+        write_weights_csv(path, w, layout="dense")
+        assert path.read_text() == per_value_lines(mat)
+        assert bits(read_weights_csv(path, layout="dense").toarray()) == bits(mat)
+
+    def test_triplet_weights_writer(self, tmp_path, special_weights):
+        mat, w = special_weights
+        path = tmp_path / "w.csv"
+        write_weights_csv(path, w, layout="triplet")
+        coo = sp.coo_array(mat)  # signed zeros are not stored entries
+        assert path.read_text() == "i,j,w\n" + "".join(
+            f"{i},{j},{fmt(v)}\n" for i, j, v in zip(coo.row, coo.col, coo.data)
+        )
+        back = read_weights_csv(path, layout="triplet").toarray()
+        assert bits(back) == bits(coo.toarray())
+
+    def test_surface_writer(self, tmp_path):
+        ugrid = np.array([-0.0, 5e-324, 1 / 3])
+        tgrid = np.array([2.2250738585072014e-308, 0.1, 1.0])
+        values = np.array(SPECIAL_FINITE[:3] + SPECIAL_FINITE[3:] + [-0.1, -1 / 3, 1.0])
+        values = values.reshape(3, 3)
+        path = tmp_path / "surface.csv"
+        write_surface_csv(path, SurfaceEstimate(ugrid=ugrid, tgrid=tgrid, values=values))
+        triples = [(u, t, values[a, b]) for a, u in enumerate(ugrid) for b, t in enumerate(tgrid)]
+        text = path.read_text()
+        assert text == "u,t,value\n" + per_value_lines(triples)
+        body = tmp_path / "body.csv"
+        body.write_text(text.split("\n", 1)[1])
+        assert bits(read_matrix_csv(body)) == bits(triples)
+
+    def test_moran_writer(self, tmp_path):
+        tgrid = np.linspace(0.0, 1.0, len(SPECIAL))
+        path = tmp_path / "moran.csv"
+        write_moran_csv(path, tgrid, SPECIAL)
+        assert path.read_text() == "t,value\n" + per_value_lines(zip(tgrid, SPECIAL))
+
+    def test_junk_token_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("0,1,0\n\n1,0,x\n0,1,0\n")
+        with pytest.raises(DataError, match=r"w\.csv:3: cannot parse number 'x'"):
+            read_weights_csv(path, layout="dense")
+        path.write_text("t,0.0,0.5,0.75,1.0\nu0,1,2,3,4\n\n\nu1,1,2,,4\n")
+        with pytest.raises(DataError, match=r"w\.csv:5: cannot parse number ''"):
+            read_curves_csv(path)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n#1,0\n")
+        with pytest.raises(DataError, match=r"m\.csv:2: cannot parse number '#1'"):
+            read_matrix_csv(path)
+        path.write_text("0,1\n1,0 # note\n")
+        with pytest.raises(DataError, match=r"m\.csv:2: cannot parse number '0 # note'"):
+            read_matrix_csv(path)
+
+    def test_python_only_spelling_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1_000\n1,0\n")
+        with pytest.raises(DataError, match="1_000"):
+            read_matrix_csv(path)
+
+    def test_float_triplet_index_rejected(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("i,j,w\n0,1,0.5\n\n3.0,0,0.5\n")
+        with pytest.raises(DataError, match=r"w\.csv:4: indices must be integers"):
+            read_weights_csv(path, layout="triplet")
+
+
 class TestCoordsCsv:
     def test_read(self, tmp_path):
         path = tmp_path / "coords.csv"
@@ -185,6 +324,13 @@ class TestCoordsCsv:
         path = tmp_path / "coords.csv"
         path.write_text("sao_paulo,-23.55,-46.63\n")
         with pytest.raises(DataError, match="header"):
+            read_coords_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "coords.csv"
+        path.write_text(f"id,lat,lon\na,-23.55,-46.63\n\nb,-22.91,{bad}\n")
+        with pytest.raises(DataError, match=r"coords\.csv:4: coordinates must be finite"):
             read_coords_csv(path)
 
 

@@ -108,6 +108,15 @@ class TestHaversine:
             assert d02 <= d01 + d12 + 1e-9
 
 
+class TestGeoCoordinates:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite; unit 2 "):
+            GeoCoordinates(lat=[0.0, 1.0, bad, 3.0], lon=np.zeros(4))
+        with pytest.raises(ParameterError, match="finite; unit 2 "):
+            GeoCoordinates(lat=np.zeros(4), lon=[0.0, 1.0, bad, 3.0])
+
+
 class TestKnn:
     def test_full_neighborhood_is_uniform(self):
         coords = GeoCoordinates(lat=np.array([0.0, 1.0, 2.0, 3.5]), lon=np.zeros(4))
