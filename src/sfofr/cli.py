@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,16 @@ import numpy as np
 from . import io as sio
 from .exceptions import DataError, NumericalError, ParameterError
 from .fdbasis import FunctionalDataset, center, make_bspline_basis, smooth_curves
-from .pipeline import fit_sfofr, fitted_values, predict
+from .pipeline import (
+    DEFAULT_DEGREE,
+    DEFAULT_MSAR_MAX_ITER,
+    DEFAULT_NUM_BASIS,
+    DEFAULT_RIDGE,
+    DEFAULT_VAR_THRESHOLD,
+    fit_sfofr,
+    fitted_values,
+    predict,
+)
 from .simgen import SimConfig, generate, run_benchmark, summarize_benchmark
 from .spatial import (
     exponential_weights,
@@ -39,116 +49,94 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file with option defaults")
-    sub.add_argument("--seed", type=int, help="random seed (simulate/mc-bench)")
-    sub.add_argument("--threads", type=int, help="parallel workers for mc-bench")
-    sub.add_argument("--out", help="output directory")
+def _option(flag: str, default=None, **kwargs) -> tuple:
+    """One option: its flag, its resolved default, and its argparse keywords."""
+    return flag, default, kwargs
+
+
+_OUT = _option("--out", "sfofr-out", help="output directory")
+_SEED = _option("--seed", type=int, help="random seed")
+_ALPHA = _option("--alpha", 0.5, type=float, help="spatial dependence strength in (0,1)")
+_WEIGHT_KIND = _option("--weight-kind", SimConfig.weight_kind, choices=["inverse", "exponential"])
+_DECAY = _option("--decay", SimConfig.decay, type=float, help="exponential weight decay d")
+_GRID_SIZE = _option("--grid-size", SimConfig.grid_size, type=int)
+_NOISE_SD = _option("--noise-sd", SimConfig.noise_sd, type=float)
+_DESIGN = (_ALPHA, _WEIGHT_KIND, _DECAY, _GRID_SIZE, _NOISE_SD)
+_WEIGHTS_FORMAT = _option("--weights-format", "dense", choices=["dense", "triplet"])
+_BASIS = (
+    _option("--num-basis", DEFAULT_NUM_BASIS, type=int),
+    _option("--degree", DEFAULT_DEGREE, type=int),
+    _option("--ridge", DEFAULT_RIDGE, type=float),
+)
+
+# Each command's help and options, each option declared once: build_parser
+# adds them as flags and resolve_config takes their defaults. Every command
+# also takes --config.
+_COMMANDS = {
+    "simulate": ("generate one synthetic dataset", (
+        _option("--n", 100, type=int, help="number of spatial units"),
+        *_DESIGN,
+        _option("--smooth-noise", SimConfig.smooth_noise, action="store_true"),
+        _SEED, _OUT,
+    )),
+    "weights": ("build a spatial weight matrix", (
+        _option("--kind", "exponential", choices=["inverse", "exponential", "knn"]),
+        _option("--n", type=int, help="lattice size (inverse/exponential)"),
+        _DECAY,
+        _option("--coords", help="id,lat,lon CSV (knn)"),
+        _option("--knn-h", type=int, help="number of nearest neighbors"),
+        _WEIGHTS_FORMAT, _OUT,
+    )),
+    "fit": ("fit the spatial model, write a fit bundle", (
+        _option("--y", help="response curve CSV"),
+        _option("--x", help="predictor curve CSV"),
+        _option("--w", help="weights CSV"),
+        _WEIGHTS_FORMAT, *_BASIS,
+        _option("--var-threshold", DEFAULT_VAR_THRESHOLD, type=float),
+        _option("--msar-max-iter", DEFAULT_MSAR_MAX_ITER, type=int),
+        _option("--dump-fpca", False, action="store_true"),
+        _OUT,
+    )),
+    "predict": ("predict new curves from a fit bundle", (
+        _option("--bundle", help="fit bundle directory"),
+        _option("--x-new", help="new predictor curve CSV"),
+        _option("--w-new", help="new weights CSV"),
+        _WEIGHTS_FORMAT, _OUT,
+    )),
+    "moran": ("functional Moran's I of a curve set", (
+        _option("--y", help="curve CSV"),
+        _option("--w", help="weights CSV"),
+        _WEIGHTS_FORMAT, *_BASIS, _OUT,
+    )),
+    "mc-bench": ("Monte Carlo benchmark of both methods", (
+        _option("--n-train", 100, type=int),
+        _option("--n-test", 200, type=int),
+        *_DESIGN,
+        _option("--reps", 10, type=int, help="number of replications"),
+        _SEED,
+        _option("--threads", type=int, help="parallel workers (default: all cores)"),
+        _OUT,
+    )),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sfofr", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="generate one synthetic dataset")
-    sim.add_argument("--n", type=int, help="number of spatial units")
-    sim.add_argument("--alpha", type=float, help="spatial dependence strength in (0,1)")
-    sim.add_argument("--weight-kind", choices=["inverse", "exponential"])
-    sim.add_argument("--decay", type=float, help="exponential weight decay d")
-    sim.add_argument("--grid-size", type=int)
-    sim.add_argument("--noise-sd", type=float)
-    sim.add_argument("--smooth-noise", action="store_true", default=None)
-    _add_common(sim)
-
-    wts = subs.add_parser("weights", help="build a spatial weight matrix")
-    wts.add_argument("--kind", choices=["inverse", "exponential", "knn"])
-    wts.add_argument("--n", type=int, help="lattice size (inverse/exponential)")
-    wts.add_argument("--decay", type=float)
-    wts.add_argument("--coords", help="id,lat,lon CSV (knn)")
-    wts.add_argument("--knn-h", type=int, help="number of nearest neighbors")
-    wts.add_argument("--weights-format", choices=["dense", "triplet"])
-    _add_common(wts)
-
-    fit = subs.add_parser("fit", help="fit the spatial model, write a fit bundle")
-    fit.add_argument("--y", help="response curve CSV")
-    fit.add_argument("--x", help="predictor curve CSV")
-    fit.add_argument("--w", help="weights CSV")
-    fit.add_argument("--weights-format", choices=["dense", "triplet"])
-    fit.add_argument("--num-basis", type=int)
-    fit.add_argument("--degree", type=int)
-    fit.add_argument("--ridge", type=float)
-    fit.add_argument("--var-threshold", type=float)
-    fit.add_argument("--msar-max-iter", type=int)
-    fit.add_argument("--dump-fpca", action="store_true", default=None)
-    _add_common(fit)
-
-    prd = subs.add_parser("predict", help="predict new curves from a fit bundle")
-    prd.add_argument("--bundle", help="fit bundle directory")
-    prd.add_argument("--x-new", help="new predictor curve CSV")
-    prd.add_argument("--w-new", help="new weights CSV")
-    prd.add_argument("--weights-format", choices=["dense", "triplet"])
-    _add_common(prd)
-
-    mor = subs.add_parser("moran", help="functional Moran's I of a curve set")
-    mor.add_argument("--y", help="curve CSV")
-    mor.add_argument("--w", help="weights CSV")
-    mor.add_argument("--weights-format", choices=["dense", "triplet"])
-    mor.add_argument("--num-basis", type=int)
-    mor.add_argument("--degree", type=int)
-    mor.add_argument("--ridge", type=float)
-    _add_common(mor)
-
-    mcb = subs.add_parser("mc-bench", help="Monte Carlo benchmark of both methods")
-    mcb.add_argument("--n-train", type=int)
-    mcb.add_argument("--n-test", type=int)
-    mcb.add_argument("--alpha", type=float)
-    mcb.add_argument("--weight-kind", choices=["inverse", "exponential"])
-    mcb.add_argument("--decay", type=float)
-    mcb.add_argument("--grid-size", type=int)
-    mcb.add_argument("--noise-sd", type=float)
-    mcb.add_argument("--reps", type=int, help="number of replications")
-    _add_common(mcb)
+    for command, (help_text, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for flag, _, kwargs in options:
+            # no parser default, so an absent flag leaves the config file's value
+            sub.add_argument(flag, default=None, **kwargs)
+        sub.add_argument("--config", help="JSON config file with option defaults")
     return parser
-
-
-_DEFAULTS = {
-    "simulate": {
-        "n": 100, "alpha": 0.5, "weight_kind": "exponential", "decay": 0.5,
-        "grid_size": 101, "noise_sd": 1.0, "smooth_noise": False,
-        "seed": None, "threads": None, "out": "sfofr-out",
-    },
-    "weights": {
-        "kind": "exponential", "n": None, "decay": 0.5, "coords": None,
-        "knn_h": None, "weights_format": "dense",
-        "seed": None, "threads": None, "out": "sfofr-out",
-    },
-    "fit": {
-        "y": None, "x": None, "w": None, "weights_format": "dense",
-        "num_basis": 20, "degree": 3, "ridge": 1e-8, "var_threshold": 0.95,
-        "msar_max_iter": 500, "dump_fpca": False,
-        "seed": None, "threads": None, "out": "sfofr-out",
-    },
-    "predict": {
-        "bundle": None, "x_new": None, "w_new": None, "weights_format": "dense",
-        "seed": None, "threads": None, "out": "sfofr-out",
-    },
-    "moran": {
-        "y": None, "w": None, "weights_format": "dense",
-        "num_basis": 20, "degree": 3, "ridge": 1e-8,
-        "seed": None, "threads": None, "out": "sfofr-out",
-    },
-    "mc-bench": {
-        "n_train": 100, "n_test": 200, "alpha": 0.5,
-        "weight_kind": "exponential", "decay": 0.5, "grid_size": 101,
-        "noise_sd": 1.0, "reps": 10,
-        "seed": None, "threads": None, "out": "sfofr-out",
-    },
-}
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit CLI flags."""
-    resolved = dict(_DEFAULTS[command])
+    resolved = {
+        flag[2:].replace("-", "_"): default for flag, default, _ in _COMMANDS[command][1]
+    }
     if getattr(args, "config", None):
         file_cfg = sio.read_json(args.config)
         unknown = set(file_cfg) - set(resolved)
@@ -172,15 +160,22 @@ def _require(cfg: dict, keys):
         )
 
 
+def _manifest(command: str, cfg: dict, outputs: list) -> dict:
+    return {"command": command, "resolved_config": cfg, "outputs": sorted(outputs)}
+
+
 def _write_manifest(out: Path, command: str, cfg: dict, outputs: list):
-    sio.write_json(
-        out / "manifest.json",
-        {"command": command, "resolved_config": cfg, "outputs": sorted(outputs)},
-    )
+    sio.write_json(out / "manifest.json", _manifest(command, cfg, outputs))
+
+
+def _sim_config(cfg: dict, **sizes) -> SimConfig:
+    """The SimConfig whose fields the resolved options name, plus ``sizes``."""
+    names = {f.name for f in dataclasses.fields(SimConfig)}
+    return SimConfig(**{k: v for k, v in cfg.items() if k in names}, **sizes)
 
 
 def _read_weights(cfg: dict, key: str):
-    return sio.read_weights_csv(cfg[key], layout=cfg.get("weights_format", "dense"))
+    return sio.read_weights_csv(cfg[key], layout=cfg["weights_format"])
 
 
 # --- subcommands --------------------------------------------------------------
@@ -189,13 +184,7 @@ def _read_weights(cfg: dict, key: str):
 def cmd_simulate(cfg: dict) -> int:
     _require(cfg, ["seed", "n", "alpha"])
     out = Path(cfg["out"])
-    sim_cfg = SimConfig(
-        n_train=cfg["n"], n_test=max(2, cfg["n"]), alpha=cfg["alpha"],
-        weight_kind=cfg["weight_kind"], decay=cfg["decay"],
-        grid_size=cfg["grid_size"], noise_sd=cfg["noise_sd"],
-        seed=cfg["seed"], smooth_noise=cfg["smooth_noise"],
-    )
-    truth = generate(sim_cfg)
+    truth = generate(_sim_config(cfg, n_train=cfg["n"], n_test=max(2, cfg["n"])))
     sio.write_curves_csv(out / "y.csv", truth.y_data)
     sio.write_curves_csv(out / "x.csv", truth.x_data)
     sio.write_weights_csv(out / "w.csv", truth.weights, layout="dense")
@@ -241,11 +230,7 @@ def cmd_fit(cfg: dict) -> int:
     fit = fit_sfofr(
         y, x, weights,
         options={
-            "num_basis": cfg["num_basis"],
-            "degree": cfg["degree"],
-            "ridge": cfg["ridge"],
-            "var_threshold": cfg["var_threshold"],
-            "msar_max_iter": cfg["msar_max_iter"],
+            k: cfg[k] for k in ("num_basis", "degree", "ridge", "var_threshold", "msar_max_iter")
         },
     )
     fitted = fitted_values(fit)
@@ -259,21 +244,11 @@ def cmd_fit(cfg: dict) -> int:
         "w_train.csv", "rho_surface.csv", "beta_surface.csv",
     ]
     if cfg["dump_fpca"]:
-        for name, decomp, chi_csv, scores_csv in (
-            ("fpca_y.json", fit.response_decomp, "chi_y.csv", "scores_y.csv"),
-            ("fpca_x.json", fit.predictor_decomp, "chi_x.csv", "scores_x.csv"),
-        ):
-            meta = sio.decomp_meta(decomp)
-            sio.write_json(out / name, {**meta, "chi_csv": chi_csv, "scores_csv": scores_csv})
-            outputs.append(name)
-    sio.save_fit_bundle(
-        fit, out,
-        extra_manifest={
-            "command": "fit",
-            "resolved_config": cfg,
-            "outputs": sorted(outputs),
-        },
-    )
+        for side, decomp in (("y", fit.response_decomp), ("x", fit.predictor_decomp)):
+            files = {"chi_csv": f"chi_{side}.csv", "scores_csv": f"scores_{side}.csv"}
+            sio.write_json(out / f"fpca_{side}.json", {**sio.decomp_meta(decomp), **files})
+            outputs.append(f"fpca_{side}.json")
+    sio.save_fit_bundle(fit, out, extra_manifest=_manifest("fit", cfg, outputs))
     return 0
 
 
@@ -307,12 +282,7 @@ def cmd_mc_bench(cfg: dict) -> int:
     _require(cfg, ["seed", "reps"])
     out = Path(cfg["out"])
     threads = cfg["threads"] or os.cpu_count() or 1
-    sim_cfg = SimConfig(
-        n_train=cfg["n_train"], n_test=cfg["n_test"], alpha=cfg["alpha"],
-        weight_kind=cfg["weight_kind"], decay=cfg["decay"],
-        grid_size=cfg["grid_size"], noise_sd=cfg["noise_sd"], seed=cfg["seed"],
-    )
-    results = run_benchmark(sim_cfg, cfg["reps"], threads=threads)
+    results = run_benchmark(_sim_config(cfg), cfg["reps"], threads=threads)
     lines = ["replication,method,ise_beta,ise_rho,mse,mspe"]
     for idx, rep in enumerate(results):
         for method in ("sfofr", "fpc"):

@@ -113,9 +113,11 @@ class BasisCoefficients:
     """Expansion coefficients of n curves on a shared basis.
 
     ``coef`` is the n x L matrix A with x_i(t) = sum_l A[i, l] g_l(t);
-    ``mean_coeff`` holds the coefficients of a mean function removed before
-    smoothing (all zero when the curves were not centered). ``residual_rms``
-    records the per-curve root-mean-square smoothing residual on the fit grid.
+    ``mean_coeff`` may hold the coefficients of a mean function removed
+    before smoothing; it is all zero unless the caller passes it, and the
+    pipeline does not (it keeps mean curves on the sampling grid).
+    ``residual_rms`` records the per-curve root-mean-square smoothing residual
+    on the fit grid.
     """
 
     coef: np.ndarray

@@ -120,7 +120,8 @@ def _parse_numeric(path, numbered, width=None, first_col: int = 0, dtype=float):
 
     Field counts are checked line by line first, so a ragged row is named by
     its physical line. Only when numpy rejects a value are the lines walked
-    again with Python's parsers to name the first bad line.
+    again with Python's parsers to name the first bad line; a value that only
+    numpy rejects (``1_000``) is named by the first line numpy rejects alone.
     """
     if width is None:
         width = numbered[0][1].count(",") + 1 if numbered else 0
@@ -130,14 +131,21 @@ def _parse_numeric(path, numbered, width=None, first_col: int = 0, dtype=float):
         got = line.count(",") + 1
         if got != width:
             raise DataError(f"{path}:{no}: expected {width} fields, got {got}")
-    lines = [line for _, line in numbered]
+
+    kwargs = dict(
+        delimiter=",", comments=None, ndmin=2, dtype=dtype, usecols=range(first_col, width)
+    )
     try:
-        return np.loadtxt(
-            lines, delimiter=",", comments=None, ndmin=2, dtype=dtype,
-            usecols=range(first_col, width),
-        )
+        return np.loadtxt([line for _, line in numbered], **kwargs)
     except ValueError as exc:
         _raise_first_bad_field(path, numbered, first_col, np.dtype(dtype))
+        for no, line in numbered:
+            try:
+                np.loadtxt([line], **kwargs)
+            except ValueError as line_exc:
+                # numpy's "at row 0, column c" counts within this one line
+                reason = str(line_exc).partition(" at row ")[0]
+                raise DataError(f"{path}:{no}: {reason}") from None
         raise DataError(f"{path}: {exc}") from None
 
 

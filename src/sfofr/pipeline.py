@@ -26,7 +26,6 @@ from .exceptions import (
     UndefinedStatisticError,
 )
 from .fdbasis import (
-    BasisCoefficients,
     BSplineBasis,
     FunctionalDataset,
     center,
@@ -131,6 +130,7 @@ DEFAULT_NUM_BASIS = 20
 DEFAULT_DEGREE = 3
 DEFAULT_RIDGE = 1e-8
 DEFAULT_VAR_THRESHOLD = 0.95
+DEFAULT_MSAR_MAX_ITER = 500
 
 
 def _resolve_options(options: dict | None) -> dict:
@@ -139,8 +139,7 @@ def _resolve_options(options: dict | None) -> dict:
         "degree": DEFAULT_DEGREE,
         "ridge": DEFAULT_RIDGE,
         "var_threshold": DEFAULT_VAR_THRESHOLD,
-        "msar_tol": None,
-        "msar_max_iter": 500,
+        "msar_max_iter": DEFAULT_MSAR_MAX_ITER,
     }
     if options:
         unknown = set(options) - set(opts)
@@ -150,17 +149,34 @@ def _resolve_options(options: dict | None) -> dict:
     return opts
 
 
-def _center_and_smooth(data: FunctionalDataset, basis: BSplineBasis, ridge: float):
-    centered, mean_curve = center(data)
-    coeffs = smooth_curves(centered, basis, ridge)
-    pair = FunctionalDataset(grid=data.grid, values=np.vstack([mean_curve, mean_curve]))
-    coeffs = BasisCoefficients(
-        coef=coeffs.coef,
-        basis=basis,
-        mean_coeff=smooth_curves(pair, basis, ridge).coef[0],
-        residual_rms=coeffs.residual_rms,
+def _front_end(y_data: FunctionalDataset, x_data: FunctionalDataset, options: dict | None):
+    """The stages both fits share: resolve the options, build the basis,
+    center and smooth both curve sets, and decompose the predictor.
+
+    Returns the response's basis coefficients and the SfofrFit fields that
+    both fits fill alike.
+    """
+    opts = _resolve_options(options)
+    if y_data.n != x_data.n:
+        raise ParameterError("response and predictor must have the same n")
+    basis = _staged(
+        "basis construction", make_bspline_basis, opts["num_basis"], opts["degree"]
     )
-    return coeffs, mean_curve
+    y_centered, y_mean = center(y_data)
+    x_centered, x_mean = center(x_data)
+    y_coeffs = _staged("response smoothing", smooth_curves, y_centered, basis, opts["ridge"])
+    x_coeffs = _staged("predictor smoothing", smooth_curves, x_centered, basis, opts["ridge"])
+    x_decomp = _staged(
+        "predictor decomposition", fit_fpc, x_coeffs, variance_threshold=opts["var_threshold"]
+    )
+    return y_coeffs, dict(
+        predictor_decomp=x_decomp,
+        y_mean=y_mean,
+        x_mean=x_mean,
+        y_grid=y_data.grid,
+        x_grid=x_data.grid,
+        options=opts,
+    )
 
 
 def fit_sfofr(
@@ -172,50 +188,23 @@ def fit_sfofr(
     """Fit the full spatial model: SFPC response, FPC predictor, MSAR scores.
 
     Options (all overridable): num_basis=20, degree=3, ridge=1e-8,
-    var_threshold=0.95, msar_tol=None, msar_max_iter=500.
+    var_threshold=0.95, msar_max_iter=500.
     """
-    opts = _resolve_options(options)
-    if y_data.n != x_data.n:
-        raise ParameterError("response and predictor must have the same n")
     if weights.n != y_data.n:
         raise ParameterError("weight matrix size must match the number of units")
-    basis = _staged(
-        "basis construction", make_bspline_basis, opts["num_basis"], opts["degree"]
-    )
-    y_coeffs, y_mean = _staged("response smoothing", _center_and_smooth, y_data, basis, opts["ridge"])
-    x_coeffs, x_mean = _staged("predictor smoothing", _center_and_smooth, x_data, basis, opts["ridge"])
+    y_coeffs, shared = _front_end(y_data, x_data, options)
+    opts = shared["options"]
     y_decomp = _staged(
-        "response decomposition",
-        fit_sfpc,
-        y_coeffs,
-        weights,
+        "response decomposition", fit_sfpc, y_coeffs, weights,
         variance_threshold=opts["var_threshold"],
     )
-    x_decomp = _staged(
-        "predictor decomposition",
-        fit_fpc,
-        x_coeffs,
-        variance_threshold=opts["var_threshold"],
+    msar_data = MsarData(
+        ymat=y_decomp.scores, xmat=shared["predictor_decomp"].scores, weights=weights
     )
-    msar_data = MsarData(ymat=y_decomp.scores, xmat=x_decomp.scores, weights=weights)
     msar = _staged(
-        "score-space estimation",
-        fit_msar,
-        msar_data,
-        tol=opts["msar_tol"],
-        max_iter=opts["msar_max_iter"],
+        "score-space estimation", fit_msar, msar_data, max_iter=opts["msar_max_iter"]
     )
-    return SfofrFit(
-        response_decomp=y_decomp,
-        predictor_decomp=x_decomp,
-        msar_fit=msar,
-        y_mean=y_mean,
-        x_mean=x_mean,
-        y_grid=y_data.grid,
-        x_grid=x_data.grid,
-        weights=weights,
-        options=opts,
-    )
+    return SfofrFit(response_decomp=y_decomp, msar_fit=msar, weights=weights, **shared)
 
 
 def fit_fofr_fpc(
@@ -225,21 +214,13 @@ def fit_fofr_fpc(
 ) -> SfofrFit:
     """Non-spatial baseline: classical FPC on both sides, rho forced to zero,
     B from per-column least squares of response scores on predictor scores."""
-    opts = _resolve_options(options)
-    if y_data.n != x_data.n:
-        raise ParameterError("response and predictor must have the same n")
-    basis = _staged(
-        "basis construction", make_bspline_basis, opts["num_basis"], opts["degree"]
-    )
-    y_coeffs, y_mean = _staged("response smoothing", _center_and_smooth, y_data, basis, opts["ridge"])
-    x_coeffs, x_mean = _staged("predictor smoothing", _center_and_smooth, x_data, basis, opts["ridge"])
+    y_coeffs, shared = _front_end(y_data, x_data, options)
+    opts = shared["options"]
     y_decomp = _staged(
         "response decomposition", fit_fpc, y_coeffs, variance_threshold=opts["var_threshold"]
     )
-    x_decomp = _staged(
-        "predictor decomposition", fit_fpc, x_coeffs, variance_threshold=opts["var_threshold"]
-    )
-    b_hat, *_ = np.linalg.lstsq(x_decomp.scores, y_decomp.scores, rcond=None)
+    x_scores = shared["predictor_decomp"].scores
+    b_hat, *_ = np.linalg.lstsq(x_scores, y_decomp.scores, rcond=None)
     zero_w = SpatialWeights(
         matrix=sp.csr_array((y_data.n, y_data.n)), normalized=False, kind="custom"
     )
@@ -248,7 +229,7 @@ def fit_fofr_fpc(
         b=b_hat,
         prec_chol=np.eye(y_decomp.n_components),
     )
-    msar_data = MsarData(ymat=y_decomp.scores, xmat=x_decomp.scores, weights=zero_w)
+    msar_data = MsarData(ymat=y_decomp.scores, xmat=x_scores, weights=zero_w)
     msar = MsarFit(
         params=params,
         objective=objective(params, msar_data),
@@ -259,17 +240,7 @@ def fit_fofr_fpc(
         tolerance=float("nan"),
         message="baseline: rho fixed at zero, B by least squares",
     )
-    return SfofrFit(
-        response_decomp=y_decomp,
-        predictor_decomp=x_decomp,
-        msar_fit=msar,
-        y_mean=y_mean,
-        x_mean=x_mean,
-        y_grid=y_data.grid,
-        x_grid=x_data.grid,
-        weights=zero_w,
-        options=opts,
-    )
+    return SfofrFit(response_decomp=y_decomp, msar_fit=msar, weights=zero_w, **shared)
 
 
 # --- surfaces ---------------------------------------------------------------
@@ -295,31 +266,20 @@ def reconstruct_beta(fit: SfofrFit, sgrid=None, tgrid=None) -> SurfaceEstimate:
     return SurfaceEstimate(ugrid=sgrid, tgrid=tgrid, values=values, kind="beta")
 
 
-def project_surface(surface: SurfaceEstimate, fit: SfofrFit) -> np.ndarray:
-    """Project a surface back onto the fitted eigenfunction tensor basis.
-
-    Round-trip companion of reconstruct_rho / reconstruct_beta: recovers the
-    score-space coefficient matrix by trapezoid double quadrature.
-    """
-    wu = trapezoid_weights(surface.ugrid)
-    wt = trapezoid_weights(surface.tgrid)
-    left = (
-        fit.response_decomp if surface.kind == "rho" else fit.predictor_decomp
-    ).eigenfunctions(surface.ugrid)
-    right = fit.response_decomp.eigenfunctions(surface.tgrid)
-    return (left * wu[:, None]).T @ surface.values @ (right * wt[:, None])
-
-
 # --- fitted values and prediction -------------------------------------------
+
+
+def _curves(fit: SfofrFit, y_scores: np.ndarray, ids=None) -> FunctionalDataset:
+    """Response curves from response scores, with the training mean re-added."""
+    curves = reconstruct(y_scores, fit.response_decomp, fit.y_grid) + fit.y_mean
+    return FunctionalDataset(grid=fit.y_grid, values=curves, ids=ids)
 
 
 def _predict_from_scores(
     fit: SfofrFit, x_scores: np.ndarray, weights: SpatialWeights, ids=None
 ) -> FunctionalDataset:
     c = x_scores @ fit.msar_fit.params.b
-    m_hat = reduced_form_solve(fit.msar_fit.params.rho, weights, c)
-    curves = reconstruct(m_hat, fit.response_decomp, fit.y_grid) + fit.y_mean
-    return FunctionalDataset(grid=fit.y_grid, values=curves, ids=ids)
+    return _curves(fit, reduced_form_solve(fit.msar_fit.params.rho, weights, c), ids)
 
 
 def fitted_values(fit: SfofrFit) -> FunctionalDataset:
@@ -327,19 +287,30 @@ def fitted_values(fit: SfofrFit) -> FunctionalDataset:
     return _predict_from_scores(fit, fit.predictor_decomp.scores, fit.weights)
 
 
+def _scores(
+    fit: SfofrFit, data: FunctionalDataset, mean: np.ndarray, decomp: FpcDecomposition
+) -> np.ndarray:
+    """Center curves by the training mean, smooth them with the fit's ridge,
+    and project them onto ``decomp``'s retained components."""
+    centered = FunctionalDataset(grid=data.grid, values=data.values - mean)
+    coeffs = smooth_curves(centered, decomp.basis, fit.options.get("ridge", DEFAULT_RIDGE))
+    return project(coeffs, decomp)
+
+
+def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two sample grids have the same points, to 1e-12."""
+    return a.size == b.size and np.allclose(a, b, rtol=0, atol=1e-12)
+
+
 def predict(
     fit: SfofrFit, x_new: FunctionalDataset, weights_new: SpatialWeights
 ) -> FunctionalDataset:
     """Out-of-sample prediction using the test set's own weight matrix."""
-    if x_new.grid.size != fit.x_grid.size or not np.allclose(
-        x_new.grid, fit.x_grid, rtol=0, atol=1e-12
-    ):
+    if not _same_grid(x_new.grid, fit.x_grid):
         raise ParameterError("new predictor grid differs from the training grid")
     if weights_new.n != x_new.n:
         raise ParameterError("weight matrix size must match the number of new units")
-    centered = FunctionalDataset(grid=x_new.grid, values=x_new.values - fit.x_mean)
-    coeffs = smooth_curves(centered, fit.x_basis, fit.options.get("ridge", DEFAULT_RIDGE))
-    scores = project(coeffs, fit.predictor_decomp)
+    scores = _scores(fit, x_new, fit.x_mean, fit.predictor_decomp)
     return _predict_from_scores(fit, scores, weights_new, ids=x_new.ids)
 
 
@@ -350,15 +321,9 @@ def represent_response(fit: SfofrFit, y_data: FunctionalDataset) -> FunctionalDa
     This is the functional object the model actually predicts; evaluation
     metrics compare predictions against it.
     """
-    if y_data.grid.size != fit.y_grid.size or not np.allclose(
-        y_data.grid, fit.y_grid, rtol=0, atol=1e-12
-    ):
+    if not _same_grid(y_data.grid, fit.y_grid):
         raise ParameterError("response grid differs from the training grid")
-    centered = FunctionalDataset(grid=y_data.grid, values=y_data.values - fit.y_mean)
-    coeffs = smooth_curves(centered, fit.y_basis, fit.options.get("ridge", DEFAULT_RIDGE))
-    scores = project(coeffs, fit.response_decomp)
-    curves = reconstruct(scores, fit.response_decomp, fit.y_grid) + fit.y_mean
-    return FunctionalDataset(grid=fit.y_grid, values=curves, ids=y_data.ids)
+    return _curves(fit, _scores(fit, y_data, fit.y_mean, fit.response_decomp), y_data.ids)
 
 
 # --- diagnostics and metrics -------------------------------------------------
@@ -395,10 +360,7 @@ def contraction_diagnostic(rho_surface: SurfaceEstimate, weights: SpatialWeights
 
 def ise_surface(est: SurfaceEstimate, truth: SurfaceEstimate) -> float:
     """Integrated squared error between two surfaces on matching grids."""
-    if est.values.shape != truth.values.shape or not (
-        np.allclose(est.ugrid, truth.ugrid, rtol=0, atol=1e-12)
-        and np.allclose(est.tgrid, truth.tgrid, rtol=0, atol=1e-12)
-    ):
+    if not (_same_grid(est.ugrid, truth.ugrid) and _same_grid(est.tgrid, truth.tgrid)):
         raise ParameterError("surfaces must share identical grids")
     wu = trapezoid_weights(est.ugrid)
     wt = trapezoid_weights(est.tgrid)
@@ -412,9 +374,7 @@ def mse_curves(pred: FunctionalDataset, obs: FunctionalDataset) -> float:
     The same computation on held-out curves is the mean squared prediction
     error (MSPE).
     """
-    if pred.n != obs.n or pred.grid.size != obs.grid.size or not np.allclose(
-        pred.grid, obs.grid, rtol=0, atol=1e-12
-    ):
+    if pred.n != obs.n or not _same_grid(pred.grid, obs.grid):
         raise ParameterError("datasets must share the grid and number of units")
     w = trapezoid_weights(pred.grid)
     diff = pred.values - obs.values
@@ -427,9 +387,7 @@ def r_squared(pred: FunctionalDataset, obs: FunctionalDataset) -> float:
     1 - sum_i int (obs_i - pred_i)^2 dt / sum_i int (obs_i - obs_mean)^2 dt;
     on held-out data this is the out-of-sample R^2. Always <= 1.
     """
-    if pred.n != obs.n or pred.grid.size != obs.grid.size or not np.allclose(
-        pred.grid, obs.grid, rtol=0, atol=1e-12
-    ):
+    if pred.n != obs.n or not _same_grid(pred.grid, obs.grid):
         raise ParameterError("datasets must share the grid and number of units")
     w = trapezoid_weights(obs.grid)
     resid = obs.values - pred.values

@@ -171,6 +171,10 @@ def _with_balance(weights: SpatialWeights, balance) -> SpatialWeights:
     if d.shape != (weights.n,) or not np.all(d > 0):
         raise DataError("balance vector must hold one positive entry per unit")
     mat = weights.matrix
+    # K = D W must be symmetric, else the spectral form solves in the wrong basis
+    k = sp.diags_array(d) @ mat if sp.issparse(mat) else mat * d[:, None]
+    if abs(k - k.T).max() > 1e-12 * k.max():
+        raise DataError("balance vector does not satisfy d_i w_ij = d_j w_ji")
     for a in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
         _read_only(a)
     object.__setattr__(weights, "_balance", _read_only(d))

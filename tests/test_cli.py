@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, config precedence, exit codes,
 byte determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 import sfofr
+from sfofr.cli import build_parser, resolve_config
+from sfofr.pipeline import _resolve_options
 
 # Directory holding the imported package, absolute, so that the child process
 # finds the same package from whatever working directory it runs in (a
@@ -338,3 +341,47 @@ class TestExitCodes:
         result = run_cli(["frobnicate"], cwd=tmp_path)
         assert result.returncode == 1
         assert "invalid choice: 'frobnicate'" in result.stderr
+
+
+class TestOptionTable:
+    @staticmethod
+    def subparsers():
+        (action,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        return action.choices
+
+    def test_flags_are_the_resolved_keys(self):
+        for command, sub in self.subparsers().items():
+            flags = {
+                opt for a in sub._actions for opt in a.option_strings
+                if opt not in ("-h", "--help", "--config")
+            }
+            cfg = resolve_config(command, sub.parse_args([]))
+            assert {"--" + k.replace("_", "-") for k in cfg} == flags, command
+
+    def test_seed_and_threads_only_where_read(self):
+        for command, sub in self.subparsers().items():
+            flags = {opt for a in sub._actions for opt in a.option_strings}
+            assert ("--seed" in flags) == (command in ("simulate", "mc-bench")), command
+            assert ("--threads" in flags) == (command == "mc-bench"), command
+
+    @pytest.mark.parametrize(
+        "args", [["fit", "--seed", "1"], ["predict", "--threads", "2"]]
+    )
+    def test_dropped_flags_rejected(self, args, tmp_path):
+        result = run_cli(args, cwd=tmp_path)
+        assert result.returncode == 1
+        assert f"unrecognized arguments: {args[1]}" in result.stderr
+
+    def test_dropped_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        result = run_cli(["fit", "--config", str(cfg)], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "unknown config keys for fit: ['threads']" in result.stderr
+
+    def test_fit_defaults_are_the_pipeline_defaults(self):
+        cfg = resolve_config("fit", build_parser().parse_args(["fit"]))
+        defaults = _resolve_options(None)
+        assert {k: cfg[k] for k in defaults} == defaults

@@ -301,8 +301,8 @@ class TestNumericCodec:
 
     def test_python_only_spelling_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text("0,1_000\n1,0\n")
-        with pytest.raises(DataError, match="1_000"):
+        path.write_text("\n\n0,1_000\n1,0\n")
+        with pytest.raises(DataError, match=r"m\.csv:3: .*1_000"):
             read_matrix_csv(path)
 
     def test_float_triplet_index_rejected(self, tmp_path):
@@ -428,9 +428,12 @@ class TestFitBundle:
         fit, _, _ = small_fit
         manifest = save_fit_bundle(fit, tmp_path / "bad")
         assert manifest["weights_balanced"]
-        write_matrix_csv(tmp_path / "bad" / "w_balance.csv", -np.ones(fit.weights.n))
-        with pytest.raises(DataError, match="balance vector"):
-            load_fit_bundle(tmp_path / "bad")
+        n = fit.weights.n
+        # not positive; positive but d_i w_ij != d_j w_ji
+        for bad in (-np.ones(n), np.linspace(1, 5, n)):
+            write_matrix_csv(tmp_path / "bad" / "w_balance.csv", bad)
+            with pytest.raises(DataError, match="balance vector"):
+                load_fit_bundle(tmp_path / "bad")
 
     def test_not_a_bundle_rejected(self, tmp_path):
         (tmp_path / "notbundle").mkdir()

@@ -38,7 +38,7 @@ from sfofr import (
     true_rho,
 )
 from sfofr.fpca import reconstruct
-from sfofr.pipeline import SfofrFit, project_surface
+from sfofr.pipeline import SfofrFit
 
 
 def gauss_legendre_grid(basis):
@@ -136,12 +136,6 @@ class TestSurfaces:
         )
         np.testing.assert_allclose(rho_back, toy_fit.msar_fit.params.rho, atol=1e-8)
         np.testing.assert_allclose(beta_back, toy_fit.msar_fit.params.b, atol=1e-8)
-
-    def test_library_projection_on_fine_grid(self, toy_fit):
-        grid = np.linspace(0, 1, 4001)
-        rho_surface = reconstruct_rho(toy_fit, grid, grid)
-        back = project_surface(rho_surface, toy_fit)
-        np.testing.assert_allclose(back, toy_fit.msar_fit.params.rho, atol=1e-5)
 
 
 class TestFittedAndPredict:

@@ -25,6 +25,7 @@ from sfofr import (
     row_normalize,
     smooth_curves,
 )
+from sfofr.spatial import _with_balance
 
 
 def check_weight_contract(w):
@@ -208,6 +209,14 @@ class TestStorage:
             for a in (w, v):
                 np.testing.assert_array_equal(a.row_sums(), mat.sum(axis=1))
                 np.testing.assert_allclose(a.diag_wtw(), (mat * mat).sum(axis=0), rtol=1e-15)
+
+    @pytest.mark.parametrize("decay, n", [(0.5, 40), (40.0, 500)])
+    def test_balance_vector_must_satisfy_detailed_balance(self, decay, n):
+        # decay 40 underflows beyond |i-j| = 18, so that W is stored as CSR
+        w = exponential_weights(n, decay)
+        _with_balance(SpatialWeights(matrix=w.matrix, normalized=True), w._balance)
+        with pytest.raises(DataError, match="d_i w_ij = d_j w_ji"):
+            _with_balance(SpatialWeights(matrix=w.matrix, normalized=True), np.linspace(1, 5, n))
 
     def test_row_normalize_keeps_sparse_storage(self):
         mat = 3.0 * self.ring(30)
