@@ -241,7 +241,7 @@ def cmd_fit(cfg: dict) -> int:
     outputs = [
         "fitted.csv", "chi_y.csv", "chi_x.csv", "scores_y.csv", "scores_x.csv",
         "rho.csv", "b.csv", "prec_chol.csv", "y_mean.csv", "x_mean.csv",
-        "w_train.csv", "rho_surface.csv", "beta_surface.csv",
+        "w_train.npy", "rho_surface.csv", "beta_surface.csv",
     ]
     if cfg["dump_fpca"]:
         for side, decomp in (("y", fit.response_decomp), ("x", fit.predictor_decomp)):
@@ -292,7 +292,7 @@ def cmd_mc_bench(cfg: dict) -> int:
                 f"{idx},{method},{sio.fmt(m['ise_beta'])},{ise_rho},"
                 f"{sio.fmt(m['mse'])},{sio.fmt(m['mspe'])}"
             )
-    sio.atomic_write_text(out / "results.csv", "\n".join(lines) + "\n")
+    sio.atomic_write(out / "results.csv", "\n".join(lines) + "\n")
     summary = summarize_benchmark(results)
     summary["config"] = cfg
     sio.write_json(out / "summary.json", summary)

@@ -1,7 +1,8 @@
 """Stable file formats: curve CSVs, weight CSVs, surfaces, and fit bundles.
 
 All numeric text is written with 17 significant digits, which round-trips
-IEEE doubles bit-exactly. Files are written atomically (temp file in the
+IEEE doubles bit-exactly; the one binary file, a fit bundle's w_train.npy,
+holds the doubles themselves. Files are written atomically (temp file in the
 target directory, then rename) so a crashed run never leaves a partial file.
 Numbers are parsed by numpy's reader, so Python-only spellings such as
 ``1_000`` are rejected. Error messages name a file's physical line numbers,
@@ -20,11 +21,15 @@ Surface CSV    : tidy triples with header ``u,t,value``.
 Moran CSV      : tidy pairs with header ``t,value``.
 Fit bundle     : a directory holding manifest.json plus CSV matrices for the
                  eigenfunction coefficients, scores, rho, B, the precision
-                 factor, mean curves, the training weights, and both fitted
-                 surfaces on a 101 x 101 grid. The training weights are
-                 written in the triplet layout when stored as CSR, else
-                 dense (manifest key ``weights_layout``, dense when absent);
-                 a lattice W's balance vector goes to w_balance.csv.
+                 factor, mean curves, and both fitted surfaces on a 101 x 101
+                 grid. Version 2 stores the training W as w_train.npy: one
+                 ``np.save`` (no pickle) of its nonzero (i, j, w) triplets in
+                 row-major order, as a 1-D int64/int64/float64 record array,
+                 with n taken from the manifest's ``dims.n``; the file's
+                 bytes depend on W alone. A lattice W's balance vector goes
+                 to w_balance.csv. Version-1 bundles hold w_train.csv
+                 instead, in the layout the manifest key ``weights_layout``
+                 names (dense when absent), and still load.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .msar import MsarFit, MsarParams, spectral_radius
 from .pipeline import (
     SfofrFit,
     SurfaceEstimate,
+    _warn_if_unconverged,
     contraction_diagnostic,
     reconstruct_beta,
     reconstruct_rho,
@@ -52,7 +58,7 @@ from .pipeline import (
 from .spatial import SpatialWeights, _with_balance
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 def fmt(x: float) -> str:
@@ -60,14 +66,21 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def atomic_write_text(path, text: str):
-    """Write text via a temp file in the same directory, then rename."""
+def atomic_write(path, data: str | np.ndarray):
+    """Write text, or an array in ``.npy`` form (no pickle), via a temp file
+    in the same directory, then rename.
+
+    An array goes straight from its buffer to the file, with no bytes copy.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as handle:
+            if isinstance(data, str):
+                handle.write(data)
+            else:
+                np.save(handle, data, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -101,7 +114,7 @@ def _format_rows(mat, row_format=None) -> list[str]:
 
 
 def _write_csv(path, lines):
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _read_lines(path) -> list[tuple[int, str]]:
@@ -282,7 +295,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_json(path, payload: dict):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path) -> dict:
@@ -290,6 +303,45 @@ def read_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read JSON {path}: {exc}") from exc
+
+
+# --- bundle weights (binary) -------------------------------------------------
+
+
+def _write_weights_npy(path, weights: SpatialWeights):
+    """Save W's nonzero (i, j, w) triplets, row-major, as one ``_TRIPLET``
+    record array in ``.npy`` form; the bytes depend on W alone."""
+    coo = sp.coo_array(weights.matrix)
+    coo.sum_duplicates()  # sorts by row, then column
+    nonzero = coo.data != 0
+    rec = np.empty(np.count_nonzero(nonzero), dtype=_TRIPLET)
+    for name, values in zip(_TRIPLET.names, (coo.row, coo.col, coo.data)):
+        rec[name] = values[nonzero]
+    del coo  # hold at most two copies of W at a time
+    atomic_write(path, rec)
+
+
+def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
+    """Read the n x n W that ``_write_weights_npy`` saved; stored as CSR or
+    dense by W's density, as when it was built."""
+    try:
+        rec = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"cannot read weights {path}: {exc}") from None
+    if not isinstance(rec, np.ndarray) or rec.dtype != _TRIPLET or rec.ndim != 1:
+        raise DataError(f"{path}: expected a 1-D (i, j, w) record array")
+    i, j, w = (np.ascontiguousarray(rec[name]) for name in _TRIPLET.names)
+    del rec  # hold at most two copies of W at a time
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"{path}: entry {k} index ({i[k]}, {j[k]}) outside 0..{n - 1}")
+    # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
+    mat = sp.csr_array((w, (i, j)), shape=(n, n))
+    try:
+        return SpatialWeights(matrix=mat, normalized=normalized, kind=kind)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # --- fit bundle --------------------------------------------------------------
@@ -312,8 +364,7 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
     write_matrix_csv(directory / "prec_chol.csv", fit.msar_fit.params.prec_chol)
     write_matrix_csv(directory / "y_mean.csv", np.vstack([fit.y_grid, fit.y_mean]))
     write_matrix_csv(directory / "x_mean.csv", np.vstack([fit.x_grid, fit.x_mean]))
-    w_layout = "triplet" if sp.issparse(fit.weights.matrix) else "dense"
-    write_weights_csv(directory / "w_train.csv", fit.weights, layout=w_layout)
+    _write_weights_npy(directory / "w_train.npy", fit.weights)
     balance = getattr(fit.weights, "_balance", None)
     if balance is not None:
         write_matrix_csv(directory / "w_balance.csv", balance)
@@ -334,7 +385,6 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
         "options": dict(fit.options),
         "weights_normalized": bool(fit.weights.normalized),
         "weights_kind": fit.weights.kind,
-        "weights_layout": w_layout,
         "weights_balanced": balance is not None,
         "response_decomposition": decomp_meta(fit.response_decomp),
         "predictor_decomposition": decomp_meta(fit.predictor_decomp),
@@ -371,11 +421,17 @@ def decomp_meta(decomp: FpcDecomposition) -> dict:
 
 
 def load_fit_bundle(directory) -> SfofrFit:
-    """Rebuild a fitted model from a bundle directory."""
+    """Rebuild a fitted model from a bundle directory of version 1 or 2.
+
+    Warns, as ``fit_sfofr`` does, when the saved score-space fit did not
+    converge."""
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
     if manifest.get("format") != BUNDLE_FORMAT:
         raise DataError(f"{directory}: not a {BUNDLE_FORMAT} directory")
+    version = manifest.get("version")
+    if version not in (1, BUNDLE_VERSION):
+        raise DataError(f"{directory}: unsupported {BUNDLE_FORMAT} version {version!r}")
     dims = manifest["dims"]
     basis = make_bspline_basis(dims["num_basis"], dims["degree"])
 
@@ -416,14 +472,22 @@ def load_fit_bundle(directory) -> SfofrFit:
     )
     y_mean = read_matrix_csv(directory / "y_mean.csv")
     x_mean = read_matrix_csv(directory / "x_mean.csv")
-    weights = read_weights_csv(
-        directory / "w_train.csv", layout=manifest.get("weights_layout", "dense")
-    )
-    if manifest.get("weights_kind"):
-        weights = replace(weights, kind=manifest["weights_kind"])
+    if version == 1:
+        weights = read_weights_csv(
+            directory / "w_train.csv", layout=manifest.get("weights_layout", "dense")
+        )
+        if manifest.get("weights_kind"):
+            weights = replace(weights, kind=manifest["weights_kind"])
+    else:
+        weights = _read_weights_npy(
+            directory / "w_train.npy",
+            dims["n"],
+            normalized=manifest["weights_normalized"],
+            kind=manifest["weights_kind"],
+        )
     if manifest.get("weights_balanced"):
         weights = _with_balance(weights, read_matrix_csv(directory / "w_balance.csv"))
-    return SfofrFit(
+    fit = SfofrFit(
         response_decomp=response,
         predictor_decomp=predictor,
         msar_fit=msar,
@@ -434,3 +498,4 @@ def load_fit_bundle(directory) -> SfofrFit:
         weights=weights,
         options=manifest.get("options", {}),
     )
+    return _warn_if_unconverged(fit)

@@ -95,11 +95,6 @@ class SfofrFit:
             raise ParameterError("rho dimension does not match response components")
         if self.msar_fit.params.k_x != self.predictor_decomp.n_components:
             raise ParameterError("B rows do not match predictor components")
-        if not self.msar_fit.converged:
-            warnings.warn(
-                f"score-space fit did not converge: {self.msar_fit.message}",
-                stacklevel=3,
-            )
 
     @property
     def k_y(self) -> int:
@@ -116,6 +111,17 @@ class SfofrFit:
     @property
     def x_basis(self) -> BSplineBasis:
         return self.predictor_decomp.basis
+
+
+def _warn_if_unconverged(fit: SfofrFit) -> SfofrFit:
+    """Warn when the score-space fit did not converge, naming the line that
+    called the public function (``fit_sfofr``, ``load_fit_bundle``) which
+    calls this; returns ``fit``."""
+    if not fit.msar_fit.converged:
+        warnings.warn(
+            f"score-space fit did not converge: {fit.msar_fit.message}", stacklevel=3
+        )
+    return fit
 
 
 def _staged(stage: str, fn, *args, **kwargs):
@@ -204,7 +210,9 @@ def fit_sfofr(
     msar = _staged(
         "score-space estimation", fit_msar, msar_data, max_iter=opts["msar_max_iter"]
     )
-    return SfofrFit(response_decomp=y_decomp, msar_fit=msar, weights=weights, **shared)
+    return _warn_if_unconverged(
+        SfofrFit(response_decomp=y_decomp, msar_fit=msar, weights=weights, **shared)
+    )
 
 
 def fit_fofr_fpc(

@@ -156,6 +156,10 @@ class TestFitPredict:
         ):
             assert (fit_dir / name).exists()
 
+    def test_manifest_outputs_are_the_bundle_files(self, fit_dir):
+        outputs = json.loads((fit_dir / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs + ["manifest.json"]) == sorted(p.name for p in fit_dir.iterdir())
+
     def test_manifest_echoes_config(self, fit_dir):
         manifest = json.loads((fit_dir / "manifest.json").read_text())
         assert manifest["resolved_config"]["num_basis"] == 10

@@ -1,5 +1,6 @@
 """Round-trip tests for the file formats and the fit bundle."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -334,15 +335,47 @@ class TestCoordsCsv:
             read_coords_csv(path)
 
 
+def small_data():
+    """n=30 curves on an exponential lattice W (with its balance vector)."""
+    rng = np.random.default_rng(55)
+    grid = np.arange(1, 42) / 41
+    n = 30
+    w = exponential_weights(n, 0.5)
+    x = gen_predictors(n, grid, rng)
+    y = gen_response(x, w, 0.5, rng, noise_sd=0.5)
+    return y, x, w
+
+
+def assert_binary_weights(directory):
+    assert (directory / "w_train.npy").exists()
+    assert not (directory / "w_train.csv").exists()
+    assert "weights_layout" not in read_json(directory / "manifest.json")
+
+
+def save_as_version1(fit, directory, layout):
+    """Save ``fit`` as a version-1 bundle: W in w_train.csv, in ``layout``,
+    named by the manifest only when it is the triplet layout."""
+    save_fit_bundle(fit, directory)
+    (directory / "w_train.npy").unlink()
+    write_weights_csv(directory / "w_train.csv", fit.weights, layout=layout)
+    manifest = read_json(directory / "manifest.json")
+    manifest["version"] = 1
+    if layout == "triplet":
+        manifest["weights_layout"] = layout
+    write_json(directory / "manifest.json", manifest)
+
+
+def save_with(path, rec, field, k, value):
+    """Save a copy of record array ``rec`` with ``rec[field][k] = value``."""
+    rec = rec.copy()
+    rec[field][k] = value
+    np.save(path, rec)
+
+
 class TestFitBundle:
     @pytest.fixture(scope="class")
     def small_fit(self):
-        rng = np.random.default_rng(55)
-        grid = np.arange(1, 42) / 41
-        n = 30
-        w = exponential_weights(n, 0.5)
-        x = gen_predictors(n, grid, rng)
-        y = gen_response(x, w, 0.5, rng, noise_sd=0.5)
+        y, x, w = small_data()
         fit = fit_sfofr(y, x, w, options={"num_basis": 10})
         return fit, x, w
 
@@ -387,12 +420,12 @@ class TestFitBundle:
         fit = fit_sfofr(y, x, w, options={"num_basis": 8})
         tracemalloc.start()
         try:
-            manifest = save_fit_bundle(fit, tmp_path / "bundle")
+            save_fit_bundle(fit, tmp_path / "bundle")
             loaded = load_fit_bundle(tmp_path / "bundle")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert manifest["weights_layout"] == "triplet"
+        assert_binary_weights(tmp_path / "bundle")
         assert sp.issparse(loaded.weights.matrix)
         assert (loaded.weights.matrix != w.matrix).nnz == 0
         assert peak < n * n * 8 / 4  # a dense n x n array is 32 MB
@@ -407,22 +440,98 @@ class TestFitBundle:
         y = gen_response(x, exponential_weights(20, 0.5), 0.5, rng, noise_sd=0.5)
         fit = fit_fofr_fpc(y, x, options={"num_basis": 8})
         assert sp.issparse(fit.weights.matrix) and fit.weights.matrix.nnz == 0
-        manifest = save_fit_bundle(fit, tmp_path / "baseline")
+        save_fit_bundle(fit, tmp_path / "baseline")
         loaded = load_fit_bundle(tmp_path / "baseline")
-        assert manifest["weights_layout"] == "triplet"
+        assert_binary_weights(tmp_path / "baseline")
+        assert sp.issparse(loaded.weights.matrix)
         assert loaded.weights.n == 20 and loaded.weights.matrix.nnz == 0
         np.testing.assert_array_equal(
             fitted_values(loaded).values, fitted_values(fit).values
         )
 
+    def test_loaded_weights_keep_storage_and_bits(self, tmp_path, small_fit):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "bundle")
+        loaded = load_fit_bundle(tmp_path / "bundle")
+        assert isinstance(loaded.weights.matrix, np.ndarray)
+        assert bits(loaded.weights.matrix) == bits(fit.weights.matrix)
+        assert bits(loaded.weights._balance) == bits(fit.weights._balance)
+        assert loaded.weights.kind == fit.weights.kind
+        assert loaded.weights.normalized == fit.weights.normalized
+
+    def test_repeated_saves_write_identical_bytes(self, tmp_path, small_fit):
+        fit, _, _ = small_fit
+        for name in ("a", "b"):
+            save_fit_bundle(fit, tmp_path / name)
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_bundle_without_layout_key_reads_dense(self, tmp_path, small_fit):
         fit, _, _ = small_fit
-        save_fit_bundle(fit, tmp_path / "old")
-        manifest = read_json(tmp_path / "old" / "manifest.json")
-        assert manifest.pop("weights_layout") == "dense"
-        write_json(tmp_path / "old" / "manifest.json", manifest)
+        save_as_version1(fit, tmp_path / "old", layout="dense")
+        assert not read_json(tmp_path / "old" / "manifest.json").get("weights_layout")
         loaded = load_fit_bundle(tmp_path / "old")
-        np.testing.assert_array_equal(loaded.weights.toarray(), fit.weights.toarray())
+        assert bits(loaded.weights.matrix) == bits(fit.weights.matrix)
+        assert bits(fitted_values(loaded).values) == bits(fitted_values(fit).values)
+
+    def test_version1_triplet_bundle_loads(self, tmp_path, small_fit):
+        fit, _, _ = small_fit
+        save_as_version1(fit, tmp_path / "old", layout="triplet")
+        assert (tmp_path / "old" / "w_train.csv").read_text().startswith("i,j,w\n")
+        loaded = load_fit_bundle(tmp_path / "old")
+        assert bits(loaded.weights.matrix) == bits(fit.weights.matrix)
+        assert bits(fitted_values(loaded).values) == bits(fitted_values(fit).values)
+
+    @pytest.mark.parametrize("version", [99, None])
+    def test_unknown_version_rejected(self, tmp_path, small_fit, version):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "bundle")
+        manifest = read_json(tmp_path / "bundle" / "manifest.json")
+        if version is None:
+            del manifest["version"]
+        else:
+            manifest["version"] = version
+        write_json(tmp_path / "bundle" / "manifest.json", manifest)
+        with pytest.raises(DataError, match=f"{re.escape(str(tmp_path / 'bundle'))}.*{version}"):
+            load_fit_bundle(tmp_path / "bundle")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda path, rec: path.write_bytes(path.read_bytes()[:200]), id="truncated"),
+            pytest.param(
+                lambda path, rec: np.save(path, np.array([{"i": 0}], dtype=object)), id="object"
+            ),
+            pytest.param(
+                lambda path, rec: np.save(path, np.zeros((rec.size, 3))), id="float-dtype"
+            ),
+            pytest.param(lambda path, rec: np.save(path, rec.reshape(-1, 1)), id="two-dim"),
+            pytest.param(lambda path, rec: save_with(path, rec, "i", 0, -1), id="negative-index"),
+            pytest.param(
+                lambda path, rec: save_with(path, rec, "j", 0, rec["j"].max() + 1), id="index-n"
+            ),
+            pytest.param(lambda path, rec: save_with(path, rec, "w", 0, -1.0), id="negative-weight"),
+            pytest.param(lambda path, rec: path.unlink(), id="missing"),
+        ],
+    )
+    def test_bad_weights_file_rejected(self, tmp_path, small_fit, corrupt):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "bundle")
+        path = tmp_path / "bundle" / "w_train.npy"
+        corrupt(path, np.load(path))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_fit_bundle(tmp_path / "bundle")
+
+    def test_unconverged_load_warns_at_caller(self, tmp_path):
+        y, x, w = small_data()
+        with pytest.warns(UserWarning, match="did not converge"):
+            fit = fit_sfofr(y, x, w, options={"num_basis": 10, "msar_max_iter": 1})
+        save_fit_bundle(fit, tmp_path / "bundle")
+        with pytest.warns(UserWarning, match="did not converge") as record:
+            load_fit_bundle(tmp_path / "bundle")
+        assert [r.filename for r in record] == [__file__]
 
     def test_corrupt_balance_vector_rejected(self, tmp_path, small_fit):
         fit, _, _ = small_fit

@@ -427,6 +427,17 @@ class TestStatisticalBehavior:
             fitted_values(fit_a).values, fitted_values(fit_b).values
         )
 
+    def test_unconverged_fit_warns_at_caller(self):
+        rng = np.random.default_rng(16)
+        grid = np.arange(1, 42) / 41
+        w = exponential_weights(40, 0.5)
+        x = gen_predictors(40, grid, rng)
+        y = gen_response(x, w, 0.5, rng)
+        with pytest.warns(UserWarning, match="did not converge: max_iter reached") as record:
+            fit = fit_sfofr(y, x, w, options={"num_basis": 12, "msar_max_iter": 1})
+        assert not fit.msar_fit.converged
+        assert [r.filename for r in record] == [__file__]
+
     def test_variance_threshold_monotone_in_components(self):
         rng = np.random.default_rng(17)
         grid = np.arange(1, 42) / 41
