@@ -10,6 +10,7 @@ expanded functions reduce to coefficient-space bilinear forms a' Gamma b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -89,23 +90,17 @@ class BSplineBasis:
     @property
     def gram_sqrt(self) -> np.ndarray:
         """Symmetric square root of the Gram matrix (eigenvalues floored at 1e-12)."""
-        return self._gram_roots()[0]
+        return self._gram_roots[0]
 
     @property
     def gram_inv_sqrt(self) -> np.ndarray:
-        return self._gram_roots()[1]
+        return self._gram_roots[1]
 
+    @cached_property
     def _gram_roots(self):
-        cached = getattr(self, "_roots", None)
-        if cached is None:
-            w, v = np.linalg.eigh(self.gram)
-            w = np.maximum(w, 1e-12)
-            cached = (
-                (v * np.sqrt(w)) @ v.T,
-                (v / np.sqrt(w)) @ v.T,
-            )
-            object.__setattr__(self, "_roots", cached)
-        return cached
+        w, v = np.linalg.eigh(self.gram)
+        w = np.maximum(w, 1e-12)
+        return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
 
 
 @dataclass(frozen=True)
@@ -167,21 +162,20 @@ def make_bspline_basis(num_basis: int, degree: int = 3) -> BSplineBasis:
     knots = np.concatenate(
         [np.zeros(degree + 1), interior, np.ones(degree + 1)]
     )
-    gram = _gram_gauss_legendre(knots, degree, num_basis)
+    gram = _gram_gauss_legendre(knots, degree)
     gram = (gram + gram.T) / 2  # enforce exact symmetry
     return BSplineBasis(degree=degree, num_basis=num_basis, knots=knots, gram=gram)
 
 
-def _gram_gauss_legendre(knots: np.ndarray, degree: int, num_basis: int) -> np.ndarray:
+def _gram_gauss_legendre(knots: np.ndarray, degree: int) -> np.ndarray:
+    """One design-matrix call at the Gauss-Legendre nodes of every knot span;
+    the per-span products are then summed span by span."""
     nodes, weights = np.polynomial.legendre.leggauss(degree + 1)
-    gram = np.zeros((num_basis, num_basis))
     spans = np.unique(knots)
-    for a, b in zip(spans[:-1], spans[1:]):
-        x = (b - a) / 2 * nodes + (a + b) / 2
-        w = (b - a) / 2 * weights
-        phi = _design_matrix(knots, degree, x)
-        gram += phi.T @ (w[:, None] * phi)
-    return gram
+    half = (spans[1:] - spans[:-1])[:, None] / 2
+    x = half * nodes + (spans[:-1] + spans[1:])[:, None] / 2
+    phi = _design_matrix(knots, degree, x.ravel()).reshape(*x.shape, -1)
+    return sum(phi_s.T @ (w_s[:, None] * phi_s) for phi_s, w_s in zip(phi, half * weights))
 
 
 def _design_matrix(knots: np.ndarray, degree: int, points: np.ndarray) -> np.ndarray:

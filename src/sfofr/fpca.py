@@ -9,9 +9,14 @@ guaranteeing real eigenpairs. Eigenvectors u map back to coefficient space as
 chi = Gamma^{-1/2} u, so the eigenfunctions eta(t) = chi' g(t) are orthonormal
 in L2, and scores are exact L2 inner products: xi = A Gamma chi.
 
+One routine serves both kinds, and W enters only through the criterion
+matrix (n^{-1} D'D without W, n^{-1} D' Ws D with it); centering checks,
+eigen-solve, tie-breaking, ordering, signs, scores and truncation are shared,
+so spatial FPCA with an all-zero W is classical FPCA.
+
 Spatial eigenvalues equal Var(score) * MoranI(score) and may be negative;
-components are therefore ranked by absolute eigenvalue, and explained-variance
-shares always use sample score variances.
+components are therefore ranked by absolute eigenvalue (ties broken by score
+variance), and explained-variance shares always use sample score variances.
 """
 
 from __future__ import annotations
@@ -72,13 +77,6 @@ class FpcDecomposition:
         return evaluate_basis(self.basis, tgrid) @ self.chi
 
 
-def _require_centered(coeffs: BasisCoefficients):
-    if not coeffs.is_centered():
-        raise PreconditionError(
-            "coefficients must be centered; run fdbasis.center before smoothing"
-        )
-
-
 def _fix_signs(chi: np.ndarray) -> np.ndarray:
     """Flip component signs so the first non-negligible coefficient is positive."""
     out = chi.copy()
@@ -90,33 +88,19 @@ def _fix_signs(chi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eig_in_d_space(coeffs: BasisCoefficients, weights: SpatialWeights | None):
-    """Eigen-decompose n^{-1} Gamma^{1/2} A' [Ws] A Gamma^{1/2}; return full spectrum."""
-    a = coeffs.coef
-    n = a.shape[0]
-    gh = coeffs.basis.gram_sqrt
-    d = a @ gh
-    if weights is None:
-        m = d.T @ d / n
-    else:
-        wd = (weights.matmul(d) + weights.rmatmul(d)) / 2  # Ws @ D without forming Ws
-        m = d.T @ wd / n
-    m = (m + m.T) / 2
-    eigvals, eigvecs = np.linalg.eigh(m)
-    total_variance = float(np.sum(d * d) / n)
-    return eigvals, eigvecs, total_variance
-
-
 def _canonicalize_degenerate(eigvals, eigvecs, cov):
-    """Resolve degenerate eigenspaces of the spatial criterion matrix.
+    """Resolve degenerate eigenspaces of the criterion matrix (either kind).
 
     Within an eigenspace the eigenvector basis is arbitrary; rotating it to
     diagonalize the plain score covariance makes the decomposition
     deterministic and lets the spatial variant degrade exactly to classical
-    FPCA when the criterion matrix vanishes (e.g. an all-zero W).
+    FPCA when the criterion matrix vanishes (e.g. an all-zero W). For the
+    classical kind the criterion matrix is cov itself, so only eigenvalues
+    tied within the tolerance (such as the null space of rank-deficient data)
+    are rotated.
 
     Returns group-representative eigenvalues (for ordering) and per-component
-    score variances alongside the rotated eigenvectors.
+    score variances u_k' cov u_k alongside the rotated eigenvectors.
     """
     n_vec = eigvals.size
     tol = 1e-10 * max(1.0, float(np.max(np.abs(eigvals))) if n_vec else 1.0)
@@ -131,49 +115,56 @@ def _canonicalize_degenerate(eigvals, eigvecs, cov):
             block = vecs[:, start:stop]
             cg = block.T @ cov @ block
             cg = (cg + cg.T) / 2
-            w_g, v_g = np.linalg.eigh(cg)
+            _, v_g = np.linalg.eigh(cg)
             vecs[:, start:stop] = block @ v_g[:, ::-1]  # descending variance
             rep[start:stop] = eigvals[start:stop].mean()
         start = stop
-    variances = np.einsum("ij,jk,ik->k", vecs, cov, vecs)
+    variances = np.einsum("ik,ij,jk->k", vecs, cov, vecs)
     return rep, vecs, variances
 
 
-def _assemble(coeffs, weights, k, kind) -> FpcDecomposition:
-    eigvals, eigvecs, total = _eig_in_d_space(coeffs, weights)
-    if kind == "classical":
-        order = np.argsort(eigvals)[::-1]
-    else:
-        n = coeffs.n
-        d = coeffs.coef @ coeffs.basis.gram_sqrt
-        cov = d.T @ d / n
-        rep, eigvecs, variances = _canonicalize_degenerate(eigvals, eigvecs, cov)
-        # primary key |criterion eigenvalue|, variance breaks exact ties
-        order = np.lexsort((-variances, -np.abs(rep)))
-    eigvals = eigvals[order][:k]
-    u = eigvecs[:, order][:, :k]
-    chi = _fix_signs(coeffs.basis.gram_inv_sqrt @ u)
-    scores = coeffs.coef @ coeffs.basis.gram @ chi
-    score_var = np.mean(scores**2, axis=0)
-    shares = score_var / total if total > 0 else np.zeros_like(score_var)
-    return FpcDecomposition(
-        kind=kind,
+def _decompose(coeffs, weights, n_components, variance_threshold) -> FpcDecomposition:
+    """FPCA of centered coefficients; spatial when ``weights`` is given."""
+    if not coeffs.is_centered():
+        raise PreconditionError(
+            "coefficients must be centered; run fdbasis.center before smoothing"
+        )
+    if weights is not None and weights.n != coeffs.n:
+        raise ParameterError(
+            f"weight matrix size {weights.n} does not match {coeffs.n} curves"
+        )
+    if variance_threshold is not None and n_components is not None:
+        raise ParameterError("give n_components or variance_threshold, not both")
+    k_max = min(coeffs.n - 1, coeffs.basis.num_basis)
+    k = k_max if n_components is None else n_components
+    if int(k) != k or not 1 <= k <= k_max:
+        raise ParameterError(f"number of components must be in [1, {k_max}]")
+    n, basis = coeffs.n, coeffs.basis
+    d = coeffs.coef @ basis.gram_sqrt
+    cov = d.T @ d / n
+    crit = cov
+    if weights is not None:  # the only place W enters: D' Ws D / n, without forming Ws
+        crit = d.T @ ((weights.matmul(d) + weights.rmatmul(d)) / 2) / n
+    eigvals, eigvecs = np.linalg.eigh((crit + crit.T) / 2)
+    rep, eigvecs, variances = _canonicalize_degenerate(eigvals, eigvecs, cov)
+    # primary key |criterion eigenvalue|, variance breaks exact ties
+    order = np.lexsort((-variances, -np.abs(rep)))[: int(k)]
+    chi = _fix_signs(basis.gram_inv_sqrt @ eigvecs[:, order])
+    scores = coeffs.coef @ basis.gram @ chi
+    total = float(np.sum(d * d) / n)
+    shares = np.mean(scores**2, axis=0) / total if total > 0 else np.zeros(chi.shape[1])
+    decomp = FpcDecomposition(
+        kind="classical" if weights is None else "spatial",
         chi=chi,
-        eigenvalues=eigvals,
+        eigenvalues=eigvals[order],
         scores=scores,
-        basis=coeffs.basis,
+        basis=basis,
         variance_explained=shares,
         total_variance=total,
     )
-
-
-def _resolve_k(coeffs: BasisCoefficients, k) -> int:
-    k_max = min(coeffs.n - 1, coeffs.basis.num_basis)
-    if k is None:
-        return k_max
-    if int(k) != k or not 1 <= k <= k_max:
-        raise ParameterError(f"number of components must be in [1, {k_max}]")
-    return int(k)
+    if variance_threshold is not None:
+        decomp = decomp.truncate(choose_k(decomp, variance_threshold))
+    return decomp
 
 
 def fit_fpc(
@@ -187,14 +178,7 @@ def fit_fpc(
     with a threshold the decomposition is truncated at the smallest K whose
     cumulative score-variance share reaches it.
     """
-    _require_centered(coeffs)
-    if variance_threshold is not None and n_components is not None:
-        raise ParameterError("give n_components or variance_threshold, not both")
-    k = _resolve_k(coeffs, n_components)
-    decomp = _assemble(coeffs, None, k, "classical")
-    if variance_threshold is not None:
-        decomp = decomp.truncate(choose_k(decomp, variance_threshold))
-    return decomp
+    return _decompose(coeffs, None, n_components, variance_threshold)
 
 
 def fit_sfpc(
@@ -204,18 +188,7 @@ def fit_sfpc(
     variance_threshold: float | None = None,
 ) -> FpcDecomposition:
     """Spatial FPCA: components maximizing score variance times Moran's I."""
-    _require_centered(coeffs)
-    if weights.n != coeffs.n:
-        raise ParameterError(
-            f"weight matrix size {weights.n} does not match {coeffs.n} curves"
-        )
-    if variance_threshold is not None and n_components is not None:
-        raise ParameterError("give n_components or variance_threshold, not both")
-    k = _resolve_k(coeffs, n_components)
-    decomp = _assemble(coeffs, weights, k, "spatial")
-    if variance_threshold is not None:
-        decomp = decomp.truncate(choose_k(decomp, variance_threshold))
-    return decomp
+    return _decompose(coeffs, weights, n_components, variance_threshold)
 
 
 def choose_k(decomp: FpcDecomposition, threshold: float) -> int:

@@ -241,7 +241,8 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
         ij, first = np.unique(ij, axis=0, return_index=True)
         n = int(ij.max()) + 1
         values = rec["w"][::-1][first]
-        mat = sp.coo_array((values, (ij[:, 0], ij[:, 1])), shape=(n, n))
+        # CSR, as _read_weights_npy builds: counting a COO's nonzeros sorts it
+        mat = sp.csr_array((values, (ij[:, 0], ij[:, 1])), shape=(n, n))
         mat.eliminate_zeros()
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")

@@ -39,7 +39,6 @@ from .msar import (
     MsarFit,
     MsarParams,
     fit_msar,
-    objective,
     reduced_form_solve,
 )
 from .spatial import SpatialWeights
@@ -237,10 +236,11 @@ def fit_fofr_fpc(
         b=b_hat,
         prec_chol=np.eye(y_decomp.n_components),
     )
-    msar_data = MsarData(ymat=y_decomp.scores, xmat=x_scores, weights=zero_w)
+    # Q at rho = 0, Omega_e = I and W = 0 is the plain residual sum of squares
+    resid = y_decomp.scores - x_scores @ b_hat
     msar = MsarFit(
         params=params,
-        objective=objective(params, msar_data),
+        objective=float(np.sum(resid**2)),
         grad_norm=float("nan"),
         iterations=0,
         converged=True,

@@ -237,6 +237,22 @@ class TestFitSfpc:
             spatial.total_variance, rel=1e-10
         )
 
+    def test_zero_weights_reduce_to_classical(self, basis):
+        # an all-zero W makes every criterion eigenvalue tie, so the score
+        # variance tie-break alone must reproduce the classical ordering
+        rng = np.random.default_rng(3)
+        coeffs = centered_coeffs(rng.standard_normal((14, 8)), basis)
+        w0 = SpatialWeights(matrix=np.zeros((14, 14)))
+        for threshold in (0.5, 0.9, 0.99):
+            classical = fit_fpc(coeffs, variance_threshold=threshold)
+            spatial = fit_sfpc(coeffs, w0, variance_threshold=threshold)
+            assert spatial.kind == "spatial"
+            assert spatial.n_components == classical.n_components
+            for field in ("chi", "scores", "variance_explained"):
+                np.testing.assert_allclose(
+                    getattr(spatial, field), getattr(classical, field), rtol=0, atol=1e-12
+                )
+
 
 class TestChooseK:
     def test_single_component(self, basis):

@@ -302,15 +302,20 @@ class TestMetrics:
         state = rng.bit_generator.state
         est_c = smooth_random_surface(coarse)
         rng.bit_generator.state = state
-        fine = np.linspace(0, 1, 10_001)
-        est_f = smooth_random_surface(fine)
+        amp = np.array([rng.standard_normal() for _ in range(3)])  # the same draws
         a_c = SurfaceEstimate(ugrid=coarse, tgrid=coarse, values=est_c, kind="beta")
         zero_c = SurfaceEstimate(
             ugrid=coarse, tgrid=coarse, values=np.zeros_like(est_c), kind="beta"
         )
         coarse_val = ise_surface(a_c, zero_c)
+        # the surface is separable, sum_k amp_k sin(k pi u) cos(k pi t), so its
+        # trapezoid integral on the 10001-point grid is amp' [(S w S') * (C w C')] amp
+        fine = np.linspace(0, 1, 10_001)
         w = trapezoid_weights(fine)
-        fine_val = float(w @ (est_f**2) @ w)
+        k_pi = np.pi * np.arange(1, 4)[:, None]
+        sines, cosines = np.sin(k_pi * fine), np.cos(k_pi * fine)
+        gram = ((sines * w) @ sines.T) * ((cosines * w) @ cosines.T)
+        fine_val = float(amp @ gram @ amp)
         assert coarse_val == pytest.approx(fine_val, rel=1e-4)
 
     def test_ise_grid_mismatch_rejected(self):
@@ -411,6 +416,21 @@ class TestStatisticalBehavior:
         mspe_spatial = mse_curves(predict(spatial_fit, x_test, w0), y_test)
         mspe_base = mse_curves(predict(base_fit, x_test, w0), y_test)
         assert mspe_spatial == pytest.approx(mspe_base, rel=0.05)
+        # with W = 0 spatial FPCA is classical FPCA: same K_y, same components
+        spatial_y, base_y = spatial_fit.response_decomp, base_fit.response_decomp
+        assert spatial_y.n_components == base_y.n_components
+        np.testing.assert_allclose(spatial_y.chi, base_y.chi, rtol=0, atol=1e-10)
+
+    def test_baseline_objective_is_residual_sum_of_squares(self):
+        rng = np.random.default_rng(15)
+        grid = np.arange(1, 62) / 61
+        w = exponential_weights(60, 0.5)
+        x = gen_predictors(60, grid, rng)
+        y = gen_response(x, w, 0.5, rng)
+        fit = fit_fofr_fpc(y, x)
+        y_scores, x_scores = fit.response_decomp.scores, fit.predictor_decomp.scores
+        resid = y_scores - x_scores @ fit.msar_fit.params.b
+        assert fit.msar_fit.objective == float(np.sum(resid**2))
 
     def test_refit_is_bit_identical(self):
         rng = np.random.default_rng(16)
