@@ -238,15 +238,13 @@ def cmd_fit(cfg: dict) -> int:
         out / "fitted.csv",
         FunctionalDataset(grid=fitted.grid, values=fitted.values, ids=y.ids),
     )
-    outputs = [
-        "fitted.csv", "chi_y.csv", "chi_x.csv", "scores_y.csv", "scores_x.csv",
-        "rho.csv", "b.csv", "prec_chol.csv", "y_mean.csv", "x_mean.csv",
-        "w_train.npy", "rho_surface.csv", "beta_surface.csv",
-    ]
+    outputs = ["fitted.csv", *sio.BUNDLE_FILES]
     if cfg["dump_fpca"]:
-        for side, decomp in (("y", fit.response_decomp), ("x", fit.predictor_decomp)):
-            files = {"chi_csv": f"chi_{side}.csv", "scores_csv": f"scores_{side}.csv"}
-            sio.write_json(out / f"fpca_{side}.json", {**sio.decomp_meta(decomp), **files})
+        file_of = {paths[0]: name for name, paths in sio.BUNDLE_MATRICES.items()}
+        for side, part in (("y", "response_decomp"), ("x", "predictor_decomp")):
+            files = {f"{key}_csv": file_of[f"{part}.{key}"] for key in ("chi", "scores")}
+            meta = {**sio.decomp_meta(getattr(fit, part)), **files}
+            sio.write_json(out / f"fpca_{side}.json", meta)
             outputs.append(f"fpca_{side}.json")
     sio.save_fit_bundle(fit, out, extra_manifest=_manifest("fit", cfg, outputs))
     return 0

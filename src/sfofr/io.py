@@ -19,17 +19,17 @@ Weights CSV    : either ``dense`` (n header-less rows of n values) or
 Coordinates CSV: header ``id,lat,lon``.
 Surface CSV    : tidy triples with header ``u,t,value``.
 Moran CSV      : tidy pairs with header ``t,value``.
-Fit bundle     : a directory holding manifest.json plus CSV matrices for the
-                 eigenfunction coefficients, scores, rho, B, the precision
-                 factor, mean curves, and both fitted surfaces on a 101 x 101
-                 grid. Version 2 stores the training W as w_train.npy: one
-                 ``np.save`` (no pickle) of its nonzero (i, j, w) triplets in
-                 row-major order, as a 1-D int64/int64/float64 record array,
-                 with n taken from the manifest's ``dims.n``; the file's
-                 bytes depend on W alone. A lattice W's balance vector goes
-                 to w_balance.csv. Version-1 bundles hold w_train.csv
-                 instead, in the layout the manifest key ``weights_layout``
-                 names (dense when absent), and still load.
+Fit bundle     : a directory holding manifest.json, the nine CSV matrices
+                 ``BUNDLE_MATRICES`` maps to fit fields, and both fitted
+                 surfaces on a 101 x 101 grid. Version 2 stores the training
+                 W as w_train.npy: one ``np.save`` (no pickle) of its nonzero
+                 (i, j, w) triplets in row-major order, as a 1-D
+                 int64/int64/float64 record array, with n taken from the
+                 manifest's ``dims.n``; the file's bytes depend on W alone.
+                 W's ``balance`` field, when set (lattice W), goes to
+                 w_balance.csv. Version-1 bundles hold w_train.csv instead,
+                 in the layout the manifest key ``weights_layout`` names
+                 (dense when absent), and still load.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ from .pipeline import (
     reconstruct_beta,
     reconstruct_rho,
 )
-from .spatial import SpatialWeights, _with_balance
+from .spatial import GeoCoordinates, SpatialWeights
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
 BUNDLE_VERSION = 2
@@ -256,8 +257,6 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
 
 def read_coords_csv(path):
     """Read ``id,lat,lon`` rows; returns (ids, GeoCoordinates)."""
-    from .spatial import GeoCoordinates
-
     numbered = _read_lines(path)
     no, header = numbered[0] if numbered else (1, "")
     if header.replace(" ", "").lower() != "id,lat,lon":
@@ -322,7 +321,7 @@ def _write_weights_npy(path, weights: SpatialWeights):
     atomic_write(path, rec)
 
 
-def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
+def _read_weights_npy(path, n: int, normalized: bool, kind: str, balance) -> SpatialWeights:
     """Read the n x n W that ``_write_weights_npy`` saved; stored as CSR or
     dense by W's density, as when it was built."""
     try:
@@ -340,12 +339,32 @@ def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeigh
     # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
     mat = sp.csr_array((w, (i, j)), shape=(n, n))
     try:
-        return SpatialWeights(matrix=mat, normalized=normalized, kind=kind)
+        return SpatialWeights(matrix=mat, normalized=normalized, kind=kind, balance=balance)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 # --- fit bundle --------------------------------------------------------------
+
+# The nine matrix files of a fit bundle, each with the fit field it holds; a
+# mean file holds its grid and its mean curve as two rows.
+BUNDLE_MATRICES = {
+    "chi_y.csv": ("response_decomp.chi",),
+    "chi_x.csv": ("predictor_decomp.chi",),
+    "scores_y.csv": ("response_decomp.scores",),
+    "scores_x.csv": ("predictor_decomp.scores",),
+    "rho.csv": ("msar_fit.params.rho",),
+    "b.csv": ("msar_fit.params.b",),
+    "prec_chol.csv": ("msar_fit.params.prec_chol",),
+    "y_mean.csv": ("y_grid", "y_mean"),
+    "x_mean.csv": ("x_grid", "x_mean"),
+}
+# Every file of a bundle but manifest.json; w_balance.csv joins them when W
+# has a balance vector.
+BUNDLE_FILES = (*BUNDLE_MATRICES, "w_train.npy", "rho_surface.csv", "beta_surface.csv")
+# The manifest's convergence block holds every MsarFit field but params; a
+# version-1 bundle may lack one that has a default, and then reads as it.
+_CONVERGENCE = tuple(f for f in fields(MsarFit) if f.name != "params")
 
 
 def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None):
@@ -356,17 +375,10 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
     rho_surface = reconstruct_rho(fit, surface_grid, surface_grid)
     beta_surface = reconstruct_beta(fit, surface_grid, surface_grid)
 
-    write_matrix_csv(directory / "chi_y.csv", fit.response_decomp.chi)
-    write_matrix_csv(directory / "chi_x.csv", fit.predictor_decomp.chi)
-    write_matrix_csv(directory / "scores_y.csv", fit.response_decomp.scores)
-    write_matrix_csv(directory / "scores_x.csv", fit.predictor_decomp.scores)
-    write_matrix_csv(directory / "rho.csv", fit.msar_fit.params.rho)
-    write_matrix_csv(directory / "b.csv", fit.msar_fit.params.b)
-    write_matrix_csv(directory / "prec_chol.csv", fit.msar_fit.params.prec_chol)
-    write_matrix_csv(directory / "y_mean.csv", np.vstack([fit.y_grid, fit.y_mean]))
-    write_matrix_csv(directory / "x_mean.csv", np.vstack([fit.x_grid, fit.x_mean]))
+    for name, paths in BUNDLE_MATRICES.items():
+        write_matrix_csv(directory / name, np.vstack([attrgetter(p)(fit) for p in paths]))
     _write_weights_npy(directory / "w_train.npy", fit.weights)
-    balance = getattr(fit.weights, "_balance", None)
+    balance = fit.weights.balance
     if balance is not None:
         write_matrix_csv(directory / "w_balance.csv", balance)
     write_surface_csv(directory / "rho_surface.csv", rho_surface)
@@ -389,17 +401,7 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
         "weights_balanced": balance is not None,
         "response_decomposition": decomp_meta(fit.response_decomp),
         "predictor_decomposition": decomp_meta(fit.predictor_decomp),
-        "convergence": {
-            "objective": msar.objective,
-            "grad_norm": msar.grad_norm,
-            "iterations": msar.iterations,
-            "warm_iterations": msar.warm_iterations,
-            "converged": msar.converged,
-            "tolerance": msar.tolerance,
-            "message": msar.message,
-            "objective_trace": list(msar.objective_trace),
-            "spectral_radius_trace": list(msar.spectral_radius_trace),
-        },
+        "convergence": {f.name: getattr(msar, f.name) for f in _CONVERGENCE},
         "diagnostics": {
             "rho_spectral_radius": spectral_radius(msar.params.rho),
             "contraction": contraction_diagnostic(rho_surface, fit.weights),
@@ -424,79 +426,64 @@ def decomp_meta(decomp: FpcDecomposition) -> dict:
 def load_fit_bundle(directory) -> SfofrFit:
     """Rebuild a fitted model from a bundle directory of version 1 or 2.
 
-    Warns, as ``fit_sfofr`` does, when the saved score-space fit did not
-    converge."""
+    A manifest that is not a JSON object or lacks a required key raises
+    DataError. Warns, as ``fit_sfofr`` does, when the saved score-space fit
+    did not converge."""
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
-    if manifest.get("format") != BUNDLE_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
         raise DataError(f"{directory}: not a {BUNDLE_FORMAT} directory")
     version = manifest.get("version")
     if version not in (1, BUNDLE_VERSION):
         raise DataError(f"{directory}: unsupported {BUNDLE_FORMAT} version {version!r}")
-    dims = manifest["dims"]
-    basis = make_bspline_basis(dims["num_basis"], dims["degree"])
+    try:
+        fit = _read_bundle(directory, manifest)
+    except KeyError as exc:
+        raise DataError(f"{directory}: manifest.json lacks key {exc.args[0]!r}") from None
+    return _warn_if_unconverged(fit)
 
-    def load_decomp(meta, chi_file, scores_file):
-        return FpcDecomposition(
-            kind=meta["kind"],
-            chi=read_matrix_csv(directory / chi_file),
-            eigenvalues=np.array(meta["eigenvalues"]),
-            scores=read_matrix_csv(directory / scores_file),
+
+def _read_bundle(directory: Path, manifest: dict) -> SfofrFit:
+    arrays = {}  # arrays["msar_fit.params"]["rho"] and so on; part "" is the fit
+    for name, paths in BUNDLE_MATRICES.items():
+        mat = read_matrix_csv(directory / name)
+        for path, value in zip(paths, mat if len(paths) > 1 else [mat]):
+            part, _, field = path.rpartition(".")
+            arrays.setdefault(part, {})[field] = value
+    dims, conv = manifest["dims"], manifest["convergence"]
+    basis = make_bspline_basis(dims["num_basis"], dims["degree"])
+    decomps = {}
+    for side in ("response", "predictor"):
+        meta = manifest[f"{side}_decomposition"]
+        decomps[f"{side}_decomp"] = FpcDecomposition(
+            **arrays[f"{side}_decomp"],
             basis=basis,
+            kind=meta["kind"],
+            eigenvalues=np.array(meta["eigenvalues"]),
             variance_explained=np.array(meta["variance_explained"]),
             total_variance=meta["total_variance"],
         )
-
-    response = load_decomp(
-        manifest["response_decomposition"], "chi_y.csv", "scores_y.csv"
-    )
-    predictor = load_decomp(
-        manifest["predictor_decomposition"], "chi_x.csv", "scores_x.csv"
-    )
-    conv = manifest["convergence"]
-    params = MsarParams(
-        rho=read_matrix_csv(directory / "rho.csv"),
-        b=read_matrix_csv(directory / "b.csv"),
-        prec_chol=read_matrix_csv(directory / "prec_chol.csv"),
-    )
-    msar = MsarFit(
-        params=params,
-        objective=conv["objective"],
-        grad_norm=conv["grad_norm"],
-        iterations=conv["iterations"],
-        converged=conv["converged"],
-        objective_trace=tuple(conv["objective_trace"]),
-        tolerance=conv["tolerance"],
-        warm_iterations=conv.get("warm_iterations", 0),
-        message=conv.get("message", ""),
-        spectral_radius_trace=tuple(conv.get("spectral_radius_trace", ())),
-    )
-    y_mean = read_matrix_csv(directory / "y_mean.csv")
-    x_mean = read_matrix_csv(directory / "x_mean.csv")
-    if version == 1:
-        weights = read_weights_csv(
-            directory / "w_train.csv", layout=manifest.get("weights_layout", "dense")
-        )
-        if manifest.get("weights_kind"):
-            weights = replace(weights, kind=manifest["weights_kind"])
+    conv = {
+        f.name: conv[f.name] if f.default is MISSING else conv.get(f.name, f.default)
+        for f in _CONVERGENCE
+    }
+    # JSON holds the tuple-valued fields (the traces) as lists
+    conv = {k: tuple(v) if isinstance(v, list) else v for k, v in conv.items()}
+    msar = MsarFit(params=MsarParams(**arrays["msar_fit.params"]), **conv)
+    balanced = manifest.get("weights_balanced")
+    balance = read_matrix_csv(directory / "w_balance.csv") if balanced else None
+    if manifest["version"] == 1:
+        path, layout = directory / "w_train.csv", manifest.get("weights_layout", "dense")
+        weights = read_weights_csv(path, layout=layout)
+        kind = manifest.get("weights_kind") or weights.kind
+        weights = replace(weights, kind=kind, balance=balance)
     else:
         weights = _read_weights_npy(
             directory / "w_train.npy",
             dims["n"],
             normalized=manifest["weights_normalized"],
             kind=manifest["weights_kind"],
+            balance=balance,
         )
-    if manifest.get("weights_balanced"):
-        weights = _with_balance(weights, read_matrix_csv(directory / "w_balance.csv"))
-    fit = SfofrFit(
-        response_decomp=response,
-        predictor_decomp=predictor,
-        msar_fit=msar,
-        y_mean=y_mean[1],
-        x_mean=x_mean[1],
-        y_grid=y_mean[0],
-        x_grid=x_mean[0],
-        weights=weights,
-        options=manifest.get("options", {}),
-    )
-    return _warn_if_unconverged(fit)
+    options = manifest.get("options", {})
+    return SfofrFit(**decomps, msar_fit=msar, weights=weights, options=options, **arrays[""])

@@ -27,15 +27,16 @@ fit_msar).
 
 Fitted values come from the reduced form M - W M rho = C, which
 reduced_form_solve takes through the complex Schur form of rho: Ky shifted
-n x n solves in triangular order, one path for every rho. A W with a cached
-eigendecomposition (the lattice kernels, see spatial) turns each shifted
-solve into a division in W's eigenbasis. The divergence guard bounds rho(W)
+n x n solves in triangular order, one path for every rho. A W with a
+balance vector (the lattice kernels, see spatial) turns each shifted solve
+into a division in W's cached eigenbasis. The divergence guard bounds rho(W)
 by the maximum row sum of W (SpatialWeights.spectral_radius).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as linalg
@@ -99,21 +100,18 @@ class MsarData:
     def k_x(self) -> int:
         return self.xmat.shape[1]
 
+    @cached_property
     def _products(self):
-        """Cache of the W products every objective evaluation reuses."""
-        cached = getattr(self, "_prod", None)
-        if cached is None:
-            w = self.weights
-            wy = w.matmul(self.ymat)
-            cached = {
-                "wy": wy,
-                "wty": w.rmatmul(self.ymat),
-                "wtwy": w.rmatmul(wy),
-                "wtx": w.rmatmul(self.xmat),
-                "dwtw": w.diag_wtw(),
-            }
-            object.__setattr__(self, "_prod", cached)
-        return cached
+        """The W products every objective evaluation reuses."""
+        w = self.weights
+        wy = w.matmul(self.ymat)
+        return {
+            "wy": wy,
+            "wty": w.rmatmul(self.ymat),
+            "wtwy": w.rmatmul(wy),
+            "wtx": w.rmatmul(self.xmat),
+            "dwtw": w.diag_wtw(),
+        }
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ def _chain(theta: np.ndarray, data: MsarData):
     R = Y - W Y rho - X B, W'R, G = R Omega_e - W'R Omega_e rho', m)."""
     rho, b, u = _unpack(theta, data.k_y, data.k_x)
     omega_e = u.T @ u
-    p = data._products()
+    p = data._products
     r = data.ymat - p["wy"] @ rho - data.xmat @ b
     rt = p["wty"] - p["wtwy"] @ rho - p["wtx"] @ b
     g = r @ omega_e - (rt @ omega_e) @ rho.T
@@ -269,7 +267,7 @@ def _gradient_raw(theta: np.ndarray, data: MsarData) -> np.ndarray:
     log-diagonal of zeta by one more factor of diag(U).
     """
     rho, u, omega_e, r, rt, g, m = _chain(theta, data)
-    p = data._products()
+    p = data._products
     c = 2.0 * m * m * g
     a = -2.0 * m**3 * g**2
     a_d = p["dwtw"] @ a
@@ -304,7 +302,7 @@ def _profile_b(theta: np.ndarray, data: MsarData) -> np.ndarray:
     theta = theta.copy()
     theta[k_y * k_y : k_y * (k_y + k_x)] = 0.0
     rho, _, omega_e, _, _, g0, m = _chain(theta, data)
-    wtx = data._products()["wtx"]
+    wtx = data._products["wtx"]
     # design[i, k, q, pp] = -dG[i, k] / dB[pp, q]; (q, pp) flattens to vec(B)
     design = np.einsum("ip,qk->ikqp", data.xmat, omega_e) - np.einsum(
         "ip,qk->ikqp", wtx, omega_e @ rho.T
@@ -487,10 +485,10 @@ def reduced_form_solve(
     one shifted n x n solve per column (dense LU, or sparse LU for CSR W),
     and M = Re(N Z^H). This is the Bartels-Stewart reduction (1972), backward
     stable for every rho, defective ones included. W stays real: it is applied
-    to the real and imaginary parts separately. A W with a spectral form
-    W = P diag(lambda) P^-1 (``SpatialWeights._spectrum``; how W was built
-    decides) is solved in its eigenbasis instead, N = P Y, where each shifted
-    solve is a division:
+    to the real and imaginary parts separately. A W with a balance vector d
+    (``SpatialWeights.balance``) has the spectral form W = P diag(lambda) P^-1
+    (``SpatialWeights._spectrum``) and is solved in its eigenbasis instead,
+    N = P Y, where each shifted solve is a division:
 
         Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
 
@@ -515,7 +513,7 @@ def reduced_form_solve(
         return c.copy()
     t, z = linalg.schur(rho, output="complex")
     out = np.empty((n, k_y), dtype=complex)
-    spectrum = weights._spectrum()
+    spectrum = weights._spectrum
     if spectrum is not None:
         lam, q, root = spectrum
         rhs = (q.T @ (root[:, None] * c)) @ z  # P^-1 C Z, with P^-1 = Q' D^{1/2}

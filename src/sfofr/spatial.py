@@ -7,15 +7,17 @@ exp(-d|i-i'|), and K-nearest-neighbor weights from great-circle (Haversine)
 distances. Moran's I comes in the scalar flavor x'Wx / x'x (on centered x)
 and the functional flavor evaluated pointwise along curves.
 
-Both lattice kernels K are symmetric, so W = D^-1 K (d the row sums of K)
-records d and is similar to the symmetric D^{1/2} W D^{-1/2}, whose cached
-``eigh`` diagonalizes W; such a W is read-only, so the cache cannot go stale.
+Both lattice kernels K are symmetric, so W = D^-1 K declares the row sums d
+of K as its ``balance`` field (d_i w_ij = d_j w_ji) and is similar to the
+symmetric D^{1/2} W D^{-1/2}, whose cached ``eigh`` diagonalizes W; such a
+W is read-only, so the cache cannot go stale.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,11 +40,16 @@ _CSR_MAX_DENSITY = 0.1
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """n x n spatial weight matrix with finite nonnegative entries and zero diagonal."""
+    """n x n spatial weight matrix with finite nonnegative entries and zero diagonal.
+
+    ``balance``, when given, is W's balance vector d: positive, with
+    d_i w_ij = d_j w_ji. It gives W a spectral form and makes W read-only.
+    """
 
     matrix: np.ndarray | sp.csr_array
     normalized: bool = False
     kind: str = "custom"
+    balance: np.ndarray | None = None
 
     def __post_init__(self):
         mat = self.matrix
@@ -74,6 +81,17 @@ class SpatialWeights:
             bad &= sums != 0.0
             if np.any(bad):
                 raise DataError("normalized=True but some nonzero row sums differ from 1")
+        if self.balance is not None:
+            d = np.asarray(self.balance, dtype=float).ravel()
+            if d.shape != (self.n,) or not np.all(d > 0):
+                raise DataError("balance vector must hold one positive entry per unit")
+            # K = D W must be symmetric, else the spectral form solves in the wrong basis
+            k = sp.diags_array(d) @ mat if sp.issparse(mat) else mat * d[:, None]
+            if abs(k - k.T).max() > 1e-12 * k.max():
+                raise DataError("balance vector does not satisfy d_i w_ij = d_j w_ji")
+            for a in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
+                _read_only(a)
+            object.__setattr__(self, "balance", _read_only(d))
 
     @property
     def n(self) -> int:
@@ -112,21 +130,17 @@ class SpatialWeights:
         """
         return self.inf_norm()
 
+    @cached_property
     def _spectrum(self):
         """(lambda, Q, sqrt(d)) with W = P diag(lambda) P^-1 and P = D^{-1/2} Q,
-        from one cached dense ``eigh``; None when W records no balance d."""
-        d = getattr(self, "_balance", None)
-        if d is None:
+        from one dense ``eigh``; None when W has no balance vector."""
+        if self.balance is None:
             return None
-        cached = getattr(self, "_eig", None)
-        if cached is None:
-            root = np.sqrt(d)
-            sym = self.toarray()
-            sym *= root[:, None]
-            sym /= root[None, :]
-            cached = tuple(_read_only(a) for a in (*np.linalg.eigh(sym), root))
-            object.__setattr__(self, "_eig", cached)
-        return cached
+        root = np.sqrt(self.balance)
+        sym = self.toarray()
+        sym *= root[:, None]
+        sym /= root[None, :]
+        return tuple(_read_only(a) for a in (*np.linalg.eigh(sym), root))
 
 
 @dataclass(frozen=True)
@@ -164,30 +178,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _with_balance(weights: SpatialWeights, balance) -> SpatialWeights:
-    """Record W's balance vector d (d_i w_ij = d_j w_ji) on ``weights``, which
-    gives it a spectral form, and make its arrays read-only."""
-    d = np.asarray(balance, dtype=float).ravel()
-    if d.shape != (weights.n,) or not np.all(d > 0):
-        raise DataError("balance vector must hold one positive entry per unit")
-    mat = weights.matrix
-    # K = D W must be symmetric, else the spectral form solves in the wrong basis
-    k = sp.diags_array(d) @ mat if sp.issparse(mat) else mat * d[:, None]
-    if abs(k - k.T).max() > 1e-12 * k.max():
-        raise DataError("balance vector does not satisfy d_i w_ij = d_j w_ji")
-    for a in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
-        _read_only(a)
-    object.__setattr__(weights, "_balance", _read_only(d))
-    return weights
-
-
 def _lattice_weights(n: int, values: np.ndarray, kind: str) -> SpatialWeights:
     np.fill_diagonal(values, 0.0)
     balance = values.sum(axis=1)
     values /= balance[:, None]
     np.fill_diagonal(values, 0.0)  # keep the diagonal exactly zero
-    weights = SpatialWeights(matrix=values, normalized=True, kind=kind)
-    return _with_balance(weights, balance)
+    return SpatialWeights(matrix=values, normalized=True, kind=kind, balance=balance)
 
 
 def inverse_distance_weights(n: int) -> SpatialWeights:

@@ -4,6 +4,7 @@ byte determinism."""
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import sfofr
-from sfofr.cli import build_parser, resolve_config
+from sfofr.cli import build_parser, main, resolve_config
 from sfofr.pipeline import _resolve_options
 
 # Directory holding the imported package, absolute, so that the child process
@@ -179,6 +180,23 @@ class TestFitPredict:
         assert (out / "predictions.csv").read_bytes() == (
             fit_dir / "fitted.csv"
         ).read_bytes()
+
+    def test_manifest_without_required_key_is_data_error(self, sim_dir, fit_dir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(fit_dir, bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        del manifest["convergence"]["tolerance"]
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        code = main(
+            [
+                "predict", "--bundle", str(bundle), "--x-new", str(sim_dir / "x.csv"),
+                "--w-new", str(sim_dir / "w.csv"), "--out", str(tmp_path / "pred"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bundle}: manifest.json lacks key 'tolerance'" in err
+        assert not (tmp_path / "pred").exists()
 
     def test_rerun_from_echoed_config_identical(self, sim_dir, fit_dir, tmp_path):
         manifest = json.loads((fit_dir / "manifest.json").read_text())

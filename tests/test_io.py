@@ -1,5 +1,6 @@
 """Round-trip tests for the file formats and the fit bundle."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -22,6 +23,7 @@ from sfofr import (
     predict,
 )
 from sfofr.io import (
+    BUNDLE_FILES,
     fmt,
     load_fit_bundle,
     read_json,
@@ -37,6 +39,7 @@ from sfofr.io import (
     write_surface_csv,
     write_weights_csv,
 )
+from sfofr.msar import MsarFit
 from sfofr.pipeline import SurfaceEstimate
 
 # Values whose text is easy to get wrong: signed zero, the smallest subnormal,
@@ -455,7 +458,7 @@ class TestFitBundle:
         loaded = load_fit_bundle(tmp_path / "bundle")
         assert isinstance(loaded.weights.matrix, np.ndarray)
         assert bits(loaded.weights.matrix) == bits(fit.weights.matrix)
-        assert bits(loaded.weights._balance) == bits(fit.weights._balance)
+        assert bits(loaded.weights.balance) == bits(fit.weights.balance)
         assert loaded.weights.kind == fit.weights.kind
         assert loaded.weights.normalized == fit.weights.normalized
 
@@ -549,3 +552,111 @@ class TestFitBundle:
         (tmp_path / "notbundle" / "manifest.json").write_text('{"format": "x"}')
         with pytest.raises(DataError):
             load_fit_bundle(tmp_path / "notbundle")
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("convergence", "tolerance"),
+            ("convergence", "objective_trace"),
+            ("dims", "num_basis"),
+            ("predictor_decomposition", "eigenvalues"),
+            (None, "weights_kind"),
+        ],
+    )
+    def test_missing_manifest_key_names_key_and_bundle(self, tmp_path, small_fit, section, key):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "bundle")
+        manifest = read_json(tmp_path / "bundle" / "manifest.json")
+        del (manifest[section] if section else manifest)[key]
+        write_json(tmp_path / "bundle" / "manifest.json", manifest)
+        bundle = re.escape(str(tmp_path / "bundle"))
+        with pytest.raises(DataError, match=f"{bundle}: manifest.json lacks key '{key}'"):
+            load_fit_bundle(tmp_path / "bundle")
+
+    @pytest.mark.parametrize("text", ["[1, 2]\n", '"sfofr-fit-bundle"\n', "null\n"])
+    def test_manifest_not_an_object_rejected(self, tmp_path, text):
+        (tmp_path / "bundle").mkdir()
+        (tmp_path / "bundle" / "manifest.json").write_text(text)
+        with pytest.raises(DataError, match=re.escape(str(tmp_path / "bundle"))):
+            load_fit_bundle(tmp_path / "bundle")
+
+    def test_version1_convergence_block_reads_defaults(self, tmp_path, small_fit):
+        fit, _, _ = small_fit
+        save_as_version1(fit, tmp_path / "old", layout="dense")
+        manifest = read_json(tmp_path / "old" / "manifest.json")
+        for key in ("warm_iterations", "message", "spectral_radius_trace"):
+            del manifest["convergence"][key]
+        write_json(tmp_path / "old" / "manifest.json", manifest)
+        msar = load_fit_bundle(tmp_path / "old").msar_fit
+        assert (msar.warm_iterations, msar.message, msar.spectral_radius_trace) == (0, "", ())
+        assert msar.objective_trace == fit.msar_fit.objective_trace
+
+
+def knn_fit():
+    """A fit on n=300 KNN weights, stored as CSR, with no balance vector."""
+    rng = np.random.default_rng(58)
+    n = 300
+    coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
+    w = knn_weights(coords, 5)
+    x = gen_predictors(n, np.arange(1, 32) / 31, rng)
+    y = gen_response(x, w, 0.5, rng, noise_sd=0.5)
+    return fit_sfofr(y, x, w, options={"num_basis": 8})
+
+
+class TestBundleRoundTrip:
+    """save -> load -> save, for a lattice W (with its balance vector), a
+    sparse KNN W and the baseline (all-zero W)."""
+
+    @pytest.fixture(scope="class", params=["lattice", "knn", "baseline"])
+    def fit(self, request):
+        if request.param == "knn":
+            fit = knn_fit()
+        else:
+            y, x, w = small_data()
+            options = {"num_basis": 10}
+            if request.param == "lattice":
+                fit = fit_sfofr(y, x, w, options=options)
+            else:
+                fit = fit_fofr_fpc(y, x, options=options)
+        # a nonzero warm_iterations, so a loader that drops it is caught
+        return dataclasses.replace(
+            fit, msar_fit=dataclasses.replace(fit.msar_fit, warm_iterations=3)
+        )
+
+    def test_resave_writes_identical_bytes(self, tmp_path, fit):
+        save_fit_bundle(fit, tmp_path / "a")
+        save_fit_bundle(load_fit_bundle(tmp_path / "a"), tmp_path / "b")
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        balance = ["w_balance.csv"] if fit.weights.balance is not None else []
+        assert files == sorted([*BUNDLE_FILES, *balance, "manifest.json"])
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_loaded_fit_equals_saved_field_by_field(self, tmp_path, fit):
+        save_fit_bundle(fit, tmp_path / "bundle")
+        loaded = load_fit_bundle(tmp_path / "bundle")
+        for field in dataclasses.fields(MsarFit):
+            saved, got = getattr(fit.msar_fit, field.name), getattr(loaded.msar_fit, field.name)
+            if field.name == "params":
+                for name in ("rho", "b", "prec_chol"):
+                    assert bits(getattr(got, name)) == bits(getattr(saved, name))
+            else:
+                # repr tells float from np.float64, and nan from nan
+                assert (type(got), repr(got)) == (type(saved), repr(saved)), field.name
+        for name in ("y_mean", "x_mean", "y_grid", "x_grid"):
+            assert bits(getattr(loaded, name)) == bits(getattr(fit, name))
+        for side in ("response_decomp", "predictor_decomp"):
+            saved, got = getattr(fit, side), getattr(loaded, side)
+            assert got.kind == saved.kind and got.total_variance == saved.total_variance
+            for name in ("chi", "scores", "eigenvalues", "variance_explained"):
+                assert bits(getattr(got, name)) == bits(getattr(saved, name))
+        weights = loaded.weights
+        assert type(weights.matrix) is type(fit.weights.matrix)
+        assert bits(weights.toarray()) == bits(fit.weights.toarray())
+        assert (weights.normalized, weights.kind) == (fit.weights.normalized, fit.weights.kind)
+        if fit.weights.balance is None:
+            assert weights.balance is None
+        else:
+            assert bits(weights.balance) == bits(fit.weights.balance)
+        assert loaded.options == fit.options

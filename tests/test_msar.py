@@ -423,7 +423,7 @@ class TestReducedFormSolve:
     def test_spectral_path_matches_dense_oracle(self, n, kind, rho_kind):
         rng = np.random.default_rng([27, n])
         w = exponential_weights(n, 0.5) if kind == "exponential" else inverse_distance_weights(n)
-        assert w._spectrum() is not None
+        assert w._spectrum is not None
         if rho_kind == "random":
             rho = random_params(rng, 3, 2, target_sr=rng.uniform(0.2, 0.9)).rho
         elif rho_kind == "jordan":
@@ -441,7 +441,7 @@ class TestReducedFormSolve:
         rng = np.random.default_rng(28)
         n = 500
         w = exponential_weights(n, 40.0)
-        assert sp.issparse(w.matrix) and w._spectrum() is not None
+        assert sp.issparse(w.matrix) and w._spectrum is not None
         rho = np.array([[0.5, 0.2], [-0.1, 0.3]])
         c = rng.standard_normal((n, 2))
         expected = sparse_oracle(rho, w, c)
@@ -455,7 +455,7 @@ class TestReducedFormSolve:
         rng = np.random.default_rng(31)
         n = 2000
         w = exponential_weights(n, 0.5)
-        assert isinstance(w.matrix, np.ndarray) and w._spectrum() is not None
+        assert isinstance(w.matrix, np.ndarray) and w._spectrum is not None
         rho = np.array([[0.5, 0.2], [-0.1, 0.3]])
         c = rng.standard_normal((n, 2))
         got = reduced_form_solve(rho, w, c)
@@ -479,7 +479,7 @@ class TestReducedFormSolve:
         write_weights_csv(tmp_path / "w.csv", w)
         back = read_weights_csv(tmp_path / "w.csv")
         np.testing.assert_array_equal(back.toarray(), w.toarray())
-        assert back._spectrum() is None
+        assert back._spectrum is None
         rho = random_params(rng, 3, 2, target_sr=0.8).rho
         c = rng.standard_normal((40, 3))
         spectral = reduced_form_solve(rho, w, c)

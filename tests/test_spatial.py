@@ -25,7 +25,6 @@ from sfofr import (
     row_normalize,
     smooth_curves,
 )
-from sfofr.spatial import _with_balance
 
 
 def check_weight_contract(w):
@@ -214,9 +213,9 @@ class TestStorage:
     def test_balance_vector_must_satisfy_detailed_balance(self, decay, n):
         # decay 40 underflows beyond |i-j| = 18, so that W is stored as CSR
         w = exponential_weights(n, decay)
-        _with_balance(SpatialWeights(matrix=w.matrix, normalized=True), w._balance)
+        SpatialWeights(matrix=w.matrix, normalized=True, balance=w.balance)
         with pytest.raises(DataError, match="d_i w_ij = d_j w_ji"):
-            _with_balance(SpatialWeights(matrix=w.matrix, normalized=True), np.linspace(1, 5, n))
+            SpatialWeights(matrix=w.matrix, normalized=True, balance=np.linspace(1, 5, n))
 
     def test_row_normalize_keeps_sparse_storage(self):
         mat = 3.0 * self.ring(30)
@@ -270,7 +269,7 @@ class TestSpectralForm:
         ids=["exponential", "inverse_distance"],
     )
     def test_lattice_weights_are_diagonalized(self, w):
-        lam, q, root = w._spectrum()
+        lam, q, root = w._spectrum
         mat = w.toarray()
         d = root**2
         np.testing.assert_allclose(d[:, None] * mat, (d[:, None] * mat).T, rtol=1e-14)
@@ -282,8 +281,8 @@ class TestSpectralForm:
 
     def test_spectrum_is_cached_and_read_only(self):
         w = exponential_weights(12, 0.5)
-        first = w._spectrum()
-        assert w._spectrum() is first
+        first = w._spectrum
+        assert w._spectrum is first
         for a in (w.matrix, *first):
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -299,7 +298,7 @@ class TestSpectralForm:
             SpatialWeights(matrix=lattice.toarray(), normalized=True),
             row_normalize(lattice),
         ):
-            assert w._spectrum() is None
+            assert w._spectrum is None
 
     def test_config_weights_shared_and_read_only(self):
         cfg = SimConfig(n_train=10, n_test=10, alpha=0.5, seed=1)
