@@ -23,16 +23,7 @@ import numpy as np
 from . import io as sio
 from .exceptions import DataError, NumericalError, ParameterError
 from .fdbasis import FunctionalDataset, center, make_bspline_basis, smooth_curves
-from .pipeline import (
-    DEFAULT_DEGREE,
-    DEFAULT_MSAR_MAX_ITER,
-    DEFAULT_NUM_BASIS,
-    DEFAULT_RIDGE,
-    DEFAULT_VAR_THRESHOLD,
-    fit_sfofr,
-    fitted_values,
-    predict,
-)
+from .pipeline import FIT_OPTIONS, fit_sfofr, fitted_values, predict
 from .simgen import SimConfig, generate, run_benchmark, summarize_benchmark
 from .spatial import (
     exponential_weights,
@@ -63,11 +54,11 @@ _GRID_SIZE = _option("--grid-size", SimConfig.grid_size, type=int)
 _NOISE_SD = _option("--noise-sd", SimConfig.noise_sd, type=float)
 _DESIGN = (_ALPHA, _WEIGHT_KIND, _DECAY, _GRID_SIZE, _NOISE_SD)
 _WEIGHTS_FORMAT = _option("--weights-format", "dense", choices=["dense", "triplet"])
-_BASIS = (
-    _option("--num-basis", DEFAULT_NUM_BASIS, type=int),
-    _option("--degree", DEFAULT_DEGREE, type=int),
-    _option("--ridge", DEFAULT_RIDGE, type=float),
-)
+# One flag per fit option, typed by its default; moran smooths as fit does
+_FIT = {
+    key: _option("--" + key.replace("_", "-"), default, type=type(default))
+    for key, default in FIT_OPTIONS.items()
+}
 
 # Each command's help and options, each option declared once: build_parser
 # adds them as flags and resolve_config takes their defaults. Every command
@@ -91,9 +82,7 @@ _COMMANDS = {
         _option("--y", help="response curve CSV"),
         _option("--x", help="predictor curve CSV"),
         _option("--w", help="weights CSV"),
-        _WEIGHTS_FORMAT, *_BASIS,
-        _option("--var-threshold", DEFAULT_VAR_THRESHOLD, type=float),
-        _option("--msar-max-iter", DEFAULT_MSAR_MAX_ITER, type=int),
+        _WEIGHTS_FORMAT, *_FIT.values(),
         _option("--dump-fpca", False, action="store_true"),
         _OUT,
     )),
@@ -106,7 +95,7 @@ _COMMANDS = {
     "moran": ("functional Moran's I of a curve set", (
         _option("--y", help="curve CSV"),
         _option("--w", help="weights CSV"),
-        _WEIGHTS_FORMAT, *_BASIS, _OUT,
+        _WEIGHTS_FORMAT, *(_FIT[k] for k in ("num_basis", "degree", "ridge")), _OUT,
     )),
     "mc-bench": ("Monte Carlo benchmark of both methods", (
         _option("--n-train", 100, type=int),
@@ -227,12 +216,7 @@ def cmd_fit(cfg: dict) -> int:
     y = sio.read_curves_csv(cfg["y"])
     x = sio.read_curves_csv(cfg["x"])
     weights = _read_weights(cfg, "w")
-    fit = fit_sfofr(
-        y, x, weights,
-        options={
-            k: cfg[k] for k in ("num_basis", "degree", "ridge", "var_threshold", "msar_max_iter")
-        },
-    )
+    fit = fit_sfofr(y, x, weights, options={k: cfg[k] for k in FIT_OPTIONS})
     fitted = fitted_values(fit)
     sio.write_curves_csv(
         out / "fitted.csv",

@@ -5,8 +5,9 @@ IEEE doubles bit-exactly; the one binary file, a fit bundle's w_train.npy,
 holds the doubles themselves. Files are written atomically (temp file in the
 target directory, then rename) so a crashed run never leaves a partial file.
 Numbers are parsed by numpy's reader, so Python-only spellings such as
-``1_000`` are rejected. Error messages name a file's physical line numbers,
-blank lines included.
+``1_000`` are rejected. Every reader error names its file: a malformed line
+with its physical line number, blank lines included; data the object it builds
+rejects (a decreasing grid, a negative weight) with the object's error type.
 
 Formats
 -------
@@ -87,6 +88,15 @@ def atomic_write(path, data: str | np.ndarray):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _build(path, cls, **kwargs):
+    """``cls(**kwargs)``, with a validation error's message prefixed by the
+    path of the file the fields came from; the exception type is kept."""
+    try:
+        return cls(**kwargs)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _parse_float(token: str, path, line_no: int) -> float:
@@ -196,7 +206,7 @@ def read_curves_csv(path) -> FunctionalDataset:
         raise DataError(f"{path}:{no}: curve files must start with a 't' header row")
     mat = _parse_numeric(path, numbered, first_col=1)
     ids = [line.split(",", 1)[0] for _, line in numbered[1:]]
-    return FunctionalDataset(grid=mat[0], values=mat[1:], ids=ids)
+    return _build(path, FunctionalDataset, grid=mat[0], values=mat[1:], ids=ids)
 
 
 # --- weights CSV -------------------------------------------------------------
@@ -249,7 +259,7 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
         raise ParameterError(f"unknown weights layout {layout!r}")
     sums = np.asarray(mat.sum(axis=1)).ravel()
     normalized = bool(np.all((np.abs(sums - 1.0) <= 1e-12) | (sums == 0.0)))
-    return SpatialWeights(matrix=mat, normalized=normalized, kind="custom")
+    return _build(path, SpatialWeights, matrix=mat, normalized=normalized)
 
 
 # --- coordinates CSV ---------------------------------------------------------
@@ -267,7 +277,7 @@ def read_coords_csv(path):
     if bad.size:
         raise DataError(f"{path}:{rows[bad[0]][0]}: coordinates must be finite")
     ids = [line.split(",", 1)[0] for _, line in rows]
-    return ids, GeoCoordinates(lat=latlon[:, 0], lon=latlon[:, 1])
+    return ids, _build(path, GeoCoordinates, lat=latlon[:, 0], lon=latlon[:, 1])
 
 
 # --- tidy outputs ------------------------------------------------------------
@@ -338,10 +348,9 @@ def _read_weights_npy(path, n: int, normalized: bool, kind: str, balance) -> Spa
         raise DataError(f"{path}: entry {k} index ({i[k]}, {j[k]}) outside 0..{n - 1}")
     # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
     mat = sp.csr_array((w, (i, j)), shape=(n, n))
-    try:
-        return SpatialWeights(matrix=mat, normalized=normalized, kind=kind, balance=balance)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _build(
+        path, SpatialWeights, matrix=mat, normalized=normalized, kind=kind, balance=balance
+    )
 
 
 # --- fit bundle --------------------------------------------------------------

@@ -494,8 +494,9 @@ def reduced_form_solve(
 
     and M = P Re(Y Z^H). rho = 0 returns a copy of C.
 
-    Raises DivergenceError when |lambda_1(rho)| times the bound
-    ``weights.spectral_radius()`` on rho(W) reaches 1.
+    Raises DivergenceError when |lambda_1(rho)|, read from the Schur diagonal
+    max |T[k, k]|, times the bound ``weights.spectral_radius()`` on rho(W)
+    reaches 1.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -504,14 +505,14 @@ def reduced_form_solve(
         raise ParameterError("rho must be Ky x Ky matching C's columns")
     if weights.n != n:
         raise ParameterError("weights size must match C's rows")
-    sr = spectral_radius(rho) * weights.spectral_radius()
+    if not np.any(rho):
+        return c.copy()
+    t, z = linalg.schur(rho, output="complex")
+    sr = float(np.max(np.abs(np.diag(t)))) * weights.spectral_radius()
     if sr >= 1:
         raise DivergenceError(
             f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
         )
-    if not np.any(rho):
-        return c.copy()
-    t, z = linalg.schur(rho, output="complex")
     out = np.empty((n, k_y), dtype=complex)
     spectrum = weights._spectrum
     if spectrum is not None:

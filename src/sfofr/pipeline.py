@@ -131,27 +131,26 @@ def _staged(stage: str, fn, *args, **kwargs):
         raise type(exc)(f"{stage}: {exc}") from exc
 
 
-DEFAULT_NUM_BASIS = 20
-DEFAULT_DEGREE = 3
-DEFAULT_RIDGE = 1e-8
-DEFAULT_VAR_THRESHOLD = 0.95
-DEFAULT_MSAR_MAX_ITER = 500
+# The fit options and their defaults, read by both fits and the CLI's fit command
+FIT_OPTIONS = {
+    "num_basis": 20,
+    "degree": 3,
+    "ridge": 1e-8,
+    "var_threshold": 0.95,
+    "msar_max_iter": 500,
+}
+DEFAULT_NUM_BASIS = FIT_OPTIONS["num_basis"]
+DEFAULT_DEGREE = FIT_OPTIONS["degree"]
+DEFAULT_RIDGE = FIT_OPTIONS["ridge"]
+DEFAULT_VAR_THRESHOLD = FIT_OPTIONS["var_threshold"]
 
 
 def _resolve_options(options: dict | None) -> dict:
-    opts = {
-        "num_basis": DEFAULT_NUM_BASIS,
-        "degree": DEFAULT_DEGREE,
-        "ridge": DEFAULT_RIDGE,
-        "var_threshold": DEFAULT_VAR_THRESHOLD,
-        "msar_max_iter": DEFAULT_MSAR_MAX_ITER,
-    }
-    if options:
-        unknown = set(options) - set(opts)
-        if unknown:
-            raise ParameterError(f"unknown fit options: {sorted(unknown)}")
-        opts.update({k: v for k, v in options.items() if v is not None})
-    return opts
+    options = options or {}
+    unknown = set(options) - set(FIT_OPTIONS)
+    if unknown:
+        raise ParameterError(f"unknown fit options: {sorted(unknown)}")
+    return {**FIT_OPTIONS, **{k: v for k, v in options.items() if v is not None}}
 
 
 def _front_end(y_data: FunctionalDataset, x_data: FunctionalDataset, options: dict | None):
@@ -192,8 +191,8 @@ def fit_sfofr(
 ) -> SfofrFit:
     """Fit the full spatial model: SFPC response, FPC predictor, MSAR scores.
 
-    Options (all overridable): num_basis=20, degree=3, ridge=1e-8,
-    var_threshold=0.95, msar_max_iter=500.
+    ``options`` overrides any of the fit options; ``FIT_OPTIONS`` names them
+    and holds their defaults.
     """
     if weights.n != y_data.n:
         raise ParameterError("weight matrix size must match the number of units")
@@ -228,9 +227,7 @@ def fit_fofr_fpc(
     )
     x_scores = shared["predictor_decomp"].scores
     b_hat, *_ = np.linalg.lstsq(x_scores, y_decomp.scores, rcond=None)
-    zero_w = SpatialWeights(
-        matrix=sp.csr_array((y_data.n, y_data.n)), normalized=False, kind="custom"
-    )
+    zero_w = SpatialWeights(matrix=sp.csr_array((y_data.n, y_data.n)))
     params = MsarParams(
         rho=np.zeros((y_decomp.n_components, y_decomp.n_components)),
         b=b_hat,
@@ -254,24 +251,23 @@ def fit_fofr_fpc(
 # --- surfaces ---------------------------------------------------------------
 
 
-def reconstruct_rho(fit: SfofrFit, ugrid=None, tgrid=None) -> SurfaceEstimate:
-    """Spatial autocorrelation surface rho(u, t) = phi(u)' rho_hat phi(t)."""
+def _surface(fit: SfofrFit, left: FpcDecomposition, middle, ugrid, tgrid, kind):
+    """left(u)' middle phi(t), phi the response eigenfunctions; 101-point grids by default."""
     ugrid = np.linspace(0, 1, 101) if ugrid is None else np.asarray(ugrid, dtype=float)
     tgrid = np.linspace(0, 1, 101) if tgrid is None else np.asarray(tgrid, dtype=float)
-    phi_u = fit.response_decomp.eigenfunctions(ugrid)
     phi_t = fit.response_decomp.eigenfunctions(tgrid)
-    values = phi_u @ fit.msar_fit.params.rho @ phi_t.T
-    return SurfaceEstimate(ugrid=ugrid, tgrid=tgrid, values=values, kind="rho")
+    values = left.eigenfunctions(ugrid) @ middle @ phi_t.T
+    return SurfaceEstimate(ugrid=ugrid, tgrid=tgrid, values=values, kind=kind)
+
+
+def reconstruct_rho(fit: SfofrFit, ugrid=None, tgrid=None) -> SurfaceEstimate:
+    """Spatial autocorrelation surface rho(u, t) = phi(u)' rho_hat phi(t)."""
+    return _surface(fit, fit.response_decomp, fit.msar_fit.params.rho, ugrid, tgrid, "rho")
 
 
 def reconstruct_beta(fit: SfofrFit, sgrid=None, tgrid=None) -> SurfaceEstimate:
     """Regression coefficient surface beta(s, t) = psi(s)' B_hat phi(t)."""
-    sgrid = np.linspace(0, 1, 101) if sgrid is None else np.asarray(sgrid, dtype=float)
-    tgrid = np.linspace(0, 1, 101) if tgrid is None else np.asarray(tgrid, dtype=float)
-    psi_s = fit.predictor_decomp.eigenfunctions(sgrid)
-    phi_t = fit.response_decomp.eigenfunctions(tgrid)
-    values = psi_s @ fit.msar_fit.params.b @ phi_t.T
-    return SurfaceEstimate(ugrid=sgrid, tgrid=tgrid, values=values, kind="beta")
+    return _surface(fit, fit.predictor_decomp, fit.msar_fit.params.b, sgrid, tgrid, "beta")
 
 
 # --- fitted values and prediction -------------------------------------------
@@ -301,8 +297,8 @@ def _scores(
     """Center curves by the training mean, smooth them with the fit's ridge,
     and project them onto ``decomp``'s retained components."""
     centered = FunctionalDataset(grid=data.grid, values=data.values - mean)
-    coeffs = smooth_curves(centered, decomp.basis, fit.options.get("ridge", DEFAULT_RIDGE))
-    return project(coeffs, decomp)
+    ridge = fit.options.get("ridge", FIT_OPTIONS["ridge"])
+    return project(smooth_curves(centered, decomp.basis, ridge), decomp)
 
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
@@ -348,7 +344,7 @@ def contraction_diagnostic(rho_surface: SurfaceEstimate, weights: SpatialWeights
     wu = trapezoid_weights(rho_surface.ugrid)
     sup_kernel = float(np.max(np.abs(rho_surface.values)))
     l1_bound = float(np.max(wu @ np.abs(rho_surface.values)))
-    w_inf = weights.inf_norm()
+    w_inf = weights.spectral_radius()
     strict_ok = sup_kernel * w_inf < 1
     weak_ok = l1_bound * w_inf < 1
     if not strict_ok and not weak_ok:

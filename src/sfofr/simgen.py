@@ -186,9 +186,6 @@ def gen_response(
     beta_mat = true_beta(grid[:, None], grid[None, :])
     g = (x_data.values * w_quad) @ beta_mat
     g += _noise(x_data.n, grid, noise_sd, smooth_noise, rng)
-    if alpha == 0:
-        return FunctionalDataset(grid=grid, values=g, ids=x_data.ids)
-
     rho_quad = w_quad[:, None] * true_rho(grid[:, None], grid[None, :], alpha)
     y = reduced_form_solve(rho_quad, weights, g)
     residual = float(np.max(np.abs(y - weights.matmul(y) @ rho_quad - g)))

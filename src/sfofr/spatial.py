@@ -117,18 +117,14 @@ class SpatialWeights:
         """Diagonal of W'W, i.e. squared column norms."""
         return np.asarray((self.matrix * self.matrix).sum(axis=0)).ravel()
 
-    def inf_norm(self) -> float:
-        """Maximum absolute row sum (entries are nonnegative, so max row sum)."""
-        return float(np.max(self.row_sums())) if self.n else 0.0
-
     def spectral_radius(self) -> float:
-        """Upper bound on rho(W): the maximum row sum (``inf_norm``).
+        """Upper bound on rho(W): ||W||_inf, the maximum row sum (W is nonnegative).
 
-        W is nonnegative, so rho(W) <= max row sum, with equality whenever all
-        row sums agree. A row-normalized W without isolated units therefore
-        has rho(W) = 1 exactly; for other W the bound is conservative.
+        rho(W) <= ||W||_inf, with equality whenever all row sums agree. A
+        row-normalized W without isolated units therefore has rho(W) = 1
+        exactly; for other W the bound is conservative.
         """
-        return self.inf_norm()
+        return float(np.max(self.row_sums())) if self.n else 0.0
 
     @cached_property
     def _spectrum(self):
@@ -178,7 +174,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lattice_weights(n: int, values: np.ndarray, kind: str) -> SpatialWeights:
+def _lattice_weights(n: int, kernel, kind: str) -> SpatialWeights:
+    """W = D^-1 K for the symmetric K = kernel(|i - j|); K's row sums are W's balance."""
+    if int(n) != n or n < 2:
+        raise ParameterError("n must be an integer >= 2")
+    idx = np.arange(int(n))
+    values = kernel(np.abs(idx[:, None] - idx[None, :]).astype(float))
     np.fill_diagonal(values, 0.0)
     balance = values.sum(axis=1)
     values /= balance[:, None]
@@ -188,22 +189,14 @@ def _lattice_weights(n: int, values: np.ndarray, kind: str) -> SpatialWeights:
 
 def inverse_distance_weights(n: int) -> SpatialWeights:
     """Row-normalized weights w[i, j] = 1 / (1 + |i - j|) on a 1-D lattice."""
-    if int(n) != n or n < 2:
-        raise ParameterError("n must be an integer >= 2")
-    idx = np.arange(int(n))
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    return _lattice_weights(int(n), 1.0 / (1.0 + dist), "inverse_distance")
+    return _lattice_weights(n, lambda dist: 1.0 / (1.0 + dist), "inverse_distance")
 
 
 def exponential_weights(n: int, d: float = 0.5) -> SpatialWeights:
     """Row-normalized weights w[i, j] = exp(-d |i - j|) with decay rate d > 0."""
-    if int(n) != n or n < 2:
-        raise ParameterError("n must be an integer >= 2")
     if not d > 0:
         raise ParameterError("decay parameter d must be > 0")
-    idx = np.arange(int(n))
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    return _lattice_weights(int(n), np.exp(-d * dist), "exponential")
+    return _lattice_weights(n, lambda dist: np.exp(-d * dist), "exponential")
 
 
 def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray | float:
@@ -223,13 +216,6 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def haversine_matrix(coords: GeoCoordinates) -> np.ndarray:
-    """Pairwise Haversine distance matrix in km."""
-    return haversine_km(
-        coords.lat[:, None], coords.lon[:, None], coords.lat[None, :], coords.lon[None, :]
-    )
-
-
 def knn_weights(coords: GeoCoordinates, h: int) -> SpatialWeights:
     """K-nearest-neighbor weights: w[i, j] = 1/h if j is among the h nearest
     units to i by Haversine distance, else 0. Distance ties are broken by the
@@ -239,7 +225,9 @@ def knn_weights(coords: GeoCoordinates, h: int) -> SpatialWeights:
     if int(h) != h or not 1 <= h <= n - 1:
         raise ParameterError("h must be an integer with 1 <= h <= n - 1")
     h = int(h)
-    dist = haversine_matrix(coords)
+    dist = haversine_km(
+        coords.lat[:, None], coords.lon[:, None], coords.lat[None, :], coords.lon[None, :]
+    )
     np.fill_diagonal(dist, np.inf)
     rows = np.repeat(np.arange(n), h)
     cols = np.empty(n * h, dtype=np.int64)

@@ -4,6 +4,7 @@ byte determinism."""
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import sfofr
 from sfofr.cli import build_parser, main, resolve_config
-from sfofr.pipeline import _resolve_options
+from sfofr.pipeline import FIT_OPTIONS, _resolve_options
 
 # Directory holding the imported package, absolute, so that the child process
 # finds the same package from whatever working directory it runs in (a
@@ -318,7 +319,7 @@ class TestExitCodes:
             cwd=tmp_path,
         )
         assert result.returncode == 1
-        assert "error: weight matrix has non-finite entries" in result.stderr
+        assert f"error: {w_nan}: weight matrix has non-finite entries" in result.stderr
 
     def test_ragged_weights_is_data_error(self, sim_dir, tmp_path):
         rows = (sim_dir / "w.csv").read_text().splitlines()
@@ -407,3 +408,29 @@ class TestOptionTable:
         cfg = resolve_config("fit", build_parser().parse_args(["fit"]))
         defaults = _resolve_options(None)
         assert {k: cfg[k] for k in defaults} == defaults
+
+    def test_fit_help_lists_one_flag_per_fit_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        help_text = capsys.readouterr().out
+        for key in FIT_OPTIONS:
+            flag = "--" + key.replace("_", "-")
+            assert len(re.findall(rf"^  {flag} ", help_text, re.M)) == 1, flag
+
+    def test_fit_options_from_config_reach_the_bundle(self, sim_dir, tmp_path):
+        options = {
+            "num_basis": 12, "degree": 2, "ridge": 1e-6, "var_threshold": 0.9,
+            "msar_max_iter": 300,
+        }
+        assert options.keys() == FIT_OPTIONS.keys()
+        assert all(options[k] != v for k, v in FIT_OPTIONS.items())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options))
+        out = tmp_path / "fit"
+        code = main([
+            "fit", "--y", str(sim_dir / "y.csv"), "--x", str(sim_dir / "x.csv"),
+            "--w", str(sim_dir / "w.csv"), "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["options"] == options

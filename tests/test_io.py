@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from sfofr import (
     DataError,
+    ParameterError,
     FunctionalDataset,
     GeoCoordinates,
     SpatialWeights,
@@ -100,6 +101,13 @@ class TestCurveCsv:
         with pytest.raises(DataError, match="header"):
             read_curves_csv(path)
 
+    def test_decreasing_grid_names_the_file(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text("t,0.0,0.5,0.25,1.0\nu0,1,2,3,4\nu1,5,6,7,8\n")
+        with pytest.raises(ParameterError) as info:
+            read_curves_csv(path)
+        assert str(info.value) == f"{path}: grid must be strictly increasing"
+
 
 class TestWeightsCsv:
     def test_dense_round_trip(self, tmp_path):
@@ -155,6 +163,17 @@ class TestWeightsCsv:
         assert sp.issparse(back.matrix) and back.normalized
         assert (back.matrix != w.matrix).nnz == 0
         assert peak < n * n * 8 / 10  # a dense n x n array is 72 MB
+
+    def test_invalid_entry_names_the_file(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("0,1\n-1,0\n")
+        with pytest.raises(DataError) as info:
+            read_weights_csv(path)
+        assert str(info.value) == f"{path}: weight matrix has negative entries"
+        path.write_text("i,j,w\n0,1,1\n1,1,0.5\n")
+        with pytest.raises(DataError) as info:
+            read_weights_csv(path, layout="triplet")
+        assert str(info.value) == f"{path}: weight matrix diagonal must be exactly zero"
 
     def test_non_square_dense_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -329,6 +348,13 @@ class TestCoordsCsv:
         path.write_text("sao_paulo,-23.55,-46.63\n")
         with pytest.raises(DataError, match="header"):
             read_coords_csv(path)
+
+    def test_out_of_range_latitude_names_the_file(self, tmp_path):
+        path = tmp_path / "coords.csv"
+        path.write_text("id,lat,lon\na,-23.55,-46.63\nb,95,-43.17\n")
+        with pytest.raises(ParameterError) as info:
+            read_coords_csv(path)
+        assert str(info.value) == f"{path}: latitudes must lie in [-90, 90]"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_names_its_line(self, tmp_path, bad):

@@ -492,6 +492,20 @@ class TestReducedFormSolve:
         with pytest.raises(DivergenceError):
             reduced_form_solve(rho, w, np.ones((5, 1)))
 
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_guard_reads_complex_eigenvalue_modulus(self, balanced):
+        # both rho have real part and trace below 1; only |lambda| decides
+        w = exponential_weights(30, 0.5)  # row stochastic: rho(W) = 1
+        if not balanced:
+            w = SpatialWeights(matrix=w.toarray(), normalized=True)
+        c = np.random.default_rng(33).standard_normal((30, 2))
+        outside = np.array([[0.6, -0.9], [0.9, 0.6]])  # 0.6 +- 0.9i, |lambda| ~ 1.08
+        with pytest.raises(DivergenceError):
+            reduced_form_solve(outside, w, c)
+        inside = np.array([[0.54, -0.72], [0.72, 0.54]])  # 0.54 +- 0.72i, |lambda| = 0.9
+        expected = unvec(np.linalg.solve(dense_s(inside, w.toarray()), vec(c)), 30, 2)
+        np.testing.assert_allclose(reduced_form_solve(inside, w, c), expected, atol=1e-10)
+
     def test_unnormalized_weights_rejected_by_row_sum_bound(self):
         w = SpatialWeights(matrix=2.0 * exponential_weights(5, 0.5).toarray())
         with pytest.raises(DivergenceError):
