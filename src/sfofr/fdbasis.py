@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import DomainError, ParameterError, SingularityError
@@ -179,7 +178,26 @@ def _gram_gauss_legendre(knots: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _design_matrix(knots: np.ndarray, degree: int, points: np.ndarray) -> np.ndarray:
-    return BSpline.design_matrix(np.asarray(points, dtype=float), knots, degree).toarray()
+    """Dense B-spline design matrix by the Cox-de Boor recurrence, vectorized
+    over points in the order of scipy's ``BSpline.design_matrix``, whose
+    output it reproduces bit for bit."""
+    x = np.asarray(points, dtype=float)
+    num_basis = knots.size - degree - 1
+    # span l with knots[l] <= x < knots[l + 1]; the right end joins the last span
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, num_basis - 1)
+    h = np.zeros((x.size, degree + 1))
+    h[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            right, left = knots[span + m], knots[span + m - j]
+            w = prev[:, m - 1] / (right - left)
+            h[:, m - 1] += w * (right - x)
+            h[:, m] = w * (x - left)
+    out = np.zeros((x.size, num_basis))
+    np.put_along_axis(out, span[:, None] - degree + np.arange(degree + 1), h, axis=1)
+    return out
 
 
 def evaluate_basis(basis: BSplineBasis, points) -> np.ndarray:

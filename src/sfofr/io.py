@@ -39,6 +39,7 @@ import json
 import os
 import tempfile
 from dataclasses import MISSING, fields, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -331,7 +332,7 @@ def _write_weights_npy(path, weights: SpatialWeights):
     atomic_write(path, rec)
 
 
-def _read_weights_npy(path, n: int, normalized: bool, kind: str, balance) -> SpatialWeights:
+def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
     """Read the n x n W that ``_write_weights_npy`` saved; stored as CSR or
     dense by W's density, as when it was built."""
     try:
@@ -348,9 +349,7 @@ def _read_weights_npy(path, n: int, normalized: bool, kind: str, balance) -> Spa
         raise DataError(f"{path}: entry {k} index ({i[k]}, {j[k]}) outside 0..{n - 1}")
     # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
     mat = sp.csr_array((w, (i, j)), shape=(n, n))
-    return _build(
-        path, SpatialWeights, matrix=mat, normalized=normalized, kind=kind, balance=balance
-    )
+    return _build(path, SpatialWeights, matrix=mat, normalized=normalized, kind=kind)
 
 
 # --- fit bundle --------------------------------------------------------------
@@ -479,20 +478,19 @@ def _read_bundle(directory: Path, manifest: dict) -> SfofrFit:
     # JSON holds the tuple-valued fields (the traces) as lists
     conv = {k: tuple(v) if isinstance(v, list) else v for k, v in conv.items()}
     msar = MsarFit(params=MsarParams(**arrays["msar_fit.params"]), **conv)
-    balanced = manifest.get("weights_balanced")
-    balance = read_matrix_csv(directory / "w_balance.csv") if balanced else None
     if manifest["version"] == 1:
         path, layout = directory / "w_train.csv", manifest.get("weights_layout", "dense")
         weights = read_weights_csv(path, layout=layout)
-        kind = manifest.get("weights_kind") or weights.kind
-        weights = replace(weights, kind=kind, balance=balance)
+        weights = replace(weights, kind=manifest.get("weights_kind") or weights.kind)
     else:
         weights = _read_weights_npy(
             directory / "w_train.npy",
             dims["n"],
             normalized=manifest["weights_normalized"],
             kind=manifest["weights_kind"],
-            balance=balance,
         )
+    if manifest.get("weights_balanced"):
+        path = directory / "w_balance.csv"
+        weights = _build(path, partial(replace, weights), balance=read_matrix_csv(path))
     options = manifest.get("options", {})
     return SfofrFit(**decomps, msar_fit=msar, weights=weights, options=options, **arrays[""])

@@ -25,18 +25,21 @@ the spectral radius of rho to 1 - iota or beyond are backtracked, and a
 descent that ends at that bound is checked against one capped rerun (see
 fit_msar).
 
-Fitted values come from the reduced form M - W M rho = C, which
-reduced_form_solve takes through the complex Schur form of rho: Ky shifted
-n x n solves in triangular order, one path for every rho. A W with a
-balance vector (the lattice kernels, see spatial) turns each shifted solve
-into a division in W's cached eigenbasis. The divergence guard bounds rho(W)
-by the maximum row sum of W (SpatialWeights.spectral_radius).
+Fitted values come from the reduced form M - W M rho = C. _triangular_solve
+solves M - W M R = C for any R given as Z T Z^-1 with T upper triangular:
+one shifted n x n solve per column of T, in triangular order, or, for a W
+with a balance vector (the lattice kernels, see spatial), one division per
+column in W's cached eigenbasis, and a single broadcast division when T is
+diagonal. reduced_form_solve hands it the complex Schur form of rho, one
+path for every rho; simgen.gen_response hands it the real eigenbasis of the
+trapezoid-weighted rho surface. The divergence guard bounds rho(W) by the
+maximum row sum of W (SpatialWeights.spectral_radius).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as linalg
@@ -186,11 +189,21 @@ class MsarFit:
 # triangle of prec_chol row-major with the diagonal stored as logs.
 
 
-def _pack(rho: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    k_y = rho.shape[0]
+@lru_cache
+def _triu(k_y: int):
+    """Read-only upper-triangle indices of a k_y x k_y matrix, and the mask of
+    their diagonal entries."""
     iu = np.triu_indices(k_y)
+    diag = iu[0] == iu[1]
+    for a in (*iu, diag):
+        a.flags.writeable = False
+    return iu, diag
+
+
+def _pack(rho: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    iu, diag = _triu(rho.shape[0])
     z = u[iu].copy()
-    z[iu[0] == iu[1]] = np.log(np.diag(u))
+    z[diag] = np.log(np.diag(u))
     return np.concatenate([rho.ravel(order="F"), b.ravel(order="F"), z])
 
 
@@ -200,8 +213,7 @@ def _unpack(theta: np.ndarray, k_y: int, k_x: int):
     rho = theta[:nr].reshape(k_y, k_y, order="F")
     b = theta[nr : nr + nb].reshape(k_x, k_y, order="F")
     u = np.zeros((k_y, k_y))
-    iu = np.triu_indices(k_y)
-    u[iu] = theta[nr + nb :]
+    u[_triu(k_y)[0]] = theta[nr + nb :]
     d = np.arange(k_y)
     u[d, d] = np.exp(u[d, d])
     return rho, b, u
@@ -278,9 +290,9 @@ def _gradient_raw(theta: np.ndarray, data: MsarData) -> np.ndarray:
     g_b = -data.xmat.T @ g_r
     s = r.T @ c - (rt.T @ c) @ rho + np.diag(a.sum(axis=0)) + rho.T @ (a_d[:, None] * rho)
     g_u = u @ (s + s.T)
-    iu = np.triu_indices(data.k_y)
+    iu, diag = _triu(data.k_y)
     g_z = g_u[iu]
-    g_z[iu[0] == iu[1]] *= np.diag(u)
+    g_z[diag] *= np.diag(u)
     return np.concatenate([g_rho.ravel(order="F"), g_b.ravel(order="F"), g_z])
 
 
@@ -477,22 +489,10 @@ def reduced_form_solve(
 ) -> np.ndarray:
     """Solve M - W M rho = C, the matrix form of (I - rho' (x) W) vec(M) = vec(C).
 
-    With the complex Schur form rho = Z T Z^H (T upper triangular) and N = M Z,
-    the system becomes N - W N T = C Z, which is solved column by column:
-
-        (I - T[k, k] W) N[:, k] = (C Z)[:, k] + W sum_{j<k} N[:, j] T[j, k],
-
-    one shifted n x n solve per column (dense LU, or sparse LU for CSR W),
-    and M = Re(N Z^H). This is the Bartels-Stewart reduction (1972), backward
-    stable for every rho, defective ones included. W stays real: it is applied
-    to the real and imaginary parts separately. A W with a balance vector d
-    (``SpatialWeights.balance``) has the spectral form W = P diag(lambda) P^-1
-    (``SpatialWeights._spectrum``) and is solved in its eigenbasis instead,
-    N = P Y, where each shifted solve is a division:
-
-        Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
-
-    and M = P Re(Y Z^H). rho = 0 returns a copy of C.
+    The complex Schur form rho = Z T Z^H (T upper triangular) hands the
+    system to ``_triangular_solve``. This is the Bartels-Stewart reduction
+    (1972), backward stable for every rho, defective ones included. rho = 0
+    returns a copy of C.
 
     Raises DivergenceError when |lambda_1(rho)|, read from the Schur diagonal
     max |T[k, k]|, times the bound ``weights.spectral_radius()`` on rho(W)
@@ -508,27 +508,62 @@ def reduced_form_solve(
     if not np.any(rho):
         return c.copy()
     t, z = linalg.schur(rho, output="complex")
-    sr = float(np.max(np.abs(np.diag(t)))) * weights.spectral_radius()
+    return _triangular_solve(t, z, z.conj().T, weights, c)
+
+
+def _triangular_solve(
+    t: np.ndarray, z: np.ndarray, z_inv: np.ndarray, weights: SpatialWeights, c: np.ndarray
+) -> np.ndarray:
+    """Solve M - W M R = C for real M, given R = Z T Z^-1 with T upper triangular.
+
+    With N = M Z the system becomes N - W N T = C Z, which is solved column
+    by column, in order:
+
+        (I - T[k, k] W) N[:, k] = (C Z)[:, k] + W N[:, :k] T[:k, k],
+
+    one shifted n x n solve per column (dense LU, or sparse LU for CSR W),
+    and M = Re(N Z^-1). The arithmetic is complex only when T is; W stays
+    real and is applied to the real and imaginary parts separately. A W with
+    a balance vector d (``SpatialWeights.balance``) has the spectral form
+    W = P diag(lambda) P^-1 (``SpatialWeights._spectrum``) and is solved in
+    its eigenbasis instead, N = P Y, where each shifted solve is a division:
+
+        Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
+
+    so a diagonal T makes Y one broadcast division; M = P Re(Y Z^-1).
+
+    Raises DivergenceError when max |T[k, k]| times the bound
+    ``weights.spectral_radius()`` on rho(W) reaches 1.
+    """
+    shifts = np.diag(t)
+    sr = float(np.max(np.abs(shifts))) * weights.spectral_radius()
     if sr >= 1:
         raise DivergenceError(
             f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
         )
-    out = np.empty((n, k_y), dtype=complex)
     spectrum = weights._spectrum
     if spectrum is not None:
         lam, q, root = spectrum
         rhs = (q.T @ (root[:, None] * c)) @ z  # P^-1 C Z, with P^-1 = Q' D^{1/2}
-        for k in range(k_y):
-            out[:, k] = (rhs[:, k] + lam * (out[:, :k] @ t[:k, k])) / (1 - t[k, k] * lam)
-        return q @ (out @ z.conj().T).real / root[:, None]
+        denom = 1 - np.outer(lam, shifts)
+        if not np.any(np.triu(t, 1)):
+            out = rhs / denom
+        else:
+            out = np.empty_like(rhs)
+            for k in range(shifts.size):
+                out[:, k] = (rhs[:, k] + lam * (out[:, :k] @ t[:k, k])) / denom[:, k]
+        return q @ (out @ z_inv).real / root[:, None]
     rhs = c @ z
-    w = weights.matrix
+    n, w = weights.n, weights.matrix
     if sp.issparse(w):
         w, eye, solve = sp.csc_array(w), sp.identity(n, format="csc"), spla.spsolve
     else:
         eye, solve = np.eye(n), np.linalg.solve
-    for k in range(k_y):
+    out = np.empty_like(rhs)
+    for k in range(shifts.size):
         lag = out[:, :k] @ t[:k, k]
-        b = rhs[:, k] + weights.matmul(lag.real) + 1j * weights.matmul(lag.imag)
+        b = rhs[:, k] + weights.matmul(lag.real)
+        if np.iscomplexobj(lag):
+            b = b + 1j * weights.matmul(lag.imag)
         out[:, k] = solve(eye - t[k, k] * w, b)
-    return np.ascontiguousarray((out @ z.conj().T).real)
+    return np.ascontiguousarray((out @ z_inv).real)

@@ -4,10 +4,13 @@ Predictors are finite Fourier series with k^{-3/2} coefficient decay; the
 response solves the model identity Y = W Y R + G exactly, where G collects the
 regression integral of the predictor plus noise and R is the rho surface
 weighted by the trapezoid rule. That identity is a reduced form of the same
-kind the fitted model predicts through, so gen_response is one
-msar.reduced_form_solve, certified by its residual max|Y - W Y R - G|.
-SimConfig.make_weights hands out one shared, read-only weight matrix per
-(kind, decay, n), so every replication reuses its eigendecomposition.
+kind the fitted model predicts through, and gen_response solves it with the
+same core, msar._triangular_solve, in R's real eigenbasis: the rho kernel is
+symmetric, so the trapezoid weights symmetrize R as the row sums d symmetrize
+a lattice W (the eigenvalue route of Ord 1975, on both sides). The result is
+certified by its residual max|Y - W Y R - G|. SimConfig.make_weights hands
+out one shared, read-only weight matrix per (kind, decay, n), so every
+replication reuses its eigendecomposition.
 
 True surfaces:
     beta(s, t) = 2 + s + t + 0.5 sin(2 pi s t)
@@ -31,7 +34,7 @@ import numpy as np
 
 from .exceptions import GenerationError, ParameterError
 from .fdbasis import FunctionalDataset, make_bspline_basis, smooth_curves, trapezoid_weights
-from .msar import reduced_form_solve
+from .msar import _triangular_solve
 from .pipeline import (
     SurfaceEstimate,
     fit_fofr_fpc,
@@ -172,12 +175,17 @@ def gen_response(
     """Generate responses that solve the model identity Y = W Y R + G.
 
     G_i(t) = int x_i(s) beta(s, t) ds + eps_i(t) (trapezoid quadrature, i.i.d.
-    N(0, noise_sd^2) noise per grid point) and R = diag(trapezoid weights)
-    rho(s, t) on the grid. Y is the exact solve reduced_form_solve(R, W, G),
-    which raises DivergenceError when |lambda_1(R)| times the maximum row sum
-    of W reaches 1. The result is certified directly: GenerationError is
-    raised unless max|Y - W Y R - G| <= ``neumann_tol``. ``neumann_max_terms``
-    is accepted for compatibility and unused.
+    N(0, noise_sd^2) noise per grid point) and R = D_w K on the grid, with
+    D_w the trapezoid weights and K = rho(s, t) symmetric. One ``eigh`` of
+    D_w^{1/2} K D_w^{1/2} = V diag(mu) V' gives R = S diag(mu) S^-1 with
+    S = D_w^{1/2} V and S^-1 = V' D_w^{-1/2}, all real, so Y = Z S^-1 where
+    Z - W Z diag(mu) = G S: one broadcast division in a lattice W's
+    eigenbasis, else one real shifted solve per grid point (see
+    msar._triangular_solve). DivergenceError is raised when |lambda_1(R)|
+    times the maximum row sum of W reaches 1. The result is certified
+    directly: GenerationError is raised unless max|Y - W Y R - G| <=
+    ``neumann_tol``. ``neumann_max_terms`` is accepted for compatibility and
+    unused.
     """
     if not 0 <= alpha < 1:
         raise ParameterError("alpha must lie in [0, 1)")
@@ -186,8 +194,11 @@ def gen_response(
     beta_mat = true_beta(grid[:, None], grid[None, :])
     g = (x_data.values * w_quad) @ beta_mat
     g += _noise(x_data.n, grid, noise_sd, smooth_noise, rng)
-    rho_quad = w_quad[:, None] * true_rho(grid[:, None], grid[None, :], alpha)
-    y = reduced_form_solve(rho_quad, weights, g)
+    kernel = true_rho(grid[:, None], grid[None, :], alpha)
+    rho_quad = w_quad[:, None] * kernel
+    root = np.sqrt(w_quad)  # D_w^{1/2}
+    mu, v = np.linalg.eigh(root[:, None] * kernel * root[None, :])
+    y = _triangular_solve(np.diag(mu), root[:, None] * v, v.T / root, weights, g)
     residual = float(np.max(np.abs(y - weights.matmul(y) @ rho_quad - g)))
     if not residual <= neumann_tol:
         raise GenerationError(

@@ -434,3 +434,17 @@ class TestOptionTable:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["options"] == options
+
+
+class TestStartup:
+    def test_import_leaves_out_scipy_interpolate(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+        )
+        probe = "import sys, sfofr.cli; print(sorted(m for m in sys.modules if 'interpolate' in m))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -110,6 +110,38 @@ class TestEvaluateBasis:
             evaluate_basis(basis, [0.5, 1.2])
 
 
+def _gauss_legendre_nodes(basis):
+    """The Gram matrix's quadrature nodes: degree + 1 per knot span."""
+    nodes, _ = np.polynomial.legendre.leggauss(basis.degree + 1)
+    spans = np.unique(basis.knots)
+    half = (spans[1:] - spans[:-1])[:, None] / 2
+    return (half * nodes + (spans[:-1] + spans[1:])[:, None] / 2).ravel()
+
+
+class TestDesignMatrix:
+    """The Cox-de Boor design matrix against scipy's BSpline as the oracle."""
+
+    @pytest.mark.parametrize(
+        "num_basis,degree", [(20, 3), (8, 3), (12, 2), (30, 5), (4, 3), (5, 1), (10, 4)]
+    )
+    def test_bit_identical_to_scipy(self, num_basis, degree):
+        from scipy.interpolate import BSpline
+
+        basis = make_bspline_basis(num_basis, degree)
+        point_sets = [
+            np.arange(1, 102) / 101,
+            np.linspace(0.0, 1.0, 1001),
+            np.array([0.0, 0.5, 1.0]),
+            _gauss_legendre_nodes(basis),
+            np.random.default_rng(num_basis * 10 + degree).uniform(0.0, 1.0, 500),
+        ]
+        for points in point_sets:
+            ours = evaluate_basis(basis, points)
+            oracle = BSpline.design_matrix(points, basis.knots, degree).toarray()
+            assert ours.shape == oracle.shape
+            assert ours.tobytes() == oracle.tobytes()
+
+
 class TestSmoothCurves:
     def test_recovers_in_span_curves(self):
         rng = np.random.default_rng(11)

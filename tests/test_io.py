@@ -573,6 +573,18 @@ class TestFitBundle:
             with pytest.raises(DataError, match="balance vector"):
                 load_fit_bundle(tmp_path / "bad")
 
+    def test_bad_balance_vector_blames_its_own_file(self, tmp_path, small_fit):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "bund")
+        bad = np.array(fit.weights.balance)
+        bad[3] = -bad[3]
+        write_matrix_csv(tmp_path / "bund" / "w_balance.csv", bad)
+        with pytest.raises(DataError, match="balance vector") as info:
+            load_fit_bundle(tmp_path / "bund")
+        message = str(info.value)
+        assert message.startswith(f"{tmp_path / 'bund' / 'w_balance.csv'}: ")
+        assert "w_train" not in message
+
     def test_not_a_bundle_rejected(self, tmp_path):
         (tmp_path / "notbundle").mkdir()
         (tmp_path / "notbundle" / "manifest.json").write_text('{"format": "x"}')

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sfofr import (
     DivergenceError,
@@ -13,11 +14,13 @@ from sfofr import (
     gen_predictors,
     gen_response,
     generate,
+    inverse_distance_weights,
     run_replication,
     trapezoid_weights,
     true_beta,
     true_rho,
 )
+from sfofr.msar import reduced_form_solve
 
 
 class ZeroStream:
@@ -86,6 +89,44 @@ def dense_mixing_solve(x_data, weights, alpha, g):
     return yvec.reshape(n, m, order="F")
 
 
+def regression_signal(x_data):
+    """G without noise: the trapezoid integral of x(s) beta(s, t)."""
+    grid = x_data.grid
+    beta_mat = true_beta(grid[:, None], grid[None, :])
+    return (x_data.values * trapezoid_weights(grid)) @ beta_mat
+
+
+def dense_custom_weights(n, rng):
+    """Row-normalized asymmetric random W: dense, with no balance vector."""
+    mat = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(mat, 0.0)
+    w = SpatialWeights(matrix=mat / mat.sum(axis=1, keepdims=True), normalized=True)
+    assert w.balance is None and not sp.issparse(w.matrix)
+    return w
+
+
+def ring_weights(n, rng):
+    """Each unit's two ring neighbours and one skip: CSR, with no balance vector."""
+    mat = np.zeros((n, n))
+    for i in range(n):
+        mat[i, [(i + 1) % n, (i - 1) % n, (i + 3) % n]] = 1.0 / 3
+    w = SpatialWeights(matrix=mat, normalized=True)
+    assert w.balance is None and sp.issparse(w.matrix)
+    return w
+
+
+# (n, grid, weights builder): the lattice solve, unequal trapezoid weights
+# (a grid whose squared spacing makes R = D_w K far from symmetric), and the
+# real shifted-LU solve of a W with no balance vector, dense and CSR; n x 31
+# grids keep the nT x nT oracle tractable
+ORACLE_CASES = {
+    "inverse-lattice": (7, GRID, lambda n, rng: inverse_distance_weights(n)),
+    "nonuniform-grid": (8, np.linspace(0.0, 1.0, 41) ** 2, lambda n, rng: exponential_weights(n, 0.5)),
+    "dense-no-balance": (40, np.arange(1, 32) / 31, dense_custom_weights),
+    "csr-no-balance": (40, np.arange(1, 32) / 31, ring_weights),
+}
+
+
 class TestGenResponse:
     def test_alpha_zero_returns_regression_signal(self):
         rng = np.random.default_rng(2)
@@ -118,6 +159,28 @@ class TestGenResponse:
         g = (x.values * w_quad) @ true_beta(GRID[:, None], GRID[None, :])
         oracle = dense_mixing_solve(x, w, 0.9, g)
         np.testing.assert_allclose(y.values, oracle, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_dense_oracle(self, case):
+        n, grid, make = ORACLE_CASES[case]
+        rng = np.random.default_rng(21)
+        w = make(n, rng)
+        x = gen_predictors(n, grid, rng)
+        y = gen_response(x, w, 0.9, rng, noise_sd=0.0)
+        oracle = dense_mixing_solve(x, w, 0.9, regression_signal(x))
+        np.testing.assert_allclose(y.values, oracle, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("make", [inverse_distance_weights, exponential_weights])
+    def test_matches_reduced_form_solve_at_acceptance_size(self, make):
+        n = 250
+        x = gen_predictors(n, GRID, np.random.default_rng(24))
+        w = make(n)
+        y = gen_response(x, w, 0.9, np.random.default_rng(25))
+        g = regression_signal(x) + np.random.default_rng(25).standard_normal((n, GRID.size))
+        rho_quad = trapezoid_weights(GRID)[:, None] * true_rho(GRID[:, None], GRID[None, :], 0.9)
+        np.testing.assert_allclose(
+            y.values, reduced_form_solve(rho_quad, w, g), rtol=0, atol=1e-12
+        )
 
     def test_model_identity_residual_within_tolerance(self):
         rng = np.random.default_rng(4)
