@@ -10,12 +10,17 @@ expanded functions reduce to coefficient-space bilinear forms a' Gamma b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import DomainError, ParameterError, SingularityError
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -203,13 +208,20 @@ def _design_matrix(knots: np.ndarray, degree: int, points: np.ndarray) -> np.nda
 def evaluate_basis(basis: BSplineBasis, points) -> np.ndarray:
     """Evaluate all basis functions at ``points`` in [0, 1].
 
-    Returns a |points| x L matrix whose rows sum to one (partition of unity).
+    Returns a read-only |points| x L matrix whose rows sum to one (partition
+    of unity), cached per (knots, degree, points).
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         off = pts[(pts < 0.0) | (pts > 1.0)][0]
         raise DomainError(f"evaluation point {off!r} outside [0, 1]")
-    return _design_matrix(basis.knots, basis.degree, pts)
+    knots = np.asarray(basis.knots, dtype=float)
+    return _cached_design_matrix(knots.tobytes(), basis.degree, pts.tobytes())
+
+
+@lru_cache(maxsize=4)
+def _cached_design_matrix(knots: bytes, degree: int, points: bytes) -> np.ndarray:
+    return _read_only(_design_matrix(np.frombuffer(knots), degree, np.frombuffer(points)))
 
 
 def smooth_curves(

@@ -285,9 +285,12 @@ def read_coords_csv(path):
 
 
 def write_surface_csv(path, surface: SurfaceEstimate):
-    u, t = np.meshgrid(surface.ugrid, surface.tgrid, indexing="ij")
-    rows = np.column_stack([u.ravel(), t.ravel(), np.ravel(surface.values)])
-    _write_csv(path, ["u,t,value"] + _format_rows(rows))
+    t_text = ["%.17g," % t for t in surface.tgrid.tolist()]  # each grid value formatted once
+    lines = ["u,t,value"]
+    for u, row in zip(surface.ugrid.tolist(), surface.values.tolist()):
+        u_text = "%.17g," % u
+        lines += [u_text + t + "%.17g" % v for t, v in zip(t_text, row)]
+    _write_csv(path, lines)
 
 
 def write_moran_csv(path, tgrid, values):

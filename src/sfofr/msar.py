@@ -47,6 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import DivergenceError, NumericalError, ParameterError
+from .fdbasis import _read_only
 from .spatial import SpatialWeights
 
 IOTA = 1e-3  # spectral safety margin: |lambda_1(rho)| < 1 - IOTA
@@ -195,9 +196,7 @@ def _triu(k_y: int):
     their diagonal entries."""
     iu = np.triu_indices(k_y)
     diag = iu[0] == iu[1]
-    for a in (*iu, diag):
-        a.flags.writeable = False
-    return iu, diag
+    return tuple(map(_read_only, iu)), _read_only(diag)
 
 
 def _pack(rho: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .exceptions import (
     UndefinedStatisticError,
 )
 from .fdbasis import (
+    BasisCoefficients,
     BSplineBasis,
     FunctionalDataset,
     center,
@@ -114,8 +115,8 @@ class SfofrFit:
 
 def _warn_if_unconverged(fit: SfofrFit) -> SfofrFit:
     """Warn when the score-space fit did not converge, naming the line that
-    called the public function (``fit_sfofr``, ``load_fit_bundle``) which
-    calls this; returns ``fit``."""
+    called the public function (``fit_sfofr``, ``load_fit_bundle``,
+    ``run_replication``) which calls this; returns ``fit``."""
     if not fit.msar_fit.converged:
         warnings.warn(
             f"score-space fit did not converge: {fit.msar_fit.message}", stacklevel=3
@@ -196,7 +197,11 @@ def fit_sfofr(
     """
     if weights.n != y_data.n:
         raise ParameterError("weight matrix size must match the number of units")
-    y_coeffs, shared = _front_end(y_data, x_data, options)
+    return _warn_if_unconverged(_fit_spatial(*_front_end(y_data, x_data, options), weights))
+
+
+def _fit_spatial(y_coeffs, shared: dict, weights: SpatialWeights) -> SfofrFit:
+    """fit_sfofr after ``_front_end``: response SFPCA, then the score-space fit."""
     opts = shared["options"]
     y_decomp = _staged(
         "response decomposition", fit_sfpc, y_coeffs, weights,
@@ -208,9 +213,7 @@ def fit_sfofr(
     msar = _staged(
         "score-space estimation", fit_msar, msar_data, max_iter=opts["msar_max_iter"]
     )
-    return _warn_if_unconverged(
-        SfofrFit(response_decomp=y_decomp, msar_fit=msar, weights=weights, **shared)
-    )
+    return SfofrFit(response_decomp=y_decomp, msar_fit=msar, weights=weights, **shared)
 
 
 def fit_fofr_fpc(
@@ -220,14 +223,18 @@ def fit_fofr_fpc(
 ) -> SfofrFit:
     """Non-spatial baseline: classical FPC on both sides, rho forced to zero,
     B from per-column least squares of response scores on predictor scores."""
-    y_coeffs, shared = _front_end(y_data, x_data, options)
-    opts = shared["options"]
+    return _fit_baseline(*_front_end(y_data, x_data, options))
+
+
+def _fit_baseline(y_coeffs, shared: dict) -> SfofrFit:
+    """fit_fofr_fpc after ``_front_end``: response FPCA, then least squares."""
     y_decomp = _staged(
-        "response decomposition", fit_fpc, y_coeffs, variance_threshold=opts["var_threshold"]
+        "response decomposition", fit_fpc, y_coeffs,
+        variance_threshold=shared["options"]["var_threshold"],
     )
     x_scores = shared["predictor_decomp"].scores
     b_hat, *_ = np.linalg.lstsq(x_scores, y_decomp.scores, rcond=None)
-    zero_w = SpatialWeights(matrix=sp.csr_array((y_data.n, y_data.n)))
+    zero_w = SpatialWeights(matrix=sp.csr_array((y_coeffs.n, y_coeffs.n)))
     params = MsarParams(
         rho=np.zeros((y_decomp.n_components, y_decomp.n_components)),
         b=b_hat,
@@ -291,14 +298,10 @@ def fitted_values(fit: SfofrFit) -> FunctionalDataset:
     return _predict_from_scores(fit, fit.predictor_decomp.scores, fit.weights)
 
 
-def _scores(
-    fit: SfofrFit, data: FunctionalDataset, mean: np.ndarray, decomp: FpcDecomposition
-) -> np.ndarray:
-    """Center curves by the training mean, smooth them with the fit's ridge,
-    and project them onto ``decomp``'s retained components."""
+def _smooth(fit: SfofrFit, data: FunctionalDataset, mean, basis) -> BasisCoefficients:
+    """Center curves by a training mean and smooth them with the fit's ridge."""
     centered = FunctionalDataset(grid=data.grid, values=data.values - mean)
-    ridge = fit.options.get("ridge", FIT_OPTIONS["ridge"])
-    return project(smooth_curves(centered, decomp.basis, ridge), decomp)
+    return smooth_curves(centered, basis, fit.options.get("ridge", FIT_OPTIONS["ridge"]))
 
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
@@ -306,16 +309,34 @@ def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     return a.size == b.size and np.allclose(a, b, rtol=0, atol=1e-12)
 
 
-def predict(
-    fit: SfofrFit, x_new: FunctionalDataset, weights_new: SpatialWeights
-) -> FunctionalDataset:
-    """Out-of-sample prediction using the test set's own weight matrix."""
+def _new_scores(fit: SfofrFit, x_new: FunctionalDataset, weights_new: SpatialWeights):
+    """``predict``'s checks, then the scores of new predictor curves."""
     if not _same_grid(x_new.grid, fit.x_grid):
         raise ParameterError("new predictor grid differs from the training grid")
     if weights_new.n != x_new.n:
         raise ParameterError("weight matrix size must match the number of new units")
-    scores = _scores(fit, x_new, fit.x_mean, fit.predictor_decomp)
+    return project(_smooth(fit, x_new, fit.x_mean, fit.x_basis), fit.predictor_decomp)
+
+
+def predict(
+    fit: SfofrFit, x_new: FunctionalDataset, weights_new: SpatialWeights
+) -> FunctionalDataset:
+    """Out-of-sample prediction using the test set's own weight matrix."""
+    scores = _new_scores(fit, x_new, weights_new)
     return _predict_from_scores(fit, scores, weights_new, ids=x_new.ids)
+
+
+def _response_coeffs(fit: SfofrFit, y_data: FunctionalDataset) -> BasisCoefficients:
+    """``represent_response``'s check, then the smoothed, centered curves."""
+    if not _same_grid(y_data.grid, fit.y_grid):
+        raise ParameterError("response grid differs from the training grid")
+    return _smooth(fit, y_data, fit.y_mean, fit.y_basis)
+
+
+def _represent(fit: SfofrFit, y_coeffs: BasisCoefficients, ids=None) -> FunctionalDataset:
+    """Smoothed, centered response curves projected onto the fit's retained
+    components, reconstructed, with the training mean re-added."""
+    return _curves(fit, project(y_coeffs, fit.response_decomp), ids)
 
 
 def represent_response(fit: SfofrFit, y_data: FunctionalDataset) -> FunctionalDataset:
@@ -325,9 +346,7 @@ def represent_response(fit: SfofrFit, y_data: FunctionalDataset) -> FunctionalDa
     This is the functional object the model actually predicts; evaluation
     metrics compare predictions against it.
     """
-    if not _same_grid(y_data.grid, fit.y_grid):
-        raise ParameterError("response grid differs from the training grid")
-    return _curves(fit, _scores(fit, y_data, fit.y_mean, fit.response_decomp), y_data.ids)
+    return _represent(fit, _response_coeffs(fit, y_data), y_data.ids)
 
 
 # --- diagnostics and metrics -------------------------------------------------

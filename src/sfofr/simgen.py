@@ -10,7 +10,7 @@ symmetric, so the trapezoid weights symmetrize R as the row sums d symmetrize
 a lattice W (the eigenvalue route of Ord 1975, on both sides). The result is
 certified by its residual max|Y - W Y R - G|. SimConfig.make_weights hands
 out one shared, read-only weight matrix per (kind, decay, n), so every
-replication reuses its eigendecomposition.
+replication reuses its eigendecomposition; R's is computed once per (grid, alpha).
 
 True surfaces:
     beta(s, t) = 2 + s + t + 0.5 sin(2 pi s t)
@@ -18,9 +18,10 @@ True surfaces:
 
 run_replication generates disjoint train/test sets (each with its own weight
 matrix of the same kind), fits the spatial model and the non-spatial FPC
-baseline, and reports ISE for both surfaces plus in-sample MSE and
-out-of-sample MSPE. Replications draw from independent streams keyed by
-(seed, replication_index), so any subset of replications is reproducible.
+baseline, sharing every step the two fits have in common, and reports ISE
+for both surfaces plus in-sample MSE and out-of-sample MSPE. Replications
+draw from independent streams keyed by (seed, replication_index), so any
+subset of replications is reproducible.
 """
 
 from __future__ import annotations
@@ -33,19 +34,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import GenerationError, ParameterError
-from .fdbasis import FunctionalDataset, make_bspline_basis, smooth_curves, trapezoid_weights
+from .fdbasis import FunctionalDataset, _read_only, evaluate_basis, make_bspline_basis
+from .fdbasis import smooth_curves, trapezoid_weights
 from .msar import _triangular_solve
 from .pipeline import (
     SurfaceEstimate,
-    fit_fofr_fpc,
-    fit_sfofr,
+    _fit_baseline,
+    _fit_spatial,
+    _front_end,
+    _new_scores,
+    _predict_from_scores,
+    _represent,
+    _response_coeffs,
+    _warn_if_unconverged,
     fitted_values,
     ise_surface,
     mse_curves,
-    predict,
     reconstruct_beta,
     reconstruct_rho,
-    represent_response,
 )
 from .spatial import SpatialWeights, exponential_weights, inverse_distance_weights
 
@@ -157,9 +163,22 @@ def _noise(n: int, grid: np.ndarray, sd: float, smooth: bool, rng) -> np.ndarray
     # smooth-noise option: project the white noise onto a cubic spline basis
     basis = make_bspline_basis(min(20, grid.size), 3)
     coeffs = smooth_curves(FunctionalDataset(grid=grid, values=eps), basis)
-    from .fdbasis import evaluate_basis
-
     return coeffs.coef @ evaluate_basis(basis, grid).T
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_operators(grid_bytes: bytes, alpha: float) -> tuple:
+    """gen_response's read-only quantities that depend on the grid and alpha
+    only: the trapezoid weights D_w, beta on the grid, R = D_w K, and R's real
+    eigen-triple (diag mu, S, S^-1)."""
+    grid = np.frombuffer(grid_bytes)
+    w_quad = trapezoid_weights(grid)
+    kernel = true_rho(grid[:, None], grid[None, :], alpha)
+    root = np.sqrt(w_quad)  # D_w^{1/2}
+    mu, v = np.linalg.eigh(root[:, None] * kernel * root[None, :])
+    beta_mat = true_beta(grid[:, None], grid[None, :])
+    out = (w_quad, beta_mat, w_quad[:, None] * kernel, np.diag(mu), root[:, None] * v, v.T / root)
+    return tuple(map(_read_only, out))
 
 
 def gen_response(
@@ -190,15 +209,10 @@ def gen_response(
     if not 0 <= alpha < 1:
         raise ParameterError("alpha must lie in [0, 1)")
     grid = x_data.grid
-    w_quad = trapezoid_weights(grid)
-    beta_mat = true_beta(grid[:, None], grid[None, :])
+    w_quad, beta_mat, rho_quad, diag_mu, s, s_inv = _grid_operators(grid.tobytes(), alpha)
     g = (x_data.values * w_quad) @ beta_mat
     g += _noise(x_data.n, grid, noise_sd, smooth_noise, rng)
-    kernel = true_rho(grid[:, None], grid[None, :], alpha)
-    rho_quad = w_quad[:, None] * kernel
-    root = np.sqrt(w_quad)  # D_w^{1/2}
-    mu, v = np.linalg.eigh(root[:, None] * kernel * root[None, :])
-    y = _triangular_solve(np.diag(mu), root[:, None] * v, v.T / root, weights, g)
+    y = _triangular_solve(diag_mu, s, s_inv, weights, g)
     residual = float(np.max(np.abs(y - weights.matmul(y) @ rho_quad - g)))
     if not residual <= neumann_tol:
         raise GenerationError(
@@ -257,25 +271,31 @@ def run_replication(cfg: SimConfig, replication_index: int = 0) -> dict:
     corresponding fitted decomposition (scores of the smoothed curves mapped
     through the retained eigenfunctions), matching what each method can
     actually resolve.
+
+    Both fits share one front end; the test predictor scores and the smoothed
+    test responses are computed once and projected per method. The results
+    equal those of the public calls made apart, bit for bit.
     """
     rng = replication_rng(cfg.seed, replication_index)
     grid = cfg.grid
     w_train, x_train, y_train = _draw(cfg, cfg.n_train, rng)
     w_test, x_test, y_test = _draw(cfg, cfg.n_test, rng)
     beta_truth, rho_truth = _true_surfaces(cfg)
+    y_coeffs, shared = _front_end(y_train, x_train, cfg.fit_options)
+    spatial = _warn_if_unconverged(_fit_spatial(y_coeffs, shared, w_train))
+    fits = {"sfofr": spatial, "fpc": _fit_baseline(y_coeffs, shared)}
+    x_scores = _new_scores(spatial, x_test, w_test)
+    y_test_coeffs = _response_coeffs(spatial, y_test)
     results = {}
-    for method in ("sfofr", "fpc"):
-        if method == "sfofr":
-            fit = fit_sfofr(y_train, x_train, w_train, options=cfg.fit_options)
-            ise_rho = ise_surface(reconstruct_rho(fit, grid, grid), rho_truth)
-        else:
-            fit = fit_fofr_fpc(y_train, x_train, options=cfg.fit_options)
-            ise_rho = float("nan")
+    for method, fit in fits.items():
+        rho_hat = reconstruct_rho(fit, grid, grid) if fit is spatial else None
         results[method] = {
             "ise_beta": ise_surface(reconstruct_beta(fit, grid, grid), beta_truth),
-            "ise_rho": ise_rho,
-            "mse": mse_curves(fitted_values(fit), represent_response(fit, y_train)),
-            "mspe": mse_curves(predict(fit, x_test, w_test), represent_response(fit, y_test)),
+            "ise_rho": float("nan") if rho_hat is None else ise_surface(rho_hat, rho_truth),
+            "mse": mse_curves(fitted_values(fit), _represent(fit, y_coeffs)),
+            "mspe": mse_curves(
+                _predict_from_scores(fit, x_scores, w_test), _represent(fit, y_test_coeffs)
+            ),
         }
     return results
 

@@ -28,7 +28,7 @@ from .exceptions import (
     PreconditionError,
     UndefinedStatisticError,
 )
-from .fdbasis import BasisCoefficients, evaluate_basis
+from .fdbasis import BasisCoefficients, _read_only, evaluate_basis
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -122,9 +122,15 @@ class SpatialWeights:
 
         rho(W) <= ||W||_inf, with equality whenever all row sums agree. A
         row-normalized W without isolated units therefore has rho(W) = 1
-        exactly; for other W the bound is conservative.
+        exactly; for other W the bound is conservative. A W with a balance
+        vector is read-only, so its bound is kept after the first call.
         """
-        return float(np.max(self.row_sums())) if self.n else 0.0
+        bound = self.__dict__.get("_row_sum_bound")
+        if bound is None:
+            bound = float(np.max(self.row_sums())) if self.n else 0.0
+            if self.balance is not None:
+                self.__dict__["_row_sum_bound"] = bound
+        return bound
 
     @cached_property
     def _spectrum(self):
@@ -167,11 +173,6 @@ class GeoCoordinates:
     @property
     def n(self) -> int:
         return self.lat.size
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _lattice_weights(n: int, kernel, kind: str) -> SpatialWeights:

@@ -142,6 +142,32 @@ class TestDesignMatrix:
             assert ours.tobytes() == oracle.tobytes()
 
 
+class TestDesignMatrixCache:
+    GRID = np.arange(1, 102) / 101
+
+    def test_read_only_and_equal_to_uncached(self):
+        from sfofr.fdbasis import _design_matrix
+
+        basis = make_bspline_basis(20, 3)
+        phi = evaluate_basis(basis, self.GRID)
+        assert phi.tobytes() == _design_matrix(basis.knots, 3, self.GRID).tobytes()
+        assert evaluate_basis(basis, list(self.GRID)) is phi
+        with pytest.raises(ValueError, match="read-only"):
+            phi[0, 0] = 1.0
+
+    def test_bases_and_grids_do_not_collide(self):
+        from sfofr.fdbasis import _design_matrix
+
+        other_grid = np.linspace(0.0, 1.0, 101)
+        cases = [(20, 3, self.GRID), (12, 3, self.GRID), (20, 2, self.GRID), (20, 3, other_grid)]
+        bases = [(make_bspline_basis(num_basis, degree), grid) for num_basis, degree, grid in cases]
+        for basis, grid in bases:
+            evaluate_basis(basis, grid)
+        for basis, grid in bases:
+            expected = _design_matrix(basis.knots, basis.degree, grid)
+            assert evaluate_basis(basis, grid).tobytes() == expected.tobytes()
+
+
 class TestSmoothCurves:
     def test_recovers_in_span_curves(self):
         rng = np.random.default_rng(11)

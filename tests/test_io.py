@@ -298,6 +298,18 @@ class TestNumericCodec:
         body.write_text(text.split("\n", 1)[1])
         assert bits(read_matrix_csv(body)) == bits(triples)
 
+    def test_surface_writer_bytes_match_per_row_format(self, tmp_path):
+        ugrid = np.array([0.0, 0.01, 0.3, 1 / 3, 0.9, 1.0])
+        tgrid = np.array([0.0, 0.25, 0.7, 1.0])
+        values = np.resize([-0.0, 5e-324, 1e308, -1 / 3, 0.1], (6, 4))
+        path = tmp_path / "surface.csv"
+        write_surface_csv(path, SurfaceEstimate(ugrid=ugrid, tgrid=tgrid, values=values))
+        rows = [
+            "%.17g,%.17g,%.17g\n" % (u, t, values[a, b])
+            for a, u in enumerate(ugrid) for b, t in enumerate(tgrid)
+        ]
+        assert path.read_bytes() == ("u,t,value\n" + "".join(rows)).encode()
+
     def test_moran_writer(self, tmp_path):
         tgrid = np.linspace(0.0, 1.0, len(SPECIAL))
         path = tmp_path / "moran.csv"

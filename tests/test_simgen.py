@@ -11,16 +11,26 @@ from sfofr import (
     SimConfig,
     SpatialWeights,
     exponential_weights,
+    fit_fofr_fpc,
+    fit_sfofr,
+    fitted_values,
     gen_predictors,
     gen_response,
     generate,
     inverse_distance_weights,
+    ise_surface,
+    mse_curves,
+    predict,
+    reconstruct_beta,
+    reconstruct_rho,
+    represent_response,
     run_replication,
     trapezoid_weights,
     true_beta,
     true_rho,
 )
 from sfofr.msar import reduced_form_solve
+from sfofr.simgen import replication_rng
 
 
 class ZeroStream:
@@ -330,3 +340,49 @@ class TestRunReplication:
             for method in ("sfofr", "fpc"):
                 for key in ("ise_beta", "mse", "mspe"):
                     assert rep_s[method][key] == rep_p[method][key]
+
+    @pytest.mark.filterwarnings("ignore:score-space fit did not converge")
+    @pytest.mark.parametrize(
+        "kind,alpha,fit_options",
+        [
+            ("exponential", 0.7, None),
+            ("inverse", 0.3, None),
+            ("exponential", 0.7, {"num_basis": 12, "var_threshold": 0.9}),
+            ("inverse", 0.3, {"num_basis": 12, "var_threshold": 0.9}),
+        ],
+    )
+    def test_matches_public_calls_bit_for_bit(self, kind, alpha, fit_options):
+        cfg = SimConfig(
+            n_train=60, n_test=40, alpha=alpha, weight_kind=kind, seed=21, grid_size=41,
+            smooth_noise=fit_options is not None, fit_options=fit_options,
+        )
+        rng = replication_rng(cfg.seed, 2)
+        train, test = generate(cfg, cfg.n_train, rng), generate(cfg, cfg.n_test, rng)
+        g = cfg.grid
+        expected = {}
+        for method in ("sfofr", "fpc"):
+            if method == "sfofr":
+                fit = fit_sfofr(train.y_data, train.x_data, train.weights, options=fit_options)
+                ise_rho = ise_surface(reconstruct_rho(fit, g, g), train.rho_surface)
+            else:
+                fit = fit_fofr_fpc(train.y_data, train.x_data, options=fit_options)
+                ise_rho = float("nan")
+            pred = predict(fit, test.x_data, test.weights)
+            expected[method] = {
+                "ise_beta": ise_surface(reconstruct_beta(fit, g, g), train.beta_surface),
+                "ise_rho": ise_rho,
+                "mse": mse_curves(fitted_values(fit), represent_response(fit, train.y_data)),
+                "mspe": mse_curves(pred, represent_response(fit, test.y_data)),
+            }
+        got = run_replication(cfg, 2)
+        hexed = {m: {k: float(v).hex() for k, v in r.items()} for m, r in got.items()}
+        assert hexed == {m: {k: float(v).hex() for k, v in r.items()} for m, r in expected.items()}
+
+    def test_unconverged_spatial_fit_warns(self):
+        cfg = SimConfig(
+            n_train=40, n_test=30, alpha=0.5, seed=16, grid_size=41,
+            fit_options={"num_basis": 12, "msar_max_iter": 1},
+        )
+        with pytest.warns(UserWarning, match="did not converge: max_iter reached") as record:
+            run_replication(cfg, 0)
+        assert [r.filename for r in record] == [__file__]

@@ -263,6 +263,20 @@ class TestSpectralRadiusBound:
         assert w.spectral_radius() > eigen_modulus(w)
 
 
+class TestRowSumBoundCache:
+    def test_lattice_bound_is_the_maximum_row_sum(self):
+        w = exponential_weights(40, 0.5)
+        assert w.spectral_radius() == float(np.max(w.row_sums()))
+        assert w.spectral_radius() == float(np.max(w.row_sums()))
+
+    def test_custom_dense_bound_follows_in_place_edits(self):
+        w = SpatialWeights(matrix=np.array([[0, 2, 2], [1, 0, 0], [3, 1, 0.0]]))
+        assert w.balance is None
+        assert w.spectral_radius() == 4.0
+        w.matrix[1, 0] = 7.0
+        assert w.spectral_radius() == 7.0
+
+
 class TestSpectralForm:
     @pytest.mark.parametrize(
         "w", [exponential_weights(30, 0.5), inverse_distance_weights(30)],
