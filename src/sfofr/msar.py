@@ -16,24 +16,18 @@ m[i, k] = 1 / (Omega_e[k, k] + (rho Omega_e rho')[k, k] * (W'W)[i, i]).
 
 Omega_e is parameterized through its upper-triangular Cholesky factor U with
 log-diagonal (zeta), which keeps it positive definite without constraints.
-Q is exactly quadratic in B, so the fit profiles B out in closed form and runs
-one quasi-Newton (BFGS) descent over (vec rho, zeta), as concentrated
-quasi-maximum likelihood does for SAR models (Lee 2004, Econometrica). The
-gradient is analytic in every block. Q(c Omega_e) = Q(Omega_e) for any c > 0,
-so the first log-diagonal entry of U is held fixed. Candidate steps that push
-the spectral radius of rho to 1 - iota or beyond are backtracked, and a
-descent that ends at that bound is checked against one capped rerun (see
-fit_msar).
+B enters the residual linearly, so Q is a separable least-squares problem: the fit
+profiles B out by one QR per evaluation (variable projection, Golub and
+Pereyra 1973) and runs Levenberg-Marquardt over (vec rho, zeta) on the
+projected residual, with Kaufman's (1975) analytic Jacobian. Q(c Omega_e) =
+Q(Omega_e) for any c > 0, so the first log-diagonal entry of U is held fixed.
+Every iterate keeps the spectral radius of rho below 1 - iota, and a fit that
+ends at that bound is checked against one capped rerun (see fit_msar).
 
-Fitted values come from the reduced form M - W M rho = C. _triangular_solve
-solves M - W M R = C for any R given as Z T Z^-1 with T upper triangular:
-one shifted n x n solve per column of T, in triangular order, or, for a W
-with a balance vector (the lattice kernels, see spatial), one division per
-column in W's cached eigenbasis, and a single broadcast division when T is
-diagonal. reduced_form_solve hands it the complex Schur form of rho, one
-path for every rho; simgen.gen_response hands it the real eigenbasis of the
-trapezoid-weighted rho surface. The divergence guard bounds rho(W) by the
-maximum row sum of W (SpatialWeights.spectral_radius).
+Fitted values come from the reduced form M - W M rho = C, solved by
+_triangular_solve for R = Z T Z^-1 with T upper triangular: reduced_form_solve
+hands it the complex Schur form of rho, and simgen.gen_response the real
+eigenbasis of the trapezoid-weighted rho surface.
 """
 
 from __future__ import annotations
@@ -54,11 +48,8 @@ IOTA = 1e-3  # spectral safety margin: |lambda_1(rho)| < 1 - IOTA
 
 
 def spectral_radius(m) -> float:
-    """Largest absolute eigenvalue of a small dense square matrix.
-
-    Every caller passes a Ky x Ky matrix (rho or a candidate step), so one
-    dense eigenvalue solve is exact to rounding and cheap.
-    """
+    """Largest absolute eigenvalue of a small dense square matrix (rho or a
+    candidate step), by one dense eigenvalue solve."""
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError("spectral_radius needs a square matrix")
@@ -145,9 +136,7 @@ class MsarParams:
         if np.any(np.diag(u) <= 0):
             raise ParameterError("prec_chol diagonal must be positive")
         if spectral_radius(rho) >= 1 - IOTA:
-            raise ParameterError(
-                f"spectral radius of rho must stay below 1 - {IOTA}"
-            )
+            raise ParameterError(f"spectral radius of rho must stay below 1 - {IOTA}")
 
     @property
     def k_y(self) -> int:
@@ -168,7 +157,7 @@ class MsarFit:
     """Result of fit_msar: estimates plus convergence diagnostics.
 
     ``objective_trace`` and ``spectral_radius_trace`` record the objective and
-    |lambda_1(rho)| at the start and after every accepted step of the descent;
+    |lambda_1(rho)| at the start and after every accepted step of the fit;
     ``iterations`` counts those steps. ``fit_msar`` leaves ``warm_iterations``
     at 0; fit bundles still record the field.
     """
@@ -207,14 +196,12 @@ def _pack(rho: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _unpack(theta: np.ndarray, k_y: int, k_x: int):
-    nr = k_y * k_y
-    nb = k_x * k_y
+    nr, nb = k_y * k_y, k_x * k_y
     rho = theta[:nr].reshape(k_y, k_y, order="F")
     b = theta[nr : nr + nb].reshape(k_x, k_y, order="F")
     u = np.zeros((k_y, k_y))
     u[_triu(k_y)[0]] = theta[nr + nb :]
-    d = np.arange(k_y)
-    u[d, d] = np.exp(u[d, d])
+    u[np.diag_indices(k_y)] = np.exp(np.diag(u))
     return rho, b, u
 
 
@@ -260,11 +247,8 @@ def _objective_raw(theta: np.ndarray, data: MsarData) -> float:
 
 
 def objective(params: MsarParams, data: MsarData) -> float:
-    """Least-squares objective Q(Theta) >= 0, computed Kronecker-free.
-
-    Equivalent chain: R = Y - W Y rho - X B; N = R Omega_e;
-    G = N - W' N rho'; Q = ||m (.) G||_F^2.
-    """
+    """Least-squares objective Q(Theta) = ||m (.) G||_F^2 >= 0, Kronecker-free
+    (G as in ``_chain``)."""
     return _objective_raw(_pack(params.rho, params.b, params.prec_chol), data)
 
 
@@ -303,36 +287,63 @@ def gradient(params: MsarParams, data: MsarData) -> np.ndarray:
 # --- estimation -------------------------------------------------------------
 
 
-def _profile_b(theta: np.ndarray, data: MsarData) -> np.ndarray:
-    """argmin over B of Q at theta's rho and zeta (theta's B block is ignored).
+def _unit_steps(rows: int, cols: int) -> np.ndarray:
+    """Unit steps of a rows x cols matrix in vec order: steps[a + b rows] = e_a e_b'."""
+    return np.eye(rows * cols).reshape(-1, cols, rows).transpose(0, 2, 1)
 
-    G is affine in B, so this is one linear least-squares problem of size
-    nKy x KxKy.
+
+def _jacobian(chain, data: MsarData) -> np.ndarray:
+    """d(m (.) G)/dx at ``_chain``'s pieces, B held fixed, over the search
+    variables x = (vec rho, zeta without its first entry); rows follow the
+    row-major n x Ky residual. Variable t moves rho by d rho[t] and Omega_e
+    by dOmega[t] = dU'U + U'dU; with dR = -WY d rho, dG = dR Omega_e +
+    R dOmega - W'dR Omega_e rho' - W'R (dOmega rho' + Omega_e d rho'), and
+    m moves by -m^2 (.) (diag(dOmega) + diag(W'W) diag(d(rho Omega_e rho'))).
+    """
+    rho, u, omega_e, r, rt, g, m = chain
+    k, p = data.k_y, data._products
+    (rows, cols), diag = _triu(k)
+    # dU'U has row j = U[i, :] times the step of U[i, j]: U[i, i] if i == j, else 1
+    lead = (np.where(diag, u[rows, cols], 1.0)[:, None] * u[rows])[1:]
+    half = np.eye(k)[cols[1:], :, None] * lead[:, None, :]
+    d_rho = np.concatenate([_unit_steps(k, k), np.zeros_like(half)])
+    d_omega = np.concatenate([np.zeros((k * k, k, k)), half + half.transpose(0, 2, 1)])
+    rot, d_rho_t = omega_e @ rho.T, d_rho.transpose(0, 2, 1)
+    coef = np.concatenate(
+        [-d_rho @ omega_e, d_rho @ rot, d_omega, -d_omega @ rho.T - omega_e @ d_rho_t], axis=1
+    )
+    d_g = np.concatenate([p["wy"], p["wtwy"], r, rt], axis=1) @ coef
+    d_quad = np.einsum("tkk->tk", 2.0 * d_rho @ rot + rho @ d_omega @ rho.T)
+    d_m = np.einsum("tkk->tk", d_omega)[:, None] + p["dwtw"][:, None] * d_quad[:, None]
+    return (m * d_g - (m * m * g) * d_m).reshape(len(coef), -1).T
+
+
+def _profiled(theta: np.ndarray, data: MsarData):
+    """Profile B out of Q at theta's rho and zeta (theta's B block is ignored).
+
+    m (.) G = m (.) G0 - D vec(B), with G0 its value at B = 0. The thin SVD of
+    the design gives the minimum-norm B, an orthonormal basis Q of range(D)
+    and r = (I - QQ')(m (.) G0), which is m (.) G at that B. Returns theta
+    with B filled, r, Q and ``_chain`` at that B.
     """
     k_y, k_x = data.k_y, data.k_x
+    block = slice(k_y * k_y, k_y * (k_y + k_x))
     theta = theta.copy()
-    theta[k_y * k_y : k_y * (k_y + k_x)] = 0.0
-    rho, _, omega_e, _, _, g0, m = _chain(theta, data)
+    theta[block] = 0.0
+    rho, u, omega_e, r0, rt0, g0, m = _chain(theta, data)
     wtx = data._products["wtx"]
-    # design[i, k, q, pp] = -dG[i, k] / dB[pp, q]; (q, pp) flattens to vec(B)
-    design = np.einsum("ip,qk->ikqp", data.xmat, omega_e) - np.einsum(
-        "ip,qk->ikqp", wtx, omega_e @ rho.T
-    )
-    design = (m[:, :, None, None] * design).reshape(data.n * k_y, k_y * k_x)
-    sol, *_ = np.linalg.lstsq(design, (m * g0).ravel(), rcond=None)
-    return sol.reshape(k_x, k_y, order="F")
-
-
-def _bfgs_update(h, s, yv):
-    sy = s @ yv
-    if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-        return h
-    hy = h @ yv
-    return (
-        h
-        + ((sy + yv @ hy) / sy**2) * np.outer(s, s)
-        - (np.outer(hy, s) + np.outer(s, hy)) / sy
-    )
+    steps = _unit_steps(k_x, k_y)  # a step dB moves G by -X dB Omega_e + W'X dB Omega_e rho'
+    xs = np.concatenate([data.xmat, wtx], axis=1)
+    design = xs @ np.concatenate([steps @ omega_e, -steps @ omega_e @ rho.T], axis=1)
+    qmat, sv, vt = np.linalg.svd((m * design).reshape(len(steps), -1).T, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(qmat.shape) * np.finfo(float).eps))  # lstsq's cutoff
+    qmat, y = qmat[:, :rank], (m * g0).ravel()
+    coef = qmat.T @ y
+    resid = y - qmat @ coef
+    b = (vt[:rank].T @ (coef / sv[:rank])).reshape(k_x, k_y, order="F")
+    theta[block] = b.ravel(order="F")
+    chain = rho, u, omega_e, r0 - data.xmat @ b, rt0 - wtx @ b, resid.reshape(m.shape) / m, m
+    return theta, resid, qmat, chain
 
 
 def _default_init(data: MsarData) -> np.ndarray:
@@ -355,108 +366,97 @@ def fit_msar(
     tol: float | None = None,
     max_iter: int = 500,
 ) -> MsarFit:
-    """One safeguarded BFGS descent of Q with B profiled out.
+    """Levenberg-Marquardt (Moré 1978) on the variable-projection residual of Q.
 
-    The search runs over x = (vec rho, zeta without its first entry). Each
-    evaluation solves B = argmin_B Q in closed form (``_profile_b``), and by
-    the envelope theorem the search gradient is the rho and zeta blocks of the
-    analytic gradient at that B. The first log-diagonal entry of U stays at
-    its start value: Q(c Omega_e) = Q(Omega_e), so it is a flat direction.
+    The search runs over x = (vec rho, zeta without its first entry), from
+    ``init``'s rho and U or by default from rho = 0 and the inverse OLS
+    residual covariance. Each evaluation profiles B out (``_profiled``);
+    Kaufman's Jacobian J = (I - QQ') dr/dx (``_jacobian``) gives the damped
+    Gauss-Newton step, and as r is orthogonal to the B design, 2 J'r is the
+    search gradient. Candidates with |lambda_1(rho)| at the cap 1 - iota are
+    refused by raising the damping. A candidate is accepted when it lowers
+    Q, the change computed as (r_new - r).(r_new + r), or, at Q's rounding
+    floor, when Q rises by at most 64 eps Q and |J'r| falls.
 
-    The descent starts from ``init``'s rho and U (B is re-profiled), or by
-    default from rho = 0 and Omega_e the inverse OLS residual covariance,
-    where the profiled B is OLS. Every candidate step is backtracked until
-    |lambda_1(rho)| < 1 - iota and an Armijo decrease holds, so the objective
-    trace is nonincreasing and all iterates are feasible. Convergence is
-    declared when the search gradient norm drops to ``tol`` (default
-    1e-8 * max(1, Q_start)); otherwise the fit stops at ``max_iter`` or when
-    no further descent step exists, with the reason in ``message``.
-
-    A descent that ends with the spectral constraint binding is rerun from
-    the same start (when that start lies inside the cap) with the spectral
-    radius capped at 0.5, and the capped fit replaces it when its objective
-    is within 5%.
+    ``message`` says why the fit stopped: "gradient norm below tolerance"
+    (``converged``: |dQ/dx| <= ``tol``, by default 1e-8 * max(1, Q_start));
+    "stopped at the spectral-radius constraint boundary" (the cap blocked the
+    damped steps); "no step lowers Q"; or "max_iter reached". A fit that ends
+    at the cap is rerun from the same start (when that start lies inside the
+    cap) with the spectral radius capped at 0.5, and the capped fit replaces
+    it when its objective is within 5%.
     """
     k_y, k_x = data.k_y, data.k_x
     if data.n <= k_y + k_x:
-        raise ParameterError(
-            f"need n > Ky + Kx = {k_y + k_x} observations for identifiability"
-        )
+        raise ParameterError(f"need n > Ky + Kx = {k_y + k_x} observations for identifiability")
     if init is not None:
         if init.k_y != k_y or init.k_x != k_x:
             raise ParameterError("init dimensions do not match data")
         rho0, u0 = init.rho, init.prec_chol
     else:
         rho0, u0 = np.zeros((k_y, k_y)), _default_init(data)
-    nr, nb = k_y * k_y, k_x * k_y
-    base = _pack(rho0, np.zeros((k_x, k_y)), u0)
-    free = np.r_[0:nr, nr + nb + 1 : base.size]
-
-    def evaluate(x):
-        theta = base.copy()
-        theta[free] = x
-        theta[nr : nr + nb] = _profile_b(theta, data).ravel(order="F")
-        return _objective_raw(theta, data), theta
-
-    x0 = base[free]
-    start = evaluate(x0)
-    if not np.isfinite(start[0]):
+    start = _profiled(_pack(rho0, np.zeros((k_x, k_y)), u0), data)
+    free = np.r_[0 : k_y * k_y, k_y * (k_y + k_x) + 1 : start[0].size]
+    q0 = float(start[1] @ start[1])
+    if not np.isfinite(q0):
         raise NumericalError("objective is non-finite at the starting point")
     if tol is None:
-        tol = 1e-8 * max(1.0, start[0])
-    eye = np.eye(x0.size)
+        tol = 1e-8 * max(1.0, q0)
+
+    def linearize(qmat, chain):
+        jac = _jacobian(chain, data)
+        return jac - qmat @ (qmat.T @ jac)
+
+    def grad_norm(theta):
+        return float(np.linalg.norm(_gradient_raw(theta, data)[free]))
 
     def descend(cap):
-        x, (q, theta) = x0, start
-        trace = [q]
-        sr_trace = [spectral_radius(rho0)]
-        grad = _gradient_raw(theta, data)[free]
-        h = eye
-        message = "max_iter reached"
-        for it in range(max_iter):
-            if np.linalg.norm(grad) <= tol:
+        theta, r, qmat, chain = start
+        jac = linearize(qmat, chain)
+        jtr_norm, q, lam = np.linalg.norm(jac.T @ r), q0, None
+        trace, sr_trace, message = [q], [spectral_radius(rho0)], "max_iter reached"
+        for _ in range(max_iter):
+            if 2 * jtr_norm <= tol and grad_norm(theta) <= tol:
                 break
-            d = -h @ grad
-            if d @ grad >= 0:  # safeguard against loss of positive definiteness
-                h, d = eye, -grad
-            reach = max(1.0, np.linalg.norm(x)) / max(np.linalg.norm(d), 1e-300)
-            step = min(1.0, reach) if it == 0 else 1.0
-            accepted = saw_feasible = False
-            # stop once the trial displacement is negligible relative to x
-            while step > 1e-15 * reach:
-                cand = x + step * d
-                sr_cand = spectral_radius(cand[:nr].reshape(k_y, k_y, order="F"))
+            uj, sv, vt = np.linalg.svd(jac, full_matrices=False)
+            ur = uj.T @ r
+            lam = 1e-3 * sv[0] ** 2 if lam is None else lam
+            nu, blocked, accepted = 2.0, False, False
+            while not accepted:
+                z = -sv * ur / (sv * sv + lam + np.finfo(float).tiny)  # no 0/0 at sv = 0
+                step = vt.T @ z
+                if np.linalg.norm(step) <= 1e-15 * max(1.0, np.linalg.norm(theta[free])):
+                    break
+                cand = theta.copy()
+                cand[free] += step
+                sr_cand = spectral_radius(cand[: k_y * k_y].reshape(k_y, k_y, order="F"))
+                blocked |= sr_cand >= cap
                 if sr_cand < cap:
-                    saw_feasible = True
-                    q_cand, theta_cand = evaluate(cand)
-                    if np.isfinite(q_cand) and q_cand <= q + 1e-4 * step * (grad @ d):
-                        accepted = True
-                        break
-                step *= 0.5
+                    cand, r_c, qmat_c, chain_c = _profiled(cand, data)
+                    change = float((r_c - r) @ (r_c + r))
+                    if change <= 64 * np.finfo(float).eps * q:  # lower, or at the floor
+                        jac_c = linearize(qmat_c, chain_c)
+                        accepted = change < 0 or np.linalg.norm(jac_c.T @ r_c) < jtr_norm
+                if not accepted:
+                    lam, nu = lam * nu, 2 * nu
             if not accepted:
-                if h is not eye:
-                    h = eye  # restart with steepest descent once
-                    continue
-                message = (
-                    "line search found no further descent"
-                    if saw_feasible
-                    else "stopped at the spectral-radius constraint boundary"
-                )
+                message = ("stopped at the spectral-radius constraint boundary" if blocked
+                           else "no step lowers Q")
                 break
-            grad_new = _gradient_raw(theta_cand, data)[free]
-            s, yv = cand - x, grad_new - grad
-            if it == 0 and s @ yv > 0:
-                h = ((s @ yv) / (yv @ yv)) * eye
-            h = _bfgs_update(h, s, yv)
-            x, q, theta, grad = cand, q_cand, theta_cand, grad_new
+            if change < 0:  # Nielsen's update from the gain ratio
+                predicted = 2 * (ur @ (sv * z)) + (sv * z) @ (sv * z)
+                gain = change / predicted if predicted < change else 1.0
+                lam *= max(1 / 3, 1 - (2 * gain - 1) ** 3)
+            theta, r, jac, q = cand, r_c, jac_c, float(r_c @ r_c)
+            jtr_norm = np.linalg.norm(jac.T @ r)
             trace.append(q)
             sr_trace.append(sr_cand)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
+        norm = grad_norm(theta)
+        if norm <= tol:
             message = "gradient norm below tolerance"
-        return theta, q, grad_norm, trace, sr_trace, message
+        return theta, q, norm, trace, sr_trace, message
 
-    theta, q, grad_norm, trace, sr_trace, message = descend(1 - IOTA)
+    theta, q, norm, trace, sr_trace, message = descend(1 - IOTA)
     if sr_trace[-1] >= 1 - 2 * IOTA and sr_trace[0] < 0.5:
         # Near the boundary S approaches singularity and Q loses its power to
         # discriminate, so weakly dependent data can show a spurious
@@ -464,15 +464,14 @@ def fit_msar(
         # wins when it costs at most 5% of Q; strong dependence costs more.
         capped = descend(0.5)
         if capped[1] <= 1.05 * q:
-            theta, q, grad_norm, trace, sr_trace, message = capped
+            theta, q, norm, trace, sr_trace, message = capped
             message += "; interior solution preferred over boundary minimum"
-    rho, b, u = _unpack(theta, k_y, k_x)
     return MsarFit(
-        params=MsarParams(rho=rho, b=b, prec_chol=u),
+        params=MsarParams(*_unpack(theta, k_y, k_x)),
         objective=q,
-        grad_norm=grad_norm,
+        grad_norm=norm,
         iterations=len(trace) - 1,
-        converged=grad_norm <= tol,
+        converged=norm <= tol,
         objective_trace=tuple(trace),
         tolerance=float(tol),
         message=message,
