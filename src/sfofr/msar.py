@@ -17,7 +17,7 @@ m[i, k] = 1 / (Omega_e[k, k] + (rho Omega_e rho')[k, k] * (W'W)[i, i]).
 Omega_e is parameterized through its upper-triangular Cholesky factor U with
 log-diagonal (zeta), which keeps it positive definite without constraints.
 B enters the residual linearly, so Q is a separable least-squares problem: the fit
-profiles B out by one QR per evaluation (variable projection, Golub and
+profiles B out by one thin SVD per evaluation (variable projection, Golub and
 Pereyra 1973) and runs Levenberg-Marquardt over (vec rho, zeta) on the
 projected residual, with Kaufman's (1975) analytic Jacobian. Q(c Omega_e) =
 Q(Omega_e) for any c > 0, so the first log-diagonal entry of U is held fixed.
@@ -528,7 +528,9 @@ def _triangular_solve(
 
         Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
 
-    so a diagonal T makes Y one broadcast division; M = P Re(Y Z^-1).
+    so a diagonal T makes Y one broadcast division; M = P Re(Y Z^-1). P^-1
+    and P are applied block by block: a lattice W folds into two half-size
+    blocks, so each transform costs half the flops of one n x n product.
 
     Raises DivergenceError when max |T[k, k]| times the bound
     ``weights.spectral_radius()`` on rho(W) reaches 1.
@@ -539,10 +541,9 @@ def _triangular_solve(
         raise DivergenceError(
             f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
         )
-    spectrum = weights._spectrum
-    if spectrum is not None:
-        lam, q, root = spectrum
-        rhs = (q.T @ (root[:, None] * c)) @ z  # P^-1 C Z, with P^-1 = Q' D^{1/2}
+    if weights._spectrum is not None:
+        lam = weights._spectrum[0]
+        rhs = weights._to_eigenbasis(c) @ z  # P^-1 C Z
         denom = 1 - np.outer(lam, shifts)
         if not np.any(np.triu(t, 1)):
             out = rhs / denom
@@ -550,7 +551,7 @@ def _triangular_solve(
             out = np.empty_like(rhs)
             for k in range(shifts.size):
                 out[:, k] = (rhs[:, k] + lam * (out[:, :k] @ t[:k, k])) / denom[:, k]
-        return q @ (out @ z_inv).real / root[:, None]
+        return weights._from_eigenbasis((out @ z_inv).real)
     rhs = c @ z
     n, w = weights.n, weights.matrix
     if sp.issparse(w):

@@ -8,7 +8,8 @@ kind the fitted model predicts through, and gen_response solves it with the
 same core, msar._triangular_solve, in R's real eigenbasis: the rho kernel is
 symmetric, so the trapezoid weights symmetrize R as the row sums d symmetrize
 a lattice W (the eigenvalue route of Ord 1975, on both sides). The result is
-certified by its residual max|Y - W Y R - G|. SimConfig.make_weights hands
+certified by its residual max|Y - W Y R - G|, taken with W's own matrix, so
+the check shares no code with the solve. SimConfig.make_weights hands
 out one shared, read-only weight matrix per (kind, decay, n), so every
 replication reuses its eigendecomposition; R's is computed once per (grid, alpha).
 
@@ -199,12 +200,13 @@ def gen_response(
     D_w^{1/2} K D_w^{1/2} = V diag(mu) V' gives R = S diag(mu) S^-1 with
     S = D_w^{1/2} V and S^-1 = V' D_w^{-1/2}, all real, so Y = Z S^-1 where
     Z - W Z diag(mu) = G S: one broadcast division in a lattice W's
-    eigenbasis, else one real shifted solve per grid point (see
+    eigenbasis, reached and left through W's two half-size folded blocks,
+    else one real shifted solve per grid point (see
     msar._triangular_solve). DivergenceError is raised when |lambda_1(R)|
     times the maximum row sum of W reaches 1. The result is certified
-    directly: GenerationError is raised unless max|Y - W Y R - G| <=
-    ``neumann_tol``. ``neumann_max_terms`` is accepted for compatibility and
-    unused.
+    directly, with W's own matrix (``weights.matmul``): GenerationError is
+    raised unless max|Y - W Y R - G| <= ``neumann_tol``.
+    ``neumann_max_terms`` is accepted for compatibility and unused.
     """
     if not 0 <= alpha < 1:
         raise ParameterError("alpha must lie in [0, 1)")

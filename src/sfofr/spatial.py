@@ -10,7 +10,9 @@ and the functional flavor evaluated pointwise along curves.
 Both lattice kernels K are symmetric, so W = D^-1 K declares the row sums d
 of K as its ``balance`` field (d_i w_ij = d_j w_ji) and is similar to the
 symmetric D^{1/2} W D^{-1/2}, whose cached ``eigh`` diagonalizes W; such a
-W is read-only, so the cache cannot go stale.
+W is read-only, so the cache cannot go stale. As K depends on |i - j| only,
+W is unchanged by the reversal i -> n-1-i, and a fold splits that ``eigh``
+into two half-size ones (Cantoni and Butler 1976).
 """
 
 from __future__ import annotations
@@ -134,15 +136,52 @@ class SpatialWeights:
 
     @cached_property
     def _spectrum(self):
-        """(lambda, Q, sqrt(d)) with W = P diag(lambda) P^-1 and P = D^{-1/2} Q,
-        from one dense ``eigh``; None when W has no balance vector."""
+        """(lambda, blocks, sqrt(d)) with W = P diag(lambda) P^-1 and P = D^{-1/2} Q,
+        Q the eigenvectors of sym = D^{1/2} W D^{-1/2}; None without a balance
+        vector. ``blocks`` is (Q,), or (Q+, Q-) with Q = T' diag(Q+, Q-) for
+        the fold T (``_fold``) when sym equals sym[::-1, ::-1] bit for bit."""
         if self.balance is None:
             return None
         root = np.sqrt(self.balance)
         sym = self.toarray()
         sym *= root[:, None]
         sym /= root[None, :]
-        return tuple(_read_only(a) for a in (*np.linalg.eigh(sym), root))
+        if np.array_equal(sym, sym[::-1, ::-1]):
+            even, odd = _fold(sym)
+            pairs = np.linalg.eigh(_fold(even.T)[0]), np.linalg.eigh(_fold(odd.T)[1])
+        else:
+            pairs = (np.linalg.eigh(sym),)
+        lam = _read_only(np.concatenate([p[0] for p in pairs]))
+        return lam, tuple(_read_only(p[1]) for p in pairs), _read_only(root)
+
+    def _to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
+        """P^-1 m = diag(blocks)' T D^{1/2} m (see ``_spectrum``)."""
+        _, blocks, root = self._spectrum
+        parts = _fold(root[:, None] * m) if len(blocks) == 2 else (root[:, None] * m,)
+        return np.concatenate([q.T @ x for q, x in zip(blocks, parts)])
+
+    def _from_eigenbasis(self, y: np.ndarray) -> np.ndarray:
+        """P y = D^{-1/2} T' diag(blocks) y (see ``_spectrum``)."""
+        _, blocks, root = self._spectrum
+        parts = [q @ x for q, x in zip(blocks, np.split(y, [len(blocks[0])]))]
+        return (_unfold(*parts) if len(blocks) == 2 else parts[0]) / root[:, None]
+
+
+def _fold(x: np.ndarray):
+    """T x for the orthogonal fold T of the row reversal J, as its even part
+    ((x_top + J x_bot) / sqrt 2, then x's middle row when n is odd) and its
+    odd part (x_top - J x_bot) / sqrt 2."""
+    m = len(x) // 2
+    top, bot = x[:m], x[::-1][:m]
+    even = np.concatenate([(top + bot) * np.sqrt(0.5), x[m : len(x) - m]])
+    return even, (top - bot) * np.sqrt(0.5)
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """T' (even, odd), the inverse of ``_fold``."""
+    m = len(odd)
+    top, bot = (even[:m] + odd) * np.sqrt(0.5), (even[:m] - odd) * np.sqrt(0.5)
+    return np.concatenate([top, even[m:], bot[::-1]])
 
 
 @dataclass(frozen=True)
@@ -176,13 +215,15 @@ class GeoCoordinates:
 
 
 def _lattice_weights(n: int, kernel, kind: str) -> SpatialWeights:
-    """W = D^-1 K for the symmetric K = kernel(|i - j|); K's row sums are W's balance."""
+    """W = D^-1 K for the symmetric K = kernel(|i - j|); W's balance d is K's row
+    sums averaged with their mirror images, so W == W[::-1, ::-1] exactly."""
     if int(n) != n or n < 2:
         raise ParameterError("n must be an integer >= 2")
     idx = np.arange(int(n))
     values = kernel(np.abs(idx[:, None] - idx[None, :]).astype(float))
     np.fill_diagonal(values, 0.0)
-    balance = values.sum(axis=1)
+    sums = values.sum(axis=1)
+    balance = (sums + sums[::-1]) / 2  # mirrored rows may differ in the last bit
     values /= balance[:, None]
     np.fill_diagonal(values, 0.0)  # keep the diagonal exactly zero
     return SpatialWeights(matrix=values, normalized=True, kind=kind, balance=balance)

@@ -527,12 +527,16 @@ class TestReducedFormSolve:
         np.testing.assert_allclose(reduced_form_solve(params.rho, w, c), expected, atol=1e-8)
 
     @pytest.mark.parametrize("n", [5, 40, 300])
-    @pytest.mark.parametrize("kind", ["exponential", "inverse"])
+    @pytest.mark.parametrize("kind", ["exponential", "inverse", "balanced"])
     @pytest.mark.parametrize("rho_kind", ["random", "jordan", "complex"])
     def test_spectral_path_matches_dense_oracle(self, n, kind, rho_kind):
         rng = np.random.default_rng([27, n])
-        w = exponential_weights(n, 0.5) if kind == "exponential" else inverse_distance_weights(n)
-        assert w._spectrum is not None
+        if kind == "balanced":  # symmetric but not reversal-symmetric: one eigh block
+            a = np.triu(rng.uniform(size=(n, n)), 1)
+            w = SpatialWeights(matrix=(a + a.T) / (a + a.T).sum(axis=1).max(), balance=np.ones(n))
+        else:
+            w = exponential_weights(n, 0.5) if kind == "exponential" else inverse_distance_weights(n)
+        assert len(w._spectrum[1]) == (1 if kind == "balanced" else 2)
         if rho_kind == "random":
             rho = random_params(rng, 3, 2, target_sr=rng.uniform(0.2, 0.9)).rho
         elif rho_kind == "jordan":

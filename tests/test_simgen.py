@@ -29,6 +29,7 @@ from sfofr import (
     true_beta,
     true_rho,
 )
+from sfofr import simgen
 from sfofr.msar import reduced_form_solve
 from sfofr.simgen import replication_rng
 
@@ -247,6 +248,23 @@ class TestGenResponse:
         w = exponential_weights(6, 0.5)
         with pytest.raises(GenerationError, match="miss the model identity"):
             gen_response(x, w, 0.9, rng, neumann_tol=1e-300)
+
+    def test_certificate_multiplies_by_w_itself(self, monkeypatch):
+        # a solve that misses Y by 1e-3 max|Y| in one entry fails at the default tol
+        rng = np.random.default_rng(14)
+        x = gen_predictors(6, GRID, rng)
+        w = exponential_weights(6, 0.5)
+        gen_response(x, w, 0.9, np.random.default_rng(15))
+        solve = simgen._triangular_solve
+
+        def off(*args):
+            y = solve(*args)
+            y[0, 0] += 1e-3 * np.max(np.abs(y))
+            return y
+
+        monkeypatch.setattr(simgen, "_triangular_solve", off)
+        with pytest.raises(GenerationError, match="miss the model identity"):
+            gen_response(x, w, 0.9, np.random.default_rng(15))
 
     def test_alpha_range_validated(self):
         rng = np.random.default_rng(10)

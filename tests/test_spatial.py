@@ -277,29 +277,61 @@ class TestRowSumBoundCache:
         assert w.spectral_radius() == 7.0
 
 
+def balanced_mirror_free(n):
+    """A symmetric, nonnegative W with zero diagonal and balance ones that is
+    not reversal-symmetric, so its spectral form has one block."""
+    a = np.random.default_rng(n).uniform(size=(n, n))
+    a = np.triu(a, 1) + np.triu(a, 1).T
+    return SpatialWeights(matrix=a / a.sum(axis=1).max(), balance=np.ones(n))
+
+
+# balanced W of both spectral layouts, at even and odd n: lattice W fold into
+# two blocks, the custom W stays one block
+SPECTRAL_CASES = {
+    "exponential": lambda: exponential_weights(30, 0.5),
+    "inverse_distance": lambda: inverse_distance_weights(30),
+    "exponential_odd": lambda: exponential_weights(31, 0.5),
+    "inverse_distance_odd": lambda: inverse_distance_weights(31),
+    "custom_balanced": lambda: balanced_mirror_free(30),
+    "custom_balanced_odd": lambda: balanced_mirror_free(31),
+}
+
+
 class TestSpectralForm:
-    @pytest.mark.parametrize(
-        "w", [exponential_weights(30, 0.5), inverse_distance_weights(30)],
-        ids=["exponential", "inverse_distance"],
-    )
-    def test_lattice_weights_are_diagonalized(self, w):
-        lam, q, root = w._spectrum
+    @pytest.mark.parametrize("case", list(SPECTRAL_CASES))
+    def test_lattice_weights_are_diagonalized(self, case):
+        w = SPECTRAL_CASES[case]()
+        lam, blocks, root = w._spectrum
+        assert len(blocks) == (1 if case.startswith("custom") else 2)
         mat = w.toarray()
         d = root**2
         np.testing.assert_allclose(d[:, None] * mat, (d[:, None] * mat).T, rtol=1e-14)
-        p_mat = q / root[:, None]
-        p_inv = q.T * root[None, :]
+        p_mat = w._from_eigenbasis(np.eye(w.n))
+        p_inv = w._to_eigenbasis(np.eye(w.n))
         np.testing.assert_allclose(p_mat @ np.diag(lam) @ p_inv, mat, atol=1e-14)
-        np.testing.assert_allclose(p_inv @ p_mat, np.eye(30), atol=1e-13)
-        assert np.max(lam) == pytest.approx(1.0, abs=1e-13)
+        np.testing.assert_allclose(p_inv @ p_mat, np.eye(w.n), atol=1e-13)
+        assert np.max(lam) == pytest.approx(np.max(np.abs(np.linalg.eigvals(mat))), abs=1e-13)
+        if not case.startswith("custom"):
+            assert np.max(lam) == pytest.approx(1.0, abs=1e-13)
 
     def test_spectrum_is_cached_and_read_only(self):
-        w = exponential_weights(12, 0.5)
-        first = w._spectrum
-        assert w._spectrum is first
-        for a in (w.matrix, *first):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+        for w in (exponential_weights(12, 0.5), balanced_mirror_free(12)):
+            first = w._spectrum
+            assert w._spectrum is first
+            lam, blocks, root = first
+            for a in (w.matrix, lam, *blocks, root):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    @pytest.mark.parametrize("n", [5, 6, 249, 250])
+    @pytest.mark.parametrize("make", [exponential_weights, inverse_distance_weights])
+    def test_lattice_weights_are_exactly_reversal_symmetric(self, make, n):
+        w = make(n)
+        mat = w.toarray()
+        assert np.array_equal(mat, mat[::-1, ::-1])
+        assert np.array_equal(w.balance, w.balance[::-1])
+        assert SpatialWeights(matrix=mat, normalized=True).normalized
+        assert len(w._spectrum[1]) == 2
 
     def test_other_weights_have_no_spectrum(self):
         coords = GeoCoordinates(
