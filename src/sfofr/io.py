@@ -28,9 +28,7 @@ Fit bundle     : a directory holding manifest.json, the nine CSV matrices
                  int64/int64/float64 record array, with n taken from the
                  manifest's ``dims.n``; the file's bytes depend on W alone.
                  W's ``balance`` field, when set (lattice W), goes to
-                 w_balance.csv. Version-1 bundles hold w_train.csv instead,
-                 in the layout the manifest key ``weights_layout`` names
-                 (dense when absent), and still load.
+                 w_balance.csv. Only version 2 loads.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -373,8 +371,7 @@ BUNDLE_MATRICES = {
 # Every file of a bundle but manifest.json; w_balance.csv joins them when W
 # has a balance vector.
 BUNDLE_FILES = (*BUNDLE_MATRICES, "w_train.npy", "rho_surface.csv", "beta_surface.csv")
-# The manifest's convergence block holds every MsarFit field but params; a
-# version-1 bundle may lack one that has a default, and then reads as it.
+# The manifest's convergence block holds every MsarFit field but params.
 _CONVERGENCE = tuple(f for f in fields(MsarFit) if f.name != "params")
 
 
@@ -435,7 +432,7 @@ def decomp_meta(decomp: FpcDecomposition) -> dict:
 
 
 def load_fit_bundle(directory) -> SfofrFit:
-    """Rebuild a fitted model from a bundle directory of version 1 or 2.
+    """Rebuild a fitted model from a version-2 bundle directory.
 
     A manifest that is not a JSON object or lacks a required key raises
     DataError. Warns, as ``fit_sfofr`` does, when the saved score-space fit
@@ -445,7 +442,7 @@ def load_fit_bundle(directory) -> SfofrFit:
     if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
         raise DataError(f"{directory}: not a {BUNDLE_FORMAT} directory")
     version = manifest.get("version")
-    if version not in (1, BUNDLE_VERSION):
+    if version != BUNDLE_VERSION:
         raise DataError(f"{directory}: unsupported {BUNDLE_FORMAT} version {version!r}")
     try:
         fit = _read_bundle(directory, manifest)
@@ -474,26 +471,18 @@ def _read_bundle(directory: Path, manifest: dict) -> SfofrFit:
             variance_explained=np.array(meta["variance_explained"]),
             total_variance=meta["total_variance"],
         )
-    conv = {
-        f.name: conv[f.name] if f.default is MISSING else conv.get(f.name, f.default)
-        for f in _CONVERGENCE
-    }
+    conv = {f.name: conv[f.name] for f in _CONVERGENCE}
     # JSON holds the tuple-valued fields (the traces) as lists
     conv = {k: tuple(v) if isinstance(v, list) else v for k, v in conv.items()}
     msar = MsarFit(params=MsarParams(**arrays["msar_fit.params"]), **conv)
-    if manifest["version"] == 1:
-        path, layout = directory / "w_train.csv", manifest.get("weights_layout", "dense")
-        weights = read_weights_csv(path, layout=layout)
-        weights = replace(weights, kind=manifest.get("weights_kind") or weights.kind)
-    else:
-        weights = _read_weights_npy(
-            directory / "w_train.npy",
-            dims["n"],
-            normalized=manifest["weights_normalized"],
-            kind=manifest["weights_kind"],
-        )
-    if manifest.get("weights_balanced"):
+    weights = _read_weights_npy(
+        directory / "w_train.npy",
+        dims["n"],
+        normalized=manifest["weights_normalized"],
+        kind=manifest["weights_kind"],
+    )
+    if manifest["weights_balanced"]:
         path = directory / "w_balance.csv"
         weights = _build(path, partial(replace, weights), balance=read_matrix_csv(path))
-    options = manifest.get("options", {})
+    options = manifest["options"]
     return SfofrFit(**decomps, msar_fit=msar, weights=weights, options=options, **arrays[""])

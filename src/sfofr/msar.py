@@ -19,7 +19,8 @@ log-diagonal (zeta), which keeps it positive definite without constraints.
 B enters the residual linearly, so Q is a separable least-squares problem: the fit
 profiles B out by one thin SVD per evaluation (variable projection, Golub and
 Pereyra 1973) and runs Levenberg-Marquardt over (vec rho, zeta) on the
-projected residual, with Kaufman's (1975) analytic Jacobian. Q(c Omega_e) =
+projected residual, with Kaufman's (1975) Jacobian. The residual's analytic
+Jacobian is Q's only derivative: the gradient is 2 J'(m (.) G). Q(c Omega_e) =
 Q(Omega_e) for any c > 0, so the first log-diagonal entry of U is held fixed.
 Every iterate keeps the spectral radius of rho below 1 - iota, and a fit that
 ends at that bound is checked against one capped rerun (see fit_msar).
@@ -253,34 +254,16 @@ def objective(params: MsarParams, data: MsarData) -> float:
 
 
 def _gradient_raw(theta: np.ndarray, data: MsarData) -> np.ndarray:
-    """Analytic dQ over the packed layout (vec rho, vec B, zeta).
-
-    With C = 2 m^2 (.) G and A = -2 m^3 (.) G^2 (the derivative of Q through
-    the denominators of m), the residual R carries gR = (C - W C rho) Omega_e,
-    and d = diag(W'W) weights A's share through diag(rho Omega_e rho'). The
-    Omega_e block S is chained to U by dQ/dU = U (S + S'), and to the
-    log-diagonal of zeta by one more factor of diag(U).
-    """
-    rho, u, omega_e, r, rt, g, m = _chain(theta, data)
-    p = data._products
-    c = 2.0 * m * m * g
-    a = -2.0 * m**3 * g**2
-    a_d = p["dwtw"] @ a
-    g_r = (c - data.weights.matmul(c) @ rho) @ omega_e
-    g_rho = (
-        -p["wy"].T @ g_r - (c.T @ rt) @ omega_e + 2.0 * (a_d[:, None] * rho) @ omega_e
-    )
-    g_b = -data.xmat.T @ g_r
-    s = r.T @ c - (rt.T @ c) @ rho + np.diag(a.sum(axis=0)) + rho.T @ (a_d[:, None] * rho)
-    g_u = u @ (s + s.T)
-    iu, diag = _triu(data.k_y)
-    g_z = g_u[iu]
-    g_z[diag] *= np.diag(u)
-    return np.concatenate([g_rho.ravel(order="F"), g_b.ravel(order="F"), g_z])
+    """dQ = 2 J'(m (.) G) over (vec rho, vec B, zeta), where J joins
+    ``_jacobian``'s rho columns, -``_b_design`` and its zeta columns."""
+    chain = _chain(theta, data)
+    jac, nr = _jacobian(chain, data), data.k_y * data.k_y
+    jac = np.concatenate([jac[:, :nr], -_b_design(chain, data), jac[:, nr:]], axis=1)
+    return 2.0 * jac.T @ (chain[-1] * chain[-2]).ravel()
 
 
 def gradient(params: MsarParams, data: MsarData) -> np.ndarray:
-    """Flat gradient of Q over (vec rho, vec B, zeta); all blocks analytic."""
+    """Flat gradient of Q over (vec rho, vec B, zeta), from the analytic Jacobian."""
     return _gradient_raw(_pack(params.rho, params.b, params.prec_chol), data)
 
 
@@ -293,19 +276,19 @@ def _unit_steps(rows: int, cols: int) -> np.ndarray:
 
 
 def _jacobian(chain, data: MsarData) -> np.ndarray:
-    """d(m (.) G)/dx at ``_chain``'s pieces, B held fixed, over the search
-    variables x = (vec rho, zeta without its first entry); rows follow the
-    row-major n x Ky residual. Variable t moves rho by d rho[t] and Omega_e
-    by dOmega[t] = dU'U + U'dU; with dR = -WY d rho, dG = dR Omega_e +
-    R dOmega - W'dR Omega_e rho' - W'R (dOmega rho' + Omega_e d rho'), and
-    m moves by -m^2 (.) (diag(dOmega) + diag(W'W) diag(d(rho Omega_e rho'))).
+    """d(m (.) G)/dx at ``_chain``'s pieces, B held fixed, over x = (vec rho,
+    all of zeta); rows follow the row-major n x Ky residual. Variable t moves
+    rho by d rho[t] and Omega_e by dOmega[t] = dU'U + U'dU; with dR = -WY d rho,
+    dG = dR Omega_e + R dOmega - W'dR Omega_e rho' - W'R (dOmega rho' +
+    Omega_e d rho'), and m moves by -m^2 (.) (diag(dOmega) + diag(W'W)
+    diag(d(rho Omega_e rho'))).
     """
     rho, u, omega_e, r, rt, g, m = chain
     k, p = data.k_y, data._products
     (rows, cols), diag = _triu(k)
     # dU'U has row j = U[i, :] times the step of U[i, j]: U[i, i] if i == j, else 1
-    lead = (np.where(diag, u[rows, cols], 1.0)[:, None] * u[rows])[1:]
-    half = np.eye(k)[cols[1:], :, None] * lead[:, None, :]
+    lead = np.where(diag, u[rows, cols], 1.0)[:, None] * u[rows]
+    half = np.eye(k)[cols, :, None] * lead[:, None, :]
     d_rho = np.concatenate([_unit_steps(k, k), np.zeros_like(half)])
     d_omega = np.concatenate([np.zeros((k * k, k, k)), half + half.transpose(0, 2, 1)])
     rot, d_rho_t = omega_e @ rho.T, d_rho.transpose(0, 2, 1)
@@ -318,24 +301,32 @@ def _jacobian(chain, data: MsarData) -> np.ndarray:
     return (m * d_g - (m * m * g) * d_m).reshape(len(coef), -1).T
 
 
+def _b_design(chain, data: MsarData) -> np.ndarray:
+    """D = -d(m (.) G)/d vec(B) at ``_chain``'s rho, Omega_e and m; D does not
+    depend on B. A step dB moves G by -X dB Omega_e + W'X dB Omega_e rho'."""
+    rho, _, omega_e, *_, m = chain
+    steps = _unit_steps(data.k_x, data.k_y)
+    xs = np.concatenate([data.xmat, data._products["wtx"]], axis=1)
+    design = xs @ np.concatenate([steps @ omega_e, -steps @ omega_e @ rho.T], axis=1)
+    return (m * design).reshape(len(steps), -1).T
+
+
 def _profiled(theta: np.ndarray, data: MsarData):
     """Profile B out of Q at theta's rho and zeta (theta's B block is ignored).
 
-    m (.) G = m (.) G0 - D vec(B), with G0 its value at B = 0. The thin SVD of
-    the design gives the minimum-norm B, an orthonormal basis Q of range(D)
-    and r = (I - QQ')(m (.) G0), which is m (.) G at that B. Returns theta
+    m (.) G = m (.) G0 - D vec(B), with G0 its value at B = 0 and D from
+    ``_b_design``. The thin SVD of D gives the minimum-norm B, an orthonormal
+    basis Q of range(D) and r = (I - QQ')(m (.) G0), which is m (.) G at that
+    B. Returns theta
     with B filled, r, Q and ``_chain`` at that B.
     """
     k_y, k_x = data.k_y, data.k_x
     block = slice(k_y * k_y, k_y * (k_y + k_x))
     theta = theta.copy()
     theta[block] = 0.0
-    rho, u, omega_e, r0, rt0, g0, m = _chain(theta, data)
+    chain = rho, u, omega_e, r0, rt0, g0, m = _chain(theta, data)
     wtx = data._products["wtx"]
-    steps = _unit_steps(k_x, k_y)  # a step dB moves G by -X dB Omega_e + W'X dB Omega_e rho'
-    xs = np.concatenate([data.xmat, wtx], axis=1)
-    design = xs @ np.concatenate([steps @ omega_e, -steps @ omega_e @ rho.T], axis=1)
-    qmat, sv, vt = np.linalg.svd((m * design).reshape(len(steps), -1).T, full_matrices=False)
+    qmat, sv, vt = np.linalg.svd(_b_design(chain, data), full_matrices=False)
     rank = int(np.sum(sv > sv[0] * max(qmat.shape) * np.finfo(float).eps))  # lstsq's cutoff
     qmat, y = qmat[:, :rank], (m * g0).ravel()
     coef = qmat.T @ y
@@ -372,14 +363,15 @@ def fit_msar(
     ``init``'s rho and U or by default from rho = 0 and the inverse OLS
     residual covariance. Each evaluation profiles B out (``_profiled``);
     Kaufman's Jacobian J = (I - QQ') dr/dx (``_jacobian``) gives the damped
-    Gauss-Newton step, and as r is orthogonal to the B design, 2 J'r is the
-    search gradient. Candidates with |lambda_1(rho)| at the cap 1 - iota are
-    refused by raising the damping. A candidate is accepted when it lowers
-    Q, the change computed as (r_new - r).(r_new + r), or, at Q's rounding
-    floor, when Q rises by at most 64 eps Q and |J'r| falls.
+    Gauss-Newton step. As r is orthogonal to the B design, 2 J'r is dQ/dx at
+    the profiled B (the envelope gradient): the one stop test and
+    ``grad_norm`` read its norm. Candidates with |lambda_1(rho)| at the cap
+    1 - iota are refused by raising the damping. A candidate is accepted when
+    it lowers Q, the change computed as (r_new - r).(r_new + r), or, at Q's
+    rounding floor, when Q rises by at most 64 eps Q and |J'r| falls.
 
     ``message`` says why the fit stopped: "gradient norm below tolerance"
-    (``converged``: |dQ/dx| <= ``tol``, by default 1e-8 * max(1, Q_start));
+    (``converged``: 2 |J'r| <= ``tol``, by default 1e-8 * max(1, Q_start));
     "stopped at the spectral-radius constraint boundary" (the cap blocked the
     damped steps); "no step lowers Q"; or "max_iter reached". A fit that ends
     at the cap is rerun from the same start (when that start lies inside the
@@ -403,12 +395,11 @@ def fit_msar(
     if tol is None:
         tol = 1e-8 * max(1.0, q0)
 
-    def linearize(qmat, chain):
-        jac = _jacobian(chain, data)
-        return jac - qmat @ (qmat.T @ jac)
+    search = np.r_[0 : k_y * k_y, k_y * k_y + 1 : free.size + 1]  # zeta_0 is fixed
 
-    def grad_norm(theta):
-        return float(np.linalg.norm(_gradient_raw(theta, data)[free]))
+    def linearize(qmat, chain):
+        jac = _jacobian(chain, data)[:, search]
+        return jac - qmat @ (qmat.T @ jac)
 
     def descend(cap):
         theta, r, qmat, chain = start
@@ -416,7 +407,7 @@ def fit_msar(
         jtr_norm, q, lam = np.linalg.norm(jac.T @ r), q0, None
         trace, sr_trace, message = [q], [spectral_radius(rho0)], "max_iter reached"
         for _ in range(max_iter):
-            if 2 * jtr_norm <= tol and grad_norm(theta) <= tol:
+            if 2 * jtr_norm <= tol:
                 break
             uj, sv, vt = np.linalg.svd(jac, full_matrices=False)
             ur = uj.T @ r
@@ -451,7 +442,7 @@ def fit_msar(
             jtr_norm = np.linalg.norm(jac.T @ r)
             trace.append(q)
             sr_trace.append(sr_cand)
-        norm = grad_norm(theta)
+        norm = float(2 * jtr_norm)
         if norm <= tol:
             message = "gradient norm below tolerance"
         return theta, q, norm, trace, sr_trace, message

@@ -393,19 +393,6 @@ def assert_binary_weights(directory):
     assert "weights_layout" not in read_json(directory / "manifest.json")
 
 
-def save_as_version1(fit, directory, layout):
-    """Save ``fit`` as a version-1 bundle: W in w_train.csv, in ``layout``,
-    named by the manifest only when it is the triplet layout."""
-    save_fit_bundle(fit, directory)
-    (directory / "w_train.npy").unlink()
-    write_weights_csv(directory / "w_train.csv", fit.weights, layout=layout)
-    manifest = read_json(directory / "manifest.json")
-    manifest["version"] = 1
-    if layout == "triplet":
-        manifest["weights_layout"] = layout
-    write_json(directory / "manifest.json", manifest)
-
-
 def save_with(path, rec, field, k, value):
     """Save a copy of record array ``rec`` with ``rec[field][k] = value``."""
     rec = rec.copy()
@@ -509,23 +496,7 @@ class TestFitBundle:
         for name in files:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_bundle_without_layout_key_reads_dense(self, tmp_path, small_fit):
-        fit, _, _ = small_fit
-        save_as_version1(fit, tmp_path / "old", layout="dense")
-        assert not read_json(tmp_path / "old" / "manifest.json").get("weights_layout")
-        loaded = load_fit_bundle(tmp_path / "old")
-        assert bits(loaded.weights.matrix) == bits(fit.weights.matrix)
-        assert bits(fitted_values(loaded).values) == bits(fitted_values(fit).values)
-
-    def test_version1_triplet_bundle_loads(self, tmp_path, small_fit):
-        fit, _, _ = small_fit
-        save_as_version1(fit, tmp_path / "old", layout="triplet")
-        assert (tmp_path / "old" / "w_train.csv").read_text().startswith("i,j,w\n")
-        loaded = load_fit_bundle(tmp_path / "old")
-        assert bits(loaded.weights.matrix) == bits(fit.weights.matrix)
-        assert bits(fitted_values(loaded).values) == bits(fitted_values(fit).values)
-
-    @pytest.mark.parametrize("version", [99, None])
+    @pytest.mark.parametrize("version", [1, 99, None])
     def test_unknown_version_rejected(self, tmp_path, small_fit, version):
         fit, _, _ = small_fit
         save_fit_bundle(fit, tmp_path / "bundle")
@@ -629,17 +600,6 @@ class TestFitBundle:
         (tmp_path / "bundle" / "manifest.json").write_text(text)
         with pytest.raises(DataError, match=re.escape(str(tmp_path / "bundle"))):
             load_fit_bundle(tmp_path / "bundle")
-
-    def test_version1_convergence_block_reads_defaults(self, tmp_path, small_fit):
-        fit, _, _ = small_fit
-        save_as_version1(fit, tmp_path / "old", layout="dense")
-        manifest = read_json(tmp_path / "old" / "manifest.json")
-        for key in ("warm_iterations", "message", "spectral_radius_trace"):
-            del manifest["convergence"][key]
-        write_json(tmp_path / "old" / "manifest.json", manifest)
-        msar = load_fit_bundle(tmp_path / "old").msar_fit
-        assert (msar.warm_iterations, msar.message, msar.spectral_radius_trace) == (0, "", ())
-        assert msar.objective_trace == fit.msar_fit.objective_trace
 
 
 def knn_fit():

@@ -37,6 +37,7 @@ from sfofr import (
 from sfofr.io import read_weights_csv, write_weights_csv
 from sfofr.msar import (
     _chain,
+    _b_design,
     _gradient_raw,
     _jacobian,
     _objective_raw,
@@ -264,21 +265,29 @@ class TestJacobian:
             data = random_data(rng, n, k_y, k_x)
             params = random_params(rng, k_y, k_x, target_sr=rng.uniform(0.2, 0.7))
             theta = _pack(params.rho, params.b, params.prec_chol)
-            free = np.r_[0:nr, nr + nb + 1 : theta.size]
-            got = _jacobian(_chain(theta, data), data)
+            chain = _chain(theta, data)
+            jac = _jacobian(chain, data)
+            assert jac.shape[1] == theta.size - nb  # vec rho and all of zeta
+            # d(m (.) G)/d theta over the packed layout (vec rho, vec B, zeta)
+            got = np.concatenate([jac[:, :nr], -_b_design(chain, data), jac[:, nr:]], axis=1)
 
             def resid(t):
                 *_, g, m = _chain(t, data)
                 return (m * g).ravel()
 
             oracle = np.empty_like(got)
-            for col, j in enumerate(free):
+            for j in range(theta.size):
                 h = 1e-6 * max(1.0, abs(theta[j]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                oracle[:, col] = (resid(tp) - resid(tm)) / (2 * h)
-            assert np.linalg.norm(got - oracle) / np.linalg.norm(oracle) <= 1e-6
+                oracle[:, j] = (resid(tp) - resid(tm)) / (2 * h)
+            # every column on its own scale, so no block hides behind another;
+            # a vanishing column (zeta_0 at Ky = 1, where m (.) G is invariant
+            # to the scale of Omega_e) is held to the differences' rounding
+            err = np.linalg.norm(got - oracle, axis=0)
+            scale = np.linalg.norm(oracle, axis=0)
+            assert np.all(err <= 1e-6 * scale + 1e-8 * np.linalg.norm(oracle))
 
     @pytest.mark.parametrize("k_y", [1, 2, 3])
     def test_projected_jacobian_gives_gradient_at_profiled_b(self, k_y):
@@ -294,10 +303,10 @@ class TestJacobian:
             )
             jac = _jacobian(chain, data)
             jac -= qmat @ (qmat.T @ jac)
-            free = np.r_[0:nr, nr + nb + 1 : theta.size]
+            not_b = np.r_[0:nr, nr + nb : theta.size]  # _jacobian's columns
             expected = _gradient_raw(theta, data)
             np.testing.assert_allclose(
-                2 * jac.T @ r, expected[free], rtol=1e-9, atol=1e-9 * np.linalg.norm(expected)
+                2 * jac.T @ r, expected[not_b], rtol=1e-9, atol=1e-9 * np.linalg.norm(expected)
             )
             # B is profiled: the B block of the gradient vanishes
             assert np.linalg.norm(expected[nr : nr + nb]) <= 1e-9 * np.linalg.norm(expected)
@@ -452,6 +461,17 @@ class TestFitMsar:
         assert fit.converged
         assert fit.grad_norm <= fit.tolerance
         assert fit.message == "gradient norm below tolerance"
+
+    def test_grad_norm_is_the_gradient_norm_at_a_max_iter_stop(self):
+        # the one stop test reads 2 |J'r|; at the profiled B that is the
+        # gradient over the search variables (all of theta but B and zeta_0)
+        rng = np.random.default_rng(37)
+        data = random_data(rng, 25, 2, 2)
+        fit = fit_msar(data, max_iter=3)
+        assert fit.message == "max_iter reached"
+        free = np.r_[0:4, 4 + 4 + 1 : 4 + 4 + 3]
+        norm = np.linalg.norm(gradient(fit.params, data)[free])
+        assert fit.grad_norm == pytest.approx(norm, rel=1e-8)
 
     def test_converged_flag_semantics(self):
         rng = np.random.default_rng(18)
