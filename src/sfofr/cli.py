@@ -121,18 +121,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_file_value(flag: str, default, kwargs: dict, value):
+    """Check a config-file value against its flag's type and choices; a
+    store_true flag takes a JSON boolean, and null is allowed where the
+    default is."""
+    if value is None and default is None:
+        return
+    kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
+    sio.check_json_type(value, kind, f"config value for {flag}")
+    if value not in kwargs.get("choices", [value]):
+        raise ParameterError(
+            f"config value for {flag} must be one of {kwargs['choices']}, got {value!r}"
+        )
+
+
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < explicit CLI flags."""
-    resolved = {
-        flag[2:].replace("-", "_"): default for flag, default, _ in _COMMANDS[command][1]
-    }
+    """Merge defaults < config file < explicit CLI flags. A config-file value
+    passes the checks of its flag's type and choices."""
+    options = {option[0][2:].replace("-", "_"): option for option in _COMMANDS[command][1]}
+    resolved = {key: default for key, (_, default, _) in options.items()}
     if getattr(args, "config", None):
         file_cfg = sio.read_json(args.config)
+        if not isinstance(file_cfg, dict):
+            raise DataError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(resolved)
         if unknown:
             raise ParameterError(
                 f"unknown config keys for {command}: {sorted(unknown)}"
             )
+        for key, value in file_cfg.items():
+            _check_file_value(*options[key], value)
         resolved.update(file_cfg)
     for key in resolved:
         value = getattr(args, key, None)

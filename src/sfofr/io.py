@@ -37,8 +37,8 @@ import json
 import os
 import tempfile
 from dataclasses import fields, replace
-from functools import partial
-from operator import attrgetter
+from functools import partial, reduce
+from operator import attrgetter, getitem
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +317,23 @@ def read_json(path) -> dict:
         raise DataError(f"cannot read JSON {path}: {exc}") from exc
 
 
+_JSON_NAMES = {
+    dict: "object", list: "array", bool: "boolean", str: "string", int: "integer", float: "number"
+}
+
+
+def check_json_type(value, kind: type, what: str):
+    """Raise DataError, naming ``what``, unless the JSON-parsed ``value`` has
+    the JSON type of ``kind``: true and false are no integers, and an integer
+    is a number."""
+    if isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise DataError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+
+
 # --- bundle weights (binary) -------------------------------------------------
 
 
@@ -373,6 +390,18 @@ BUNDLE_MATRICES = {
 BUNDLE_FILES = (*BUNDLE_MATRICES, "w_train.npy", "rho_surface.csv", "beta_surface.csv")
 # The manifest's convergence block holds every MsarFit field but params.
 _CONVERGENCE = tuple(f for f in fields(MsarFit) if f.name != "params")
+# The JSON type of each manifest value the loader reads, by key path; JSON
+# holds MsarFit's tuple fields (the traces) as lists
+_FIELD_TYPES = {"float": float, "int": int, "bool": bool, "str": str, "tuple": list}
+_MANIFEST_TYPES = {
+    "dims": dict, "options": dict, "convergence": dict, "response_decomposition": dict,
+    "predictor_decomposition": dict, "weights_normalized": bool, "weights_balanced": bool,
+    "weights_kind": str, **{f"dims.{k}": int for k in ("n", "k_y", "k_x", "num_basis", "degree")},
+    **{f"{side}_decomposition.{k}": kind for side in ("response", "predictor") for k, kind in (
+        ("kind", str), ("eigenvalues", list), ("variance_explained", list),
+        ("total_variance", float))},
+    **{f"convergence.{f.name}": _FIELD_TYPES[f.type] for f in _CONVERGENCE},
+}
 
 
 def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None):
@@ -434,9 +463,10 @@ def decomp_meta(decomp: FpcDecomposition) -> dict:
 def load_fit_bundle(directory) -> SfofrFit:
     """Rebuild a fitted model from a version-2 bundle directory.
 
-    A manifest that is not a JSON object or lacks a required key raises
-    DataError. Warns, as ``fit_sfofr`` does, when the saved score-space fit
-    did not converge."""
+    A manifest that is not a JSON object, lacks a required key, holds a value
+    of the wrong JSON type (``_MANIFEST_TYPES``) or has dims that disagree
+    with the stored matrices raises DataError. Warns, as ``fit_sfofr`` does,
+    when the saved score-space fit did not converge."""
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
     if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
@@ -445,6 +475,9 @@ def load_fit_bundle(directory) -> SfofrFit:
     if version != BUNDLE_VERSION:
         raise DataError(f"{directory}: unsupported {BUNDLE_FORMAT} version {version!r}")
     try:
+        for key, kind in _MANIFEST_TYPES.items():
+            value = reduce(getitem, key.split("."), manifest)
+            check_json_type(value, kind, f"{directory}: manifest.json key {key!r}")
         fit = _read_bundle(directory, manifest)
     except KeyError as exc:
         raise DataError(f"{directory}: manifest.json lacks key {exc.args[0]!r}") from None
@@ -459,6 +492,17 @@ def _read_bundle(directory: Path, manifest: dict) -> SfofrFit:
             part, _, field = path.rpartition(".")
             arrays.setdefault(part, {})[field] = value
     dims, conv = manifest["dims"], manifest["convergence"]
+    y, x = arrays["response_decomp"], arrays["predictor_decomp"]
+    stored = {  # scores are n x k, chi is num_basis x k
+        "n": {y["scores"].shape[0], x["scores"].shape[0]},
+        "k_y": {y["scores"].shape[1], y["chi"].shape[1]},
+        "k_x": {x["scores"].shape[1], x["chi"].shape[1]},
+        "num_basis": {y["chi"].shape[0], x["chi"].shape[0]},
+    }
+    for key, sizes in stored.items():
+        if sizes != {dims[key]}:
+            raise DataError(f"{directory}: manifest.json key 'dims.{key}' is {dims[key]}, "
+                            f"but the stored matrices have {sorted(sizes)}")
     basis = make_bspline_basis(dims["num_basis"], dims["degree"])
     decomps = {}
     for side in ("response", "predictor"):

@@ -25,10 +25,8 @@ Q(Omega_e) for any c > 0, so the first log-diagonal entry of U is held fixed.
 Every iterate keeps the spectral radius of rho below 1 - iota, and a fit that
 ends at that bound is checked against one capped rerun (see fit_msar).
 
-Fitted values come from the reduced form M - W M rho = C, solved by
-_triangular_solve for R = Z T Z^-1 with T upper triangular: reduced_form_solve
-hands it the complex Schur form of rho, and simgen.gen_response the real
-eigenbasis of the trapezoid-weighted rho surface.
+Fitted values come from the reduced form M - W M rho = C: reduced_form_solve
+hands the complex Schur form of rho to SpatialWeights.solve_lag.
 """
 
 from __future__ import annotations
@@ -38,10 +36,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .exceptions import DivergenceError, NumericalError, ParameterError
+from .exceptions import NumericalError, ParameterError
 from .fdbasis import _read_only
 from .spatial import SpatialWeights
 
@@ -479,13 +475,9 @@ def reduced_form_solve(
     """Solve M - W M rho = C, the matrix form of (I - rho' (x) W) vec(M) = vec(C).
 
     The complex Schur form rho = Z T Z^H (T upper triangular) hands the
-    system to ``_triangular_solve``. This is the Bartels-Stewart reduction
-    (1972), backward stable for every rho, defective ones included. rho = 0
-    returns a copy of C.
-
-    Raises DivergenceError when |lambda_1(rho)|, read from the Schur diagonal
-    max |T[k, k]|, times the bound ``weights.spectral_radius()`` on rho(W)
-    reaches 1.
+    system to ``SpatialWeights.solve_lag``, which raises DivergenceError when
+    it diverges. This is the Bartels-Stewart reduction (1972), backward
+    stable for every rho, defective ones included. rho = 0 returns a copy of C.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -497,63 +489,4 @@ def reduced_form_solve(
     if not np.any(rho):
         return c.copy()
     t, z = linalg.schur(rho, output="complex")
-    return _triangular_solve(t, z, z.conj().T, weights, c)
-
-
-def _triangular_solve(
-    t: np.ndarray, z: np.ndarray, z_inv: np.ndarray, weights: SpatialWeights, c: np.ndarray
-) -> np.ndarray:
-    """Solve M - W M R = C for real M, given R = Z T Z^-1 with T upper triangular.
-
-    With N = M Z the system becomes N - W N T = C Z, which is solved column
-    by column, in order:
-
-        (I - T[k, k] W) N[:, k] = (C Z)[:, k] + W N[:, :k] T[:k, k],
-
-    one shifted n x n solve per column (dense LU, or sparse LU for CSR W),
-    and M = Re(N Z^-1). The arithmetic is complex only when T is; W stays
-    real and is applied to the real and imaginary parts separately. A W with
-    a balance vector d (``SpatialWeights.balance``) has the spectral form
-    W = P diag(lambda) P^-1 (``SpatialWeights._spectrum``) and is solved in
-    its eigenbasis instead, N = P Y, where each shifted solve is a division:
-
-        Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
-
-    so a diagonal T makes Y one broadcast division; M = P Re(Y Z^-1). P^-1
-    and P are applied block by block: a lattice W folds into two half-size
-    blocks, so each transform costs half the flops of one n x n product.
-
-    Raises DivergenceError when max |T[k, k]| times the bound
-    ``weights.spectral_radius()`` on rho(W) reaches 1.
-    """
-    shifts = np.diag(t)
-    sr = float(np.max(np.abs(shifts))) * weights.spectral_radius()
-    if sr >= 1:
-        raise DivergenceError(
-            f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
-        )
-    if weights._spectrum is not None:
-        lam = weights._spectrum[0]
-        rhs = weights._to_eigenbasis(c) @ z  # P^-1 C Z
-        denom = 1 - np.outer(lam, shifts)
-        if not np.any(np.triu(t, 1)):
-            out = rhs / denom
-        else:
-            out = np.empty_like(rhs)
-            for k in range(shifts.size):
-                out[:, k] = (rhs[:, k] + lam * (out[:, :k] @ t[:k, k])) / denom[:, k]
-        return weights._from_eigenbasis((out @ z_inv).real)
-    rhs = c @ z
-    n, w = weights.n, weights.matrix
-    if sp.issparse(w):
-        w, eye, solve = sp.csc_array(w), sp.identity(n, format="csc"), spla.spsolve
-    else:
-        eye, solve = np.eye(n), np.linalg.solve
-    out = np.empty_like(rhs)
-    for k in range(shifts.size):
-        lag = out[:, :k] @ t[:k, k]
-        b = rhs[:, k] + weights.matmul(lag.real)
-        if np.iscomplexobj(lag):
-            b = b + 1j * weights.matmul(lag.imag)
-        out[:, k] = solve(eye - t[k, k] * w, b)
-    return np.ascontiguousarray((out @ z_inv).real)
+    return weights.solve_lag(t, z, z.conj().T, c)

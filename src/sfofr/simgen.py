@@ -5,13 +5,12 @@ response solves the model identity Y = W Y R + G exactly, where G collects the
 regression integral of the predictor plus noise and R is the rho surface
 weighted by the trapezoid rule. That identity is a reduced form of the same
 kind the fitted model predicts through, and gen_response solves it with the
-same core, msar._triangular_solve, in R's real eigenbasis: the rho kernel is
-symmetric, so the trapezoid weights symmetrize R as the row sums d symmetrize
-a lattice W (the eigenvalue route of Ord 1975, on both sides). The result is
-certified by its residual max|Y - W Y R - G|, taken with W's own matrix, so
-the check shares no code with the solve. SimConfig.make_weights hands
-out one shared, read-only weight matrix per (kind, decay, n), so every
-replication reuses its eigendecomposition; R's is computed once per (grid, alpha).
+same SpatialWeights.solve_lag, in R's real eigenbasis (the eigenvalue route of
+Ord 1975, on both sides). The result is certified by its residual
+max|Y - W Y R - G|, taken with W's own matrix, so the check shares no code
+with the solve. SimConfig.make_weights hands out one shared, read-only weight
+matrix per (kind, decay, n), so every replication reuses its
+eigendecomposition; R's is computed once per (grid, alpha).
 
 True surfaces:
     beta(s, t) = 2 + s + t + 0.5 sin(2 pi s t)
@@ -37,7 +36,6 @@ import numpy as np
 from .exceptions import GenerationError, ParameterError
 from .fdbasis import FunctionalDataset, _read_only, evaluate_basis, make_bspline_basis
 from .fdbasis import smooth_curves, trapezoid_weights
-from .msar import _triangular_solve
 from .pipeline import (
     SurfaceEstimate,
     _fit_baseline,
@@ -198,12 +196,9 @@ def gen_response(
     N(0, noise_sd^2) noise per grid point) and R = D_w K on the grid, with
     D_w the trapezoid weights and K = rho(s, t) symmetric. One ``eigh`` of
     D_w^{1/2} K D_w^{1/2} = V diag(mu) V' gives R = S diag(mu) S^-1 with
-    S = D_w^{1/2} V and S^-1 = V' D_w^{-1/2}, all real, so Y = Z S^-1 where
-    Z - W Z diag(mu) = G S: one broadcast division in a lattice W's
-    eigenbasis, reached and left through W's two half-size folded blocks,
-    else one real shifted solve per grid point (see
-    msar._triangular_solve). DivergenceError is raised when |lambda_1(R)|
-    times the maximum row sum of W reaches 1. The result is certified
+    S = D_w^{1/2} V and S^-1 = V' D_w^{-1/2}, all real, which
+    ``weights.solve_lag`` takes as R's triangular form (it raises
+    DivergenceError when the system diverges). The result is certified
     directly, with W's own matrix (``weights.matmul``): GenerationError is
     raised unless max|Y - W Y R - G| <= ``neumann_tol``.
     ``neumann_max_terms`` is accepted for compatibility and unused.
@@ -214,7 +209,7 @@ def gen_response(
     w_quad, beta_mat, rho_quad, diag_mu, s, s_inv = _grid_operators(grid.tobytes(), alpha)
     g = (x_data.values * w_quad) @ beta_mat
     g += _noise(x_data.n, grid, noise_sd, smooth_noise, rng)
-    y = _triangular_solve(diag_mu, s, s_inv, weights, g)
+    y = weights.solve_lag(diag_mu, s, s_inv, g)
     residual = float(np.max(np.abs(y - weights.matmul(y) @ rho_quad - g)))
     if not residual <= neumann_tol:
         raise GenerationError(

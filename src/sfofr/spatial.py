@@ -12,7 +12,8 @@ of K as its ``balance`` field (d_i w_ij = d_j w_ji) and is similar to the
 symmetric D^{1/2} W D^{-1/2}, whose cached ``eigh`` diagonalizes W; such a
 W is read-only, so the cache cannot go stale. As K depends on |i - j| only,
 W is unchanged by the reversal i -> n-1-i, and a fold splits that ``eigh``
-into two half-size ones (Cantoni and Butler 1976).
+into two half-size ones (Cantoni and Butler 1976). SpatialWeights.solve_lag
+is the one solve with W: in that eigenbasis, else by dense or sparse LU.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .exceptions import (
     DataError,
+    DivergenceError,
     ParameterError,
     PreconditionError,
     UndefinedStatisticError,
@@ -35,8 +38,8 @@ from .fdbasis import BasisCoefficients, _read_only, evaluate_basis
 EARTH_RADIUS_KM = 6371.0
 
 # W is stored in CSR form when at most this share of its n^2 entries is
-# nonzero, and dense otherwise: near that density one complex shifted solve
-# (I - tW)x = b costs the same either way, and KNN W lies far below it.
+# nonzero, and dense otherwise: near that density one shifted solve of
+# SpatialWeights.solve_lag costs the same either way, and KNN W lies far below it.
 _CSR_MAX_DENSITY = 0.1
 
 
@@ -165,6 +168,68 @@ class SpatialWeights:
         _, blocks, root = self._spectrum
         parts = [q @ x for q, x in zip(blocks, np.split(y, [len(blocks[0])]))]
         return (_unfold(*parts) if len(blocks) == 2 else parts[0]) / root[:, None]
+
+    def solve_lag(
+        self, t: np.ndarray, z: np.ndarray, z_inv: np.ndarray, c: np.ndarray
+    ) -> np.ndarray:
+        """Solve M - W M R = C for real M, given R = Z T Z^-1 with T upper triangular.
+
+        This is the one solve with W: the reduced form of fitted values and
+        predictions (``msar.reduced_form_solve``, with the complex Schur form
+        of rho) and of generated responses (``simgen.gen_response``, with the
+        real eigenbasis of the trapezoid-weighted rho surface). With N = M Z
+        the system becomes N - W N T = C Z, which is solved column by column,
+        in order:
+
+            (I - T[k, k] W) N[:, k] = (C Z)[:, k] + W N[:, :k] T[:k, k],
+
+        one shifted n x n solve per column (dense LU, or sparse LU for CSR W),
+        and M = Re(N Z^-1). The arithmetic is complex only when T is; W stays
+        real and is applied to the real and imaginary parts separately. A W
+        with a balance vector has the spectral form W = P diag(lambda) P^-1
+        (``_spectrum``) and is solved in its eigenbasis instead, N = P Y,
+        where each shifted solve is a division:
+
+            Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
+
+        so a diagonal T makes Y one broadcast division; M = P Re(Y Z^-1). P^-1
+        and P are applied block by block: a lattice W folds into two half-size
+        blocks, so each transform costs half the flops of one n x n product.
+
+        Raises DivergenceError when max |T[k, k]| times the bound
+        ``spectral_radius()`` on rho(W) reaches 1.
+        """
+        shifts = np.diag(t)
+        sr = float(np.max(np.abs(shifts))) * self.spectral_radius()
+        if sr >= 1:
+            raise DivergenceError(
+                f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
+            )
+        if self._spectrum is not None:
+            lam = self._spectrum[0]
+            rhs = self._to_eigenbasis(c) @ z  # P^-1 C Z
+            denom = 1 - np.outer(lam, shifts)
+            if not np.any(np.triu(t, 1)):
+                out = rhs / denom
+            else:
+                out = np.empty_like(rhs)
+                for k in range(shifts.size):
+                    out[:, k] = (rhs[:, k] + lam * (out[:, :k] @ t[:k, k])) / denom[:, k]
+            return self._from_eigenbasis((out @ z_inv).real)
+        rhs = c @ z
+        n, w = self.n, self.matrix
+        if sp.issparse(w):
+            w, eye, solve = sp.csc_array(w), sp.identity(n, format="csc"), spla.spsolve
+        else:
+            eye, solve = np.eye(n), np.linalg.solve
+        out = np.empty_like(rhs)
+        for k in range(shifts.size):
+            lag = out[:, :k] @ t[:k, k]
+            b = rhs[:, k] + self.matmul(lag.real)
+            if np.iscomplexobj(lag):
+                b = b + 1j * self.matmul(lag.imag)
+            out[:, k] = solve(eye - t[k, k] * w, b)
+        return np.ascontiguousarray((out @ z_inv).real)
 
 
 def _fold(x: np.ndarray):

@@ -404,6 +404,28 @@ class TestOptionTable:
         assert result.returncode == 1
         assert "unknown config keys for fit: ['threads']" in result.stderr
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ('{"ridge": "x"}', "--ridge must be a JSON number"),
+            ('{"num_basis": "abc"}', "--num-basis must be a JSON integer"),
+            ('{"msar_max_iter": 2.5}', "--msar-max-iter must be a JSON integer"),
+            ('{"degree": true}', "--degree must be a JSON integer"),
+            ('{"dump_fpca": "yes"}', "--dump-fpca must be a JSON boolean"),
+            ('{"weights_format": "csv"}', "--weights-format must be one of"),
+            ('{"y": 3}', "--y must be a JSON string"),
+            ("5", "cfg.json must hold a JSON object"),
+            ("null", "cfg.json must hold a JSON object"),
+        ],
+    )
+    def test_config_values_checked_like_flags(self, content, named, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_fit_defaults_are_the_pipeline_defaults(self):
         cfg = resolve_config("fit", build_parser().parse_args(["fit"]))
         defaults = _resolve_options(None)

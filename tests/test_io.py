@@ -594,6 +594,38 @@ class TestFitBundle:
         with pytest.raises(DataError, match=f"{bundle}: manifest.json lacks key '{key}'"):
             load_fit_bundle(tmp_path / "bundle")
 
+    @pytest.mark.parametrize(
+        "key, corrupt",
+        [
+            ("dims", lambda m: []),
+            ("convergence", lambda m: [1]),
+            ("options", lambda m: [1]),
+            ("weights_balanced", lambda m: "yes"),
+            ("dims.degree", lambda m: 3.0),
+            ("dims.n", lambda m: True),
+            ("dims.num_basis", lambda m: m["dims"]["num_basis"] - 1),
+            ("dims.n", lambda m: m["dims"]["n"] + 1),
+            ("dims.k_y", lambda m: m["dims"]["k_y"] + 1),
+            ("dims.k_x", lambda m: m["dims"]["k_x"] - 1),
+            ("convergence.objective", lambda m: "abc"),
+            ("convergence.objective_trace", lambda m: 1.0),
+            ("response_decomposition.total_variance", lambda m: "x"),
+        ],
+        ids=["dims-list", "convergence-list", "options-list", "balanced-str", "degree-float",
+             "n-bool", "num-basis-short", "n-long", "k-y-long", "k-x-short", "objective-str",
+             "trace-float", "total-variance-str"],
+    )
+    def test_malformed_manifest_value_names_key_and_bundle(self, tmp_path, small_fit, key, corrupt):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "bundle")
+        manifest = read_json(tmp_path / "bundle" / "manifest.json")
+        section, _, field = key.rpartition(".")
+        (manifest[section] if section else manifest)[field] = corrupt(manifest)
+        write_json(tmp_path / "bundle" / "manifest.json", manifest)
+        bundle = re.escape(str(tmp_path / "bundle"))
+        with pytest.raises(DataError, match=f"^{bundle}: manifest.json key '{key}' "):
+            load_fit_bundle(tmp_path / "bundle")
+
     @pytest.mark.parametrize("text", ["[1, 2]\n", '"sfofr-fit-bundle"\n', "null\n"])
     def test_manifest_not_an_object_rejected(self, tmp_path, text):
         (tmp_path / "bundle").mkdir()

@@ -547,16 +547,28 @@ class TestReducedFormSolve:
         np.testing.assert_allclose(reduced_form_solve(params.rho, w, c), expected, atol=1e-8)
 
     @pytest.mark.parametrize("n", [5, 40, 300])
-    @pytest.mark.parametrize("kind", ["exponential", "inverse", "balanced"])
+    @pytest.mark.parametrize("kind", ["exponential", "inverse", "balanced", "dense", "knn"])
     @pytest.mark.parametrize("rho_kind", ["random", "jordan", "complex"])
     def test_spectral_path_matches_dense_oracle(self, n, kind, rho_kind):
+        # every solve path: two-block and one-block eigenbasis, dense and sparse LU
         rng = np.random.default_rng([27, n])
         if kind == "balanced":  # symmetric but not reversal-symmetric: one eigh block
             a = np.triu(rng.uniform(size=(n, n)), 1)
             w = SpatialWeights(matrix=(a + a.T) / (a + a.T).sum(axis=1).max(), balance=np.ones(n))
+        elif kind == "dense":  # no balance vector: dense shifted LU
+            a = rng.uniform(size=(n, n))
+            np.fill_diagonal(a, 0.0)
+            w = SpatialWeights(matrix=a / a.sum(axis=1, keepdims=True), normalized=True)
+            assert isinstance(w.matrix, np.ndarray) and w._spectrum is None
+        elif kind == "knn":  # sparse shifted LU; CSR needs density <= 10%, so n >= 10
+            n = max(n, 10)
+            coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
+            w = knn_weights(coords, max(1, n // 20))
+            assert sp.issparse(w.matrix) and w._spectrum is None
         else:
             w = exponential_weights(n, 0.5) if kind == "exponential" else inverse_distance_weights(n)
-        assert len(w._spectrum[1]) == (1 if kind == "balanced" else 2)
+        if kind not in ("dense", "knn"):
+            assert len(w._spectrum[1]) == (1 if kind == "balanced" else 2)
         if rho_kind == "random":
             rho = random_params(rng, 3, 2, target_sr=rng.uniform(0.2, 0.9)).rho
         elif rho_kind == "jordan":

@@ -29,7 +29,6 @@ from sfofr import (
     true_beta,
     true_rho,
 )
-from sfofr import simgen
 from sfofr.msar import reduced_form_solve
 from sfofr.simgen import replication_rng
 
@@ -255,14 +254,14 @@ class TestGenResponse:
         x = gen_predictors(6, GRID, rng)
         w = exponential_weights(6, 0.5)
         gen_response(x, w, 0.9, np.random.default_rng(15))
-        solve = simgen._triangular_solve
+        solve = SpatialWeights.solve_lag
 
         def off(*args):
             y = solve(*args)
             y[0, 0] += 1e-3 * np.max(np.abs(y))
             return y
 
-        monkeypatch.setattr(simgen, "_triangular_solve", off)
+        monkeypatch.setattr(SpatialWeights, "solve_lag", off)
         with pytest.raises(GenerationError, match="miss the model identity"):
             gen_response(x, w, 0.9, np.random.default_rng(15))
 
