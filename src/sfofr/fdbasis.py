@@ -55,6 +55,9 @@ class FunctionalDataset:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.size < 4:
             raise ParameterError("grid must be 1-D with at least 4 points")
+        bad = np.flatnonzero(~np.isfinite(grid))
+        if bad.size:
+            raise DomainError(f"grid points must be finite; point {bad[0]} is {grid[bad[0]]}")
         if grid[0] < 0.0 or grid[-1] > 1.0:
             raise DomainError("grid must lie within [0, 1]")
         if np.any(np.diff(grid) <= 0):
@@ -104,7 +107,7 @@ class BSplineBasis:
     def _gram_roots(self):
         w, v = np.linalg.eigh(self.gram)
         w = np.maximum(w, 1e-12)
-        return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+        return _read_only((v * np.sqrt(w)) @ v.T), _read_only((v / np.sqrt(w)) @ v.T)
 
 
 @dataclass(frozen=True)
@@ -154,21 +157,27 @@ def make_bspline_basis(num_basis: int, degree: int = 3) -> BSplineBasis:
     Interior knots are equally spaced in (0, 1); boundary knots are repeated
     degree + 1 times so the first/last basis function interpolates at 0/1.
     The Gram matrix uses Gauss-Legendre with degree + 1 nodes per knot span,
-    exact for the degree-2*degree polynomial products.
+    exact for the degree-2*degree polynomial products. Bases are cached per
+    (num_basis, degree), with read-only knots, Gram matrix and Gram roots.
     """
     if int(degree) != degree or degree < 1:
         raise ParameterError("degree must be an integer >= 1")
     if int(num_basis) != num_basis or num_basis < degree + 1:
         raise ParameterError("num_basis must be an integer >= degree + 1")
-    degree = int(degree)
-    num_basis = int(num_basis)
+    return _bspline_basis(int(num_basis), int(degree))
+
+
+@lru_cache(maxsize=4)
+def _bspline_basis(num_basis: int, degree: int) -> BSplineBasis:
     interior = np.linspace(0.0, 1.0, num_basis - degree + 1)[1:-1]
     knots = np.concatenate(
         [np.zeros(degree + 1), interior, np.ones(degree + 1)]
     )
     gram = _gram_gauss_legendre(knots, degree)
     gram = (gram + gram.T) / 2  # enforce exact symmetry
-    return BSplineBasis(degree=degree, num_basis=num_basis, knots=knots, gram=gram)
+    return BSplineBasis(
+        degree=degree, num_basis=num_basis, knots=_read_only(knots), gram=_read_only(gram)
+    )
 
 
 def _gram_gauss_legendre(knots: np.ndarray, degree: int) -> np.ndarray:

@@ -306,7 +306,7 @@ def _smooth(fit: SfofrFit, data: FunctionalDataset, mean, basis) -> BasisCoeffic
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two sample grids have the same points, to 1e-12."""
-    return a.size == b.size and np.allclose(a, b, rtol=0, atol=1e-12)
+    return a.size == b.size and bool(np.max(np.abs(a - b), initial=0.0) <= 1e-12)
 
 
 def _new_scores(fit: SfofrFit, x_new: FunctionalDataset, weights_new: SpatialWeights):

@@ -7,10 +7,14 @@ weighted by the trapezoid rule. That identity is a reduced form of the same
 kind the fitted model predicts through, and gen_response solves it with the
 same SpatialWeights.solve_lag, in R's real eigenbasis (the eigenvalue route of
 Ord 1975, on both sides). The result is certified by its residual
-max|Y - W Y R - G|, taken with W's own matrix, so the check shares no code
-with the solve. SimConfig.make_weights hands out one shared, read-only weight
-matrix per (kind, decay, n), so every replication reuses its
-eigendecomposition; R's is computed once per (grid, alpha).
+max|Y - W Y R - G|, taken with W's own matrix (``weights.matmul``). The
+check reads none of what the solve computed from W (its eigenvectors,
+eigenvalues or D^{1/2}); on a lattice W both share only the orthogonal fold
+T, and a fault planted in T still fails the check (tests/test_simgen.py,
+test_certificate_catches_a_faulty_shared_fold). SimConfig.make_weights
+hands out one shared, read-only weight matrix per (kind, decay, n), so every
+replication reuses its eigendecomposition; R's is computed once per
+(grid, alpha).
 
 True surfaces:
     beta(s, t) = 2 + s + t + 0.5 sin(2 pi s t)
@@ -167,16 +171,17 @@ def _noise(n: int, grid: np.ndarray, sd: float, smooth: bool, rng) -> np.ndarray
 
 @functools.lru_cache(maxsize=4)
 def _grid_operators(grid_bytes: bytes, alpha: float) -> tuple:
-    """gen_response's read-only quantities that depend on the grid and alpha
-    only: the trapezoid weights D_w, beta on the grid, R = D_w K, and R's real
-    eigen-triple (diag mu, S, S^-1)."""
+    """The read-only quantities that depend on the grid and alpha only: the
+    trapezoid weights D_w, beta and K = rho on the grid, R = D_w K, and R's
+    real eigen-triple (diag mu, S, S^-1)."""
     grid = np.frombuffer(grid_bytes)
     w_quad = trapezoid_weights(grid)
     kernel = true_rho(grid[:, None], grid[None, :], alpha)
     root = np.sqrt(w_quad)  # D_w^{1/2}
     mu, v = np.linalg.eigh(root[:, None] * kernel * root[None, :])
     beta_mat = true_beta(grid[:, None], grid[None, :])
-    out = (w_quad, beta_mat, w_quad[:, None] * kernel, np.diag(mu), root[:, None] * v, v.T / root)
+    rho_quad = w_quad[:, None] * kernel
+    out = (w_quad, beta_mat, kernel, rho_quad, np.diag(mu), root[:, None] * v, v.T / root)
     return tuple(map(_read_only, out))
 
 
@@ -199,14 +204,16 @@ def gen_response(
     S = D_w^{1/2} V and S^-1 = V' D_w^{-1/2}, all real, which
     ``weights.solve_lag`` takes as R's triangular form (it raises
     DivergenceError when the system diverges). The result is certified
-    directly, with W's own matrix (``weights.matmul``): GenerationError is
-    raised unless max|Y - W Y R - G| <= ``neumann_tol``.
+    directly, with W's own matrix (``weights.matmul``, which on a lattice W
+    shares the fold T with the solve but none of its eigenvectors,
+    eigenvalues or D^{1/2}): GenerationError is raised unless
+    max|Y - W Y R - G| <= ``neumann_tol``.
     ``neumann_max_terms`` is accepted for compatibility and unused.
     """
     if not 0 <= alpha < 1:
         raise ParameterError("alpha must lie in [0, 1)")
     grid = x_data.grid
-    w_quad, beta_mat, rho_quad, diag_mu, s, s_inv = _grid_operators(grid.tobytes(), alpha)
+    w_quad, beta_mat, _, rho_quad, diag_mu, s, s_inv = _grid_operators(grid.tobytes(), alpha)
     g = (x_data.values * w_quad) @ beta_mat
     g += _noise(x_data.n, grid, noise_sd, smooth_noise, rng)
     y = weights.solve_lag(diag_mu, s, s_inv, g)
@@ -232,10 +239,11 @@ def _draw(cfg: SimConfig, n: int, rng):
 
 def _true_surfaces(cfg: SimConfig):
     """The true beta and rho surfaces on the configuration's grid."""
-    grid, pts = cfg.grid, (cfg.grid[:, None], cfg.grid[None, :])
+    grid = cfg.grid
+    _, beta_mat, kernel, *_ = _grid_operators(grid.tobytes(), cfg.alpha)
     return (
-        SurfaceEstimate(ugrid=grid, tgrid=grid, values=true_beta(*pts), kind="beta"),
-        SurfaceEstimate(ugrid=grid, tgrid=grid, values=true_rho(*pts, cfg.alpha), kind="rho"),
+        SurfaceEstimate(ugrid=grid, tgrid=grid, values=beta_mat, kind="beta"),
+        SurfaceEstimate(ugrid=grid, tgrid=grid, values=kernel, kind="rho"),
     )
 
 

@@ -11,9 +11,11 @@ Both lattice kernels K are symmetric, so W = D^-1 K declares the row sums d
 of K as its ``balance`` field (d_i w_ij = d_j w_ji) and is similar to the
 symmetric D^{1/2} W D^{-1/2}, whose cached ``eigh`` diagonalizes W; such a
 W is read-only, so the cache cannot go stale. As K depends on |i - j| only,
-W is unchanged by the reversal i -> n-1-i, and a fold splits that ``eigh``
-into two half-size ones (Cantoni and Butler 1976). SpatialWeights.solve_lag
-is the one solve with W: in that eigenbasis, else by dense or sparse LU.
+W is unchanged by the reversal i -> n-1-i, and a fold T splits that ``eigh``
+into two half-size ones (Cantoni and Butler 1976). T also splits W itself,
+T W T' = diag(W+, W-), so such a W's ``matmul`` takes two half-size products.
+SpatialWeights.solve_lag is the one solve with W: in that eigenbasis, else by
+dense or sparse LU.
 """
 
 from __future__ import annotations
@@ -111,8 +113,13 @@ class SpatialWeights:
     # --- linear-algebra helpers used by the estimation core ---
 
     def matmul(self, m: np.ndarray) -> np.ndarray:
-        """W @ m."""
-        return np.asarray(self.matrix @ m)
+        """W @ m; with fold blocks (``_fold_blocks``) it is T' diag(W+, W-) T m,
+        two half-size products (half the flops) that read no eigenbasis."""
+        blocks = self._fold_blocks
+        if blocks is None:
+            return np.asarray(self.matrix @ m)
+        even, odd = _fold(m)
+        return _unfold(blocks[0] @ even, blocks[1] @ odd)
 
     def rmatmul(self, m: np.ndarray) -> np.ndarray:
         """W' @ m."""
@@ -150,12 +157,20 @@ class SpatialWeights:
         sym *= root[:, None]
         sym /= root[None, :]
         if np.array_equal(sym, sym[::-1, ::-1]):
-            even, odd = _fold(sym)
-            pairs = np.linalg.eigh(_fold(even.T)[0]), np.linalg.eigh(_fold(odd.T)[1])
+            pairs = tuple(map(np.linalg.eigh, _split(sym)))
         else:
             pairs = (np.linalg.eigh(sym),)
         lam = _read_only(np.concatenate([p[0] for p in pairs]))
         return lam, tuple(_read_only(p[1]) for p in pairs), _read_only(root)
+
+    @cached_property
+    def _fold_blocks(self):
+        """(W+, W-) with T W T' = diag(W+, W-), or None unless W is read-only (has
+        a balance vector), dense, and equal to W[::-1, ::-1] bit for bit."""
+        mat = self.matrix
+        if self.balance is None or sp.issparse(mat) or not np.array_equal(mat, mat[::-1, ::-1]):
+            return None
+        return tuple(map(_read_only, _split(mat.T)))
 
     def _to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         """P^-1 m = diag(blocks)' T D^{1/2} m (see ``_spectrum``)."""
@@ -238,15 +253,32 @@ def _fold(x: np.ndarray):
     odd part (x_top - J x_bot) / sqrt 2."""
     m = len(x) // 2
     top, bot = x[:m], x[::-1][:m]
-    even = np.concatenate([(top + bot) * np.sqrt(0.5), x[m : len(x) - m]])
-    return even, (top - bot) * np.sqrt(0.5)
+    even = np.empty((len(x) - m, *x.shape[1:]), np.result_type(x, float))
+    np.add(top, bot, out=even[:m])
+    even[:m] *= np.sqrt(0.5)
+    even[m:] = x[m : len(x) - m]
+    odd = top - bot
+    odd *= np.sqrt(0.5)
+    return even, odd
+
+
+def _split(x: np.ndarray):
+    """The diagonal blocks of T x' T', whole when x equals x[::-1, ::-1]."""
+    even, odd = _fold(x)
+    return _fold(even.T)[0], _fold(odd.T)[1]
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """T' (even, odd), the inverse of ``_fold``."""
     m = len(odd)
-    top, bot = (even[:m] + odd) * np.sqrt(0.5), (even[:m] - odd) * np.sqrt(0.5)
-    return np.concatenate([top, even[m:], bot[::-1]])
+    out = np.empty((len(even) + m, *odd.shape[1:]), np.result_type(even, odd, float))
+    top, bot = out[:m], out[::-1][:m]
+    np.add(even[:m], odd, out=top)
+    np.subtract(even[:m], odd, out=bot)
+    top *= np.sqrt(0.5)
+    bot *= np.sqrt(0.5)
+    out[m : len(out) - m] = even[m:]
+    return out
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,23 @@ class TestExitCodes:
         assert result.returncode == 1
         assert f"error: {w_nan}: weight matrix has non-finite entries" in result.stderr
 
+    def test_nan_grid_point_is_data_error(self, sim_dir, tmp_path):
+        rows = (sim_dir / "y.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        header[5] = "nan"
+        y_nan = tmp_path / "y_nan.csv"
+        y_nan.write_text("\n".join([",".join(header), *rows[1:]]) + "\n")
+        result = run_cli(
+            [
+                "fit", "--y", str(y_nan), "--x", str(sim_dir / "x.csv"),
+                "--w", str(sim_dir / "w.csv"), "--out", str(tmp_path / "o"),
+            ],
+            cwd=tmp_path,
+        )
+        assert result.returncode == 1
+        assert f"error: {y_nan}: grid points must be finite; point 4 is nan" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_ragged_weights_is_data_error(self, sim_dir, tmp_path):
         rows = (sim_dir / "w.csv").read_text().splitlines()
         rows[2] = rows[2].rsplit(",", 1)[0]

@@ -168,6 +168,19 @@ class TestDesignMatrixCache:
             assert evaluate_basis(basis, grid).tobytes() == expected.tobytes()
 
 
+    def test_basis_cached_read_only_and_equal_to_uncached(self):
+        from sfofr.fdbasis import _bspline_basis
+
+        basis = make_bspline_basis(20, 3)
+        assert make_bspline_basis(20.0, 3) is basis
+        fresh = _bspline_basis.__wrapped__(20, 3)
+        assert basis.gram.tobytes() == fresh.gram.tobytes()
+        assert basis.gram_sqrt.tobytes() == fresh.gram_sqrt.tobytes()
+        for a in (basis.knots, basis.gram, basis.gram_sqrt, basis.gram_inv_sqrt):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
 class TestSmoothCurves:
     def test_recovers_in_span_curves(self):
         rng = np.random.default_rng(11)
@@ -271,6 +284,13 @@ class TestFunctionalDataset:
             FunctionalDataset(grid=good_grid, values=bad)
         with pytest.raises(ParameterError):
             FunctionalDataset(grid=good_grid, values=np.zeros((2, 10)), ids=["a"])
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_nan_grid_point_rejected(self, where):
+        grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        grid[where] = np.nan
+        with pytest.raises(DomainError, match=f"point {where} is nan"):
+            FunctionalDataset(grid=grid, values=np.zeros((2, 5)))
 
     def test_reconstruction_bound_by_reported_residual(self):
         rng = np.random.default_rng(9)

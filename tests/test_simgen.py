@@ -29,6 +29,7 @@ from sfofr import (
     true_beta,
     true_rho,
 )
+from sfofr import spatial
 from sfofr.msar import reduced_form_solve
 from sfofr.simgen import replication_rng
 
@@ -264,6 +265,28 @@ class TestGenResponse:
         monkeypatch.setattr(SpatialWeights, "solve_lag", off)
         with pytest.raises(GenerationError, match="miss the model identity"):
             gen_response(x, w, 0.9, np.random.default_rng(15))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("make", [exponential_weights, inverse_distance_weights])
+    @pytest.mark.parametrize("fault", ["odd_sign_flipped", "odd_rows_rolled"])
+    def test_certificate_catches_a_faulty_shared_fold(self, monkeypatch, fault, make, n):
+        # the solve and the certificate's W Y share the fold T only; a fault
+        # planted in it must still miss the model identity
+        if fault == "odd_sign_flipped":
+            unfold = spatial._unfold
+            monkeypatch.setattr(spatial, "_unfold", lambda even, odd: unfold(even, -odd))
+        else:
+            fold = spatial._fold
+
+            def rolled(x):
+                even, odd = fold(x)
+                return even, np.roll(odd, 1, axis=0)
+
+            monkeypatch.setattr(spatial, "_fold", rolled)
+        rng = np.random.default_rng(17)
+        x = gen_predictors(n, GRID, rng)
+        with pytest.raises(GenerationError, match="miss the model identity"):
+            gen_response(x, make(n), 0.9, rng)
 
     def test_alpha_range_validated(self):
         rng = np.random.default_rng(10)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sfofr import spatial
 from sfofr import (
     DataError,
     FunctionalDataset,
@@ -354,6 +355,61 @@ class TestSpectralForm:
         assert cfg.make_weights(18) is not w
         with pytest.raises(ValueError):
             w.matrix[0, 1] = 0.5
+
+
+def banded_balanced(n):
+    """A sparse, symmetric, reversal-symmetric W with balance ones, stored as CSR."""
+    a = np.eye(n, k=1) + np.eye(n, k=-1)
+    return SpatialWeights(matrix=a / 2, balance=np.ones(n))
+
+
+class TestFoldedProduct:
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 250, 1001])
+    @pytest.mark.parametrize("make", [exponential_weights, inverse_distance_weights])
+    def test_lattice_product_matches_the_dense_product(self, make, n):
+        w = make(n)
+        assert w._fold_blocks is not None
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (n, 1), (n, 101)):
+            m = rng.standard_normal(shape)
+            expected = w.matrix @ m
+            got = w.matmul(m)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_other_weights_take_the_plain_product(self):
+        coords = GeoCoordinates(
+            lat=np.random.default_rng(5).uniform(-60, 60, 30),
+            lon=np.random.default_rng(6).uniform(-170, 170, 30),
+        )
+        lattice = exponential_weights(30, 0.5)
+        for w in (
+            balanced_mirror_free(30),
+            SpatialWeights(matrix=lattice.toarray(), normalized=True),
+            row_normalize(lattice),
+            banded_balanced(30),
+            knn_weights(coords, 3),
+        ):
+            assert w._fold_blocks is None
+            m = np.random.default_rng(7).standard_normal((30, 4))
+            assert np.array_equal(w.matmul(m), w.matrix @ m)
+        assert sp.issparse(banded_balanced(30).matrix)
+
+    def test_blocks_are_built_once_and_read_only(self, monkeypatch):
+        calls = []
+        split = spatial._split
+        monkeypatch.setattr(spatial, "_split", lambda x: calls.append(1) or split(x))
+        w = inverse_distance_weights(9)
+        m = np.random.default_rng(8).standard_normal((9, 3))
+        for _ in range(3):
+            w.matmul(m)
+        assert len(calls) == 1
+        plus, minus = w._fold_blocks
+        assert w._fold_blocks[0] is plus
+        assert plus.shape == (5, 5) and minus.shape == (4, 4)
+        for a in (plus, minus):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
 
 class TestMoransI:
