@@ -118,8 +118,9 @@ class BasisCoefficients:
     ``mean_coeff`` may hold the coefficients of a mean function removed
     before smoothing; it is all zero unless the caller passes it, and the
     pipeline does not (it keeps mean curves on the sampling grid).
-    ``residual_rms`` records the per-curve root-mean-square smoothing residual
-    on the fit grid.
+    ``residual_rms`` may hold the per-curve root-mean-square smoothing
+    residual; it is all zero unless the caller passes it, and
+    ``smooth_curves`` does not (``smoothing_residual_rms`` computes it).
     """
 
     coef: np.ndarray
@@ -240,7 +241,8 @@ def smooth_curves(
 
     Each row of the result minimizes ||values_i - Phi a||^2 + ridge * ||a||^2
     where Phi is the basis design matrix on the data grid. All curves share
-    one Cholesky factorization of Phi' Phi + ridge I.
+    one Cholesky factorization of Phi' Phi + ridge I. The smoothing residual
+    is left to ``smoothing_residual_rms``.
     """
     if ridge < 0:
         raise ParameterError("ridge must be >= 0")
@@ -257,9 +259,14 @@ def smooth_curves(
             "design matrix is rank deficient; pass ridge > 0 to regularize"
         ) from exc
     coef = cho_solve(factor, phi.T @ data.values.T).T
-    resid = data.values - coef @ phi.T
-    rms = np.sqrt(np.mean(resid**2, axis=1))
-    return BasisCoefficients(coef=coef, basis=basis, residual_rms=rms)
+    return BasisCoefficients(coef=coef, basis=basis)
+
+
+def smoothing_residual_rms(data: FunctionalDataset, coeffs: BasisCoefficients) -> np.ndarray:
+    """Per-curve root-mean-square residual of ``coeffs`` against ``data`` on
+    the data grid: sqrt(mean_j (values_ij - (A Phi')_ij)^2)."""
+    resid = data.values - coeffs.coef @ evaluate_basis(coeffs.basis, data.grid).T
+    return np.sqrt(np.mean(resid**2, axis=1))
 
 
 def center(data: FunctionalDataset):

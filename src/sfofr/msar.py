@@ -26,7 +26,8 @@ Every iterate keeps the spectral radius of rho below 1 - iota, and a fit that
 ends at that bound is checked against one capped rerun (see fit_msar).
 
 Fitted values come from the reduced form M - W M rho = C: reduced_form_solve
-hands the complex Schur form of rho to SpatialWeights.solve_lag.
+hands the Schur form of rho (real unless rho has a complex eigenvalue pair) to
+SpatialWeights.solve_lag.
 """
 
 from __future__ import annotations
@@ -97,11 +98,13 @@ class MsarData:
         """The W products every objective evaluation reuses."""
         w = self.weights
         wy = w.matmul(self.ymat)
+        wtx = w.rmatmul(self.xmat)
         return {
             "wy": wy,
             "wty": w.rmatmul(self.ymat),
             "wtwy": w.rmatmul(wy),
-            "wtx": w.rmatmul(self.xmat),
+            "wtx": wtx,
+            "x_wtx": np.concatenate([self.xmat, wtx], axis=1),
             "dwtw": w.diag_wtw(),
         }
 
@@ -266,9 +269,21 @@ def gradient(params: MsarParams, data: MsarData) -> np.ndarray:
 # --- estimation -------------------------------------------------------------
 
 
+@lru_cache
 def _unit_steps(rows: int, cols: int) -> np.ndarray:
-    """Unit steps of a rows x cols matrix in vec order: steps[a + b rows] = e_a e_b'."""
-    return np.eye(rows * cols).reshape(-1, cols, rows).transpose(0, 2, 1)
+    """Read-only unit steps of a rows x cols matrix in vec order:
+    steps[a + b rows] = e_a e_b'."""
+    return _read_only(np.eye(rows * cols).reshape(-1, cols, rows).transpose(0, 2, 1))
+
+
+@lru_cache
+def _rho_steps(k: int):
+    """Read-only d rho over ``_jacobian``'s variables (unit steps of rho, then
+    zero for every zeta entry), its transpose, and the zero dOmega of the rho
+    variables."""
+    zeros = np.zeros((k * k, k, k))
+    d_rho = np.concatenate([_unit_steps(k, k), zeros[: len(_triu(k)[1])]])
+    return _read_only(d_rho), _read_only(d_rho.transpose(0, 2, 1)), _read_only(zeros)
 
 
 def _jacobian(chain, data: MsarData) -> np.ndarray:
@@ -285,9 +300,9 @@ def _jacobian(chain, data: MsarData) -> np.ndarray:
     # dU'U has row j = U[i, :] times the step of U[i, j]: U[i, i] if i == j, else 1
     lead = np.where(diag, u[rows, cols], 1.0)[:, None] * u[rows]
     half = np.eye(k)[cols, :, None] * lead[:, None, :]
-    d_rho = np.concatenate([_unit_steps(k, k), np.zeros_like(half)])
-    d_omega = np.concatenate([np.zeros((k * k, k, k)), half + half.transpose(0, 2, 1)])
-    rot, d_rho_t = omega_e @ rho.T, d_rho.transpose(0, 2, 1)
+    d_rho, d_rho_t, zeros = _rho_steps(k)
+    d_omega = np.concatenate([zeros, half + half.transpose(0, 2, 1)])
+    rot = omega_e @ rho.T
     coef = np.concatenate(
         [-d_rho @ omega_e, d_rho @ rot, d_omega, -d_omega @ rho.T - omega_e @ d_rho_t], axis=1
     )
@@ -302,8 +317,7 @@ def _b_design(chain, data: MsarData) -> np.ndarray:
     depend on B. A step dB moves G by -X dB Omega_e + W'X dB Omega_e rho'."""
     rho, _, omega_e, *_, m = chain
     steps = _unit_steps(data.k_x, data.k_y)
-    xs = np.concatenate([data.xmat, data._products["wtx"]], axis=1)
-    design = xs @ np.concatenate([steps @ omega_e, -steps @ omega_e @ rho.T], axis=1)
+    design = data._products["x_wtx"] @ np.concatenate([steps @ omega_e, -steps @ omega_e @ rho.T], axis=1)
     return (m * design).reshape(len(steps), -1).T
 
 
@@ -474,10 +488,13 @@ def reduced_form_solve(
 ) -> np.ndarray:
     """Solve M - W M rho = C, the matrix form of (I - rho' (x) W) vec(M) = vec(C).
 
-    The complex Schur form rho = Z T Z^H (T upper triangular) hands the
-    system to ``SpatialWeights.solve_lag``, which raises DivergenceError when
-    it diverges. This is the Bartels-Stewart reduction (1972), backward
-    stable for every rho, defective ones included. rho = 0 returns a copy of C.
+    The Schur form rho = Z T Z' (T upper triangular) hands the system to
+    ``SpatialWeights.solve_lag``, which raises DivergenceError when it
+    diverges. This is the Bartels-Stewart reduction (1972), backward stable
+    for every rho, defective ones included. Z and T are real when rho's
+    eigenvalues are, so every shifted solve runs in real arithmetic; a
+    complex pair (a 2 x 2 block of the real Schur form) turns both complex
+    (``rsf2csf``). rho = 0 returns a copy of C.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -488,5 +505,7 @@ def reduced_form_solve(
         raise ParameterError("weights size must match C's rows")
     if not np.any(rho):
         return c.copy()
-    t, z = linalg.schur(rho, output="complex")
+    t, z = linalg.schur(rho)
+    if np.any(np.diag(t, -1)):
+        t, z = linalg.rsf2csf(t, z)
     return weights.solve_lag(t, z, z.conj().T, c)

@@ -217,7 +217,10 @@ def gen_response(
     g = (x_data.values * w_quad) @ beta_mat
     g += _noise(x_data.n, grid, noise_sd, smooth_noise, rng)
     y = weights.solve_lag(diag_mu, s, s_inv, g)
-    residual = float(np.max(np.abs(y - weights.matmul(y) @ rho_quad - g)))
+    r = weights.matmul(y) @ rho_quad  # then -(Y - W Y R - G), negated exactly
+    r -= y
+    r += g
+    residual = float(np.max(np.abs(r)))
     if not residual <= neumann_tol:
         raise GenerationError(
             f"generated responses miss the model identity by {residual:.3g} "

@@ -176,7 +176,11 @@ class SpatialWeights:
         """P^-1 m = diag(blocks)' T D^{1/2} m (see ``_spectrum``)."""
         _, blocks, root = self._spectrum
         parts = _fold(root[:, None] * m) if len(blocks) == 2 else (root[:, None] * m,)
-        return np.concatenate([q.T @ x for q, x in zip(blocks, parts)])
+        out = np.empty(m.shape, np.result_type(root, m))
+        np.matmul(blocks[0].T, parts[0], out=out[: len(blocks[0])])
+        if len(blocks) == 2:
+            np.matmul(blocks[1].T, parts[1], out=out[len(blocks[0]) :])
+        return out
 
     def _from_eigenbasis(self, y: np.ndarray) -> np.ndarray:
         """P y = D^{-1/2} T' diag(blocks) y (see ``_spectrum``)."""
@@ -190,8 +194,8 @@ class SpatialWeights:
         """Solve M - W M R = C for real M, given R = Z T Z^-1 with T upper triangular.
 
         This is the one solve with W: the reduced form of fitted values and
-        predictions (``msar.reduced_form_solve``, with the complex Schur form
-        of rho) and of generated responses (``simgen.gen_response``, with the
+        predictions (``msar.reduced_form_solve``, with the Schur form of rho,
+        real unless rho has a complex eigenvalue pair) and of generated responses (``simgen.gen_response``, with the
         real eigenbasis of the trapezoid-weighted rho surface). With N = M Z
         the system becomes N - W N T = C Z, which is solved column by column,
         in order:

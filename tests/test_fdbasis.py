@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfofr import (
+    BasisCoefficients,
     DomainError,
     FunctionalDataset,
     ParameterError,
@@ -12,6 +13,7 @@ from sfofr import (
     evaluate_basis,
     make_bspline_basis,
     smooth_curves,
+    smoothing_residual_rms,
     trapezoid_weights,
 )
 
@@ -208,7 +210,10 @@ class TestSmoothCurves:
         data = FunctionalDataset(grid=grid, values=values)
         basis = make_bspline_basis(15, 3)
         coeffs = smooth_curves(data, basis, ridge=0.0)
-        assert np.all(coeffs.residual_rms < noise_sd)
+        rms = smoothing_residual_rms(data, coeffs)
+        # the residual keeps most of the noise: about (1 - L/T) of its variance
+        assert np.all(rms < noise_sd)
+        assert np.all(rms > 0.8 * noise_sd * np.sqrt(1 - basis.num_basis / grid.size))
         # oracle: direct normal-equation solve
         phi = evaluate_basis(basis, grid)
         oracle = np.linalg.solve(phi.T @ phi, phi.T @ values.T).T
@@ -222,7 +227,9 @@ class TestSmoothCurves:
         coeffs = smooth_curves(data, basis)
         recon = coeffs.coef @ evaluate_basis(basis, grid).T
         rms = np.sqrt(np.mean((data.values - recon) ** 2, axis=1))
-        np.testing.assert_allclose(rms, coeffs.residual_rms, rtol=1e-12)
+        np.testing.assert_allclose(smoothing_residual_rms(data, coeffs), rms, rtol=1e-12)
+        # smoothing leaves the stored field at its default, as it does mean_coeff
+        assert np.all(coeffs.residual_rms == 0)
 
     def test_singular_design_raises_with_advice(self):
         # all samples in [0, 0.3]: right-side basis functions vanish everywhere
@@ -297,7 +304,11 @@ class TestFunctionalDataset:
         grid = np.linspace(0, 1, 80)
         data = FunctionalDataset(grid=grid, values=rng.standard_normal((6, 80)))
         basis = make_bspline_basis(12, 3)
-        coeffs = smooth_curves(data, basis)
-        recon = coeffs.coef @ evaluate_basis(basis, grid).T
-        rms = np.sqrt(np.mean((data.values - recon) ** 2, axis=1))
-        assert np.all(rms <= coeffs.residual_rms + 1e-12)
+        coeffs = smooth_curves(data, basis, ridge=0.0)
+        rms = smoothing_residual_rms(data, coeffs)
+        # least squares: any other coefficients reconstruct each curve worse
+        for _ in range(5):
+            moved = BasisCoefficients(
+                coef=coeffs.coef + 1e-3 * rng.standard_normal(coeffs.coef.shape), basis=basis
+            )
+            assert np.all(rms < smoothing_residual_rms(data, moved))

@@ -521,6 +521,28 @@ class TestReducedFormSolve:
         expected = unvec(np.linalg.solve(dense_s(rho, w.toarray()), vec(c)), 8, 2)
         np.testing.assert_allclose(reduced_form_solve(rho, w, c), expected, atol=1e-8)
 
+    @pytest.mark.parametrize("complex_pair", [False, True])
+    def test_schur_form_is_real_unless_rho_has_a_complex_pair(self, monkeypatch, complex_pair):
+        # a dense W without a balance vector: the shifted LU runs in T's dtype
+        rng = np.random.default_rng(31)
+        n = 40
+        a = rng.uniform(size=(n, n))
+        np.fill_diagonal(a, 0.0)
+        w = SpatialWeights(matrix=a / a.sum(axis=1)[:, None], normalized=True)
+        rho = np.array([[0.4, -0.3], [0.3, 0.4]] if complex_pair else [[0.4, 0.2], [0.1, 0.3]])
+        dtypes, solve_lag = [], SpatialWeights.solve_lag
+
+        def spy(self, t, z, z_inv, c):
+            dtypes.append(t.dtype)
+            return solve_lag(self, t, z, z_inv, c)
+
+        monkeypatch.setattr(SpatialWeights, "solve_lag", spy)
+        c = rng.standard_normal((n, 2))
+        got = reduced_form_solve(rho, w, c)
+        assert dtypes == [np.complex128 if complex_pair else np.float64]
+        expected = unvec(np.linalg.solve(dense_s(rho, w.toarray()), vec(c)), n, 2)
+        np.testing.assert_allclose(got, expected, atol=1e-10)
+
     def test_sparse_weights_match_sparse_oracle(self):
         rng = np.random.default_rng(26)
         n = 500
