@@ -363,23 +363,32 @@ def knn_weights(coords: GeoCoordinates, h: int) -> SpatialWeights:
     """K-nearest-neighbor weights: w[i, j] = 1/h if j is among the h nearest
     units to i by Haversine distance, else 0. Distance ties are broken by the
     lower unit index so the construction is deterministic.
+
+    Candidates come from a k-d tree on unit-sphere points, whose chord
+    length is monotone in great-circle distance: each unit's candidates are
+    the units within its (h+1)-th chord distance (itself included), widened
+    by a margin far above rounding so that exact ties all enter. They are
+    ranked by Haversine distance, then index, as over a full distance
+    matrix, but in O(n h) memory.
     """
+    from scipy.spatial import cKDTree  # imported here: `import sfofr` stays light
+
     n = coords.n
     if int(h) != h or not 1 <= h <= n - 1:
         raise ParameterError("h must be an integer with 1 <= h <= n - 1")
     h = int(h)
-    dist = haversine_km(
-        coords.lat[:, None], coords.lon[:, None], coords.lat[None, :], coords.lon[None, :]
-    )
-    np.fill_diagonal(dist, np.inf)
-    rows = np.repeat(np.arange(n), h)
-    cols = np.empty(n * h, dtype=np.int64)
-    order_idx = np.arange(n)
-    for i in range(n):
-        # lexsort: primary key distance, secondary key index (lower index wins ties)
-        neighbors = np.lexsort((order_idx, dist[i]))[:h]
-        cols[i * h : (i + 1) * h] = neighbors
-    mat = sp.csr_array((np.full(n * h, 1.0 / h), (rows, cols)), shape=(n, n))
+    lat, lon = np.radians(coords.lat), np.radians(coords.lon)
+    xyz = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+    tree = cKDTree(xyz)
+    reach = tree.query(xyz, k=h + 1)[0][:, -1]
+    found = tree.query_ball_point(xyz, reach * (1 + 1e-9) + 1e-12)
+    rows = np.repeat(np.arange(n), np.fromiter(map(len, found), np.intp, n))
+    cols = np.concatenate(found).astype(np.intp)
+    rows, cols = rows[rows != cols], cols[rows != cols]
+    dist = haversine_km(coords.lat[rows], coords.lon[rows], coords.lat[cols], coords.lon[cols])
+    order = np.lexsort((cols, dist, rows))  # by row, then distance, then lower index
+    pick = order[(np.searchsorted(rows[order], np.arange(n))[:, None] + np.arange(h)).ravel()]
+    mat = sp.csr_array((np.full(n * h, 1.0 / h), (rows[pick], cols[pick])), shape=(n, n))
     return SpatialWeights(matrix=mat, normalized=True, kind="knn")
 
 

@@ -149,6 +149,42 @@ class TestKnn:
             with pytest.raises(ParameterError):
                 knn_weights(coords, h)
 
+    @staticmethod
+    def full_ranking(coords, h):
+        """Each unit's h nearest by a full Haversine matrix, lower index on ties."""
+        dist = haversine_km(
+            coords.lat[:, None], coords.lon[:, None], coords.lat[None, :], coords.lon[None, :]
+        )
+        np.fill_diagonal(dist, np.inf)
+        cols = [np.lexsort((np.arange(coords.n), row))[:h] for row in dist]
+        rows = np.repeat(np.arange(coords.n), h)
+        return sp.csr_array(
+            (np.full(rows.size, 1.0 / h), (rows, np.concatenate(cols))), shape=dist.shape
+        )
+
+    def assert_same_csr(self, got, expected):
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("n, h", [(50, 4), (600, 5)])
+    def test_matches_the_full_distance_ranking_bit_for_bit(self, n, h):
+        rng = np.random.default_rng(n)
+        coords = GeoCoordinates(lat=rng.uniform(-33.75, 5.27, n), lon=rng.uniform(-74, -35, n))
+        self.assert_same_csr(knn_weights(coords, h).matrix, self.full_ranking(coords, h))
+
+    def test_planted_exact_ties_go_to_lower_indices(self):
+        # units 0-3 lie exactly 1 degree from the coincident units 4 and 5
+        coords = GeoCoordinates(
+            lat=np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 10.0]),
+            lon=np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 10.0]),
+        )
+        ring = haversine_km(0.0, 0.0, coords.lat[:4], coords.lon[:4])
+        assert np.all(ring == ring[0])  # the ties are exact in floating point
+        w = knn_weights(coords, 3)  # 21 of 49 entries: stored dense
+        np.testing.assert_array_equal(w.toarray(), self.full_ranking(coords, 3).toarray())
+        assert set(np.flatnonzero(w.toarray()[4])) == {5, 0, 1}
+        assert set(np.flatnonzero(w.toarray()[5])) == {4, 0, 1}
+
     def test_sparse_graph_is_stored_as_csr(self):
         rng = np.random.default_rng(5)
         coords = GeoCoordinates(lat=rng.uniform(-33, -3, 200), lon=rng.uniform(-73, -35, 200))
