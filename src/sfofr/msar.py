@@ -19,7 +19,10 @@ log-diagonal (zeta), which keeps it positive definite without constraints.
 B enters the residual linearly, so Q is a separable least-squares problem: the fit
 profiles B out by one thin SVD per evaluation (variable projection, Golub and
 Pereyra 1973) and runs Levenberg-Marquardt over (vec rho, zeta) on the
-projected residual, with Kaufman's (1975) Jacobian. The residual's analytic
+projected residual, with Kaufman's (1975) Jacobian J. Each step models Q's
+Hessian as 2 J'J (Gauss-Newton) or, as NL2SOL does (Dennis, Gay and Welsch
+1981), 2 (J'J + S) with S a secant estimate of sum_i r_i Hess(r_i), whichever
+predicted the last accepted change in Q better. The residual's analytic
 Jacobian is Q's only derivative: the gradient is 2 J'(m (.) G). Q(c Omega_e) =
 Q(Omega_e) for any c > 0, so the first log-diagonal entry of U is held fixed.
 Every iterate keeps the spectral radius of rho below 1 - iota, and a fit that
@@ -361,6 +364,22 @@ def _default_init(data: MsarData) -> np.ndarray:
     return u0
 
 
+def _secant_update(sec, step, y_sharp, y):
+    """NL2SOL's update of S ~ sum_i r_i Hess(r_i) after an accepted step
+    (Dennis, Gay and Welsch 1981): S is sized by min(1, |s'y#| / |s'Ss|),
+    then moved by the symmetric rank-two change that gives S s = y#, unless
+    y's <= 0. With J, J+ the projected Jacobians before and after the step
+    and r+ the residual after it, y# = J+'r+ - J'r+ and y = J+'r+ - J'r."""
+    curv = step @ sec @ step
+    if curv != 0:
+        sec = min(1.0, abs(step @ y_sharp) / abs(curv)) * sec
+    ys = y @ step
+    if not ys > 0:
+        return sec
+    w = y_sharp - sec @ step
+    return sec + (np.outer(w, y) + np.outer(y, w)) / ys - (w @ step) / ys**2 * np.outer(y, y)
+
+
 def fit_msar(
     data: MsarData,
     init: MsarParams | None = None,
@@ -373,7 +392,12 @@ def fit_msar(
     ``init``'s rho and U or by default from rho = 0 and the inverse OLS
     residual covariance. Each evaluation profiles B out (``_profiled``);
     Kaufman's Jacobian J = (I - QQ') dr/dx (``_jacobian``) gives the damped
-    Gauss-Newton step. As r is orthogonal to the B design, 2 J'r is dQ/dx at
+    step, which solves (H + lam I) step = -J'r for one of two models of Q's
+    Hessian 2H: Gauss-Newton's H = J'J, or H = J'J + S with NL2SOL's secant
+    term S (``_secant_update``). S starts at zero and is updated after every
+    accepted step; the next step takes the model that predicted that step's
+    change in Q better, so a fit whose Gauss-Newton model keeps predicting
+    better takes Gauss-Newton steps only. As r is orthogonal to the B design, 2 J'r is dQ/dx at
     the profiled B (the envelope gradient): the one stop test and
     ``grad_norm`` read its norm. Candidates with |lambda_1(rho)| at the cap
     1 - iota are refused by raising the damping. A candidate is accepted when
@@ -414,7 +438,8 @@ def fit_msar(
     def descend(cap):
         theta, r, qmat, chain = start
         jac = linearize(qmat, chain)
-        jtr_norm, q, lam = np.linalg.norm(jac.T @ r), q0, None
+        jtr, q, lam = jac.T @ r, q0, None
+        jtr_norm, sec, secant = np.linalg.norm(jtr), np.zeros((search.size,) * 2), False
         trace, sr_trace, message = [q], [spectral_radius(rho0)], "max_iter reached"
         for _ in range(max_iter):
             if 2 * jtr_norm <= tol:
@@ -422,10 +447,20 @@ def fit_msar(
             uj, sv, vt = np.linalg.svd(jac, full_matrices=False)
             ur = uj.T @ r
             lam = 1e-3 * sv[0] ** 2 if lam is None else lam
+            if secant:  # steps solve (J'J + S + lam I) step = -J'r in J'J + S's eigenbasis
+                mu, basis = np.linalg.eigh((vt.T * sv * sv) @ vt + sec)
+                coef = basis.T @ jtr
             nu, blocked, accepted = 2.0, False, False
             while not accepted:
-                z = -sv * ur / (sv * sv + lam + np.finfo(float).tiny)  # no 0/0 at sv = 0
-                step = vt.T @ z
+                if secant and mu[0] + lam <= 0:  # J'J + S + lam I is not positive definite
+                    lam, nu = lam * nu, 2 * nu
+                    continue
+                if secant:
+                    step = -basis @ (coef / (mu + lam))
+                    z = vt @ step
+                else:
+                    z = -sv * ur / (sv * sv + lam + np.finfo(float).tiny)  # no 0/0 at sv = 0
+                    step = vt.T @ z
                 if np.linalg.norm(step) <= 1e-15 * max(1.0, np.linalg.norm(theta[free])):
                     break
                 cand = theta.copy()
@@ -437,19 +472,24 @@ def fit_msar(
                     change = float((r_c - r) @ (r_c + r))
                     if change <= 64 * np.finfo(float).eps * q:  # lower, or at the floor
                         jac_c = linearize(qmat_c, chain_c)
-                        accepted = change < 0 or np.linalg.norm(jac_c.T @ r_c) < jtr_norm
+                        jtr_c = jac_c.T @ r_c
+                        accepted = change < 0 or np.linalg.norm(jtr_c) < jtr_norm
                 if not accepted:
                     lam, nu = lam * nu, 2 * nu
             if not accepted:
                 message = ("stopped at the spectral-radius constraint boundary" if blocked
                            else "no step lowers Q")
                 break
-            if change < 0:  # Nielsen's update from the gain ratio
-                predicted = 2 * (ur @ (sv * z)) + (sv * z) @ (sv * z)
-                gain = change / predicted if predicted < change else 1.0
+            predicted = 2 * (ur @ (sv * z)) + (sv * z) @ (sv * z)  # by the J'J model
+            bend = step @ sec @ step  # what S adds to that prediction
+            if change < 0:  # Nielsen's update from the gain ratio of the model used
+                model = predicted + bend * secant
+                gain = change / model if model < change else 1.0
                 lam *= max(1 / 3, 1 - (2 * gain - 1) ** 3)
-            theta, r, jac, q = cand, r_c, jac_c, float(r_c @ r_c)
-            jtr_norm = np.linalg.norm(jac.T @ r)
+            secant = abs(change - predicted - bend) < abs(change - predicted)
+            sec = _secant_update(sec, step, jtr_c - jac.T @ r_c, jtr_c - jtr)
+            theta, r, jac, jtr, q = cand, r_c, jac_c, jtr_c, float(r_c @ r_c)
+            jtr_norm = np.linalg.norm(jtr)
             trace.append(q)
             sr_trace.append(sr_cand)
         norm = float(2 * jtr_norm)

@@ -34,6 +34,7 @@ from sfofr import (
     reduced_form_solve,
     spectral_radius,
 )
+from sfofr import msar as msar_module
 from sfofr.io import read_weights_csv, write_weights_csv
 from sfofr.msar import (
     _chain,
@@ -433,6 +434,7 @@ class TestFitMsar:
         4: 3.5053684282570914,
         7: 4.267882276651399,
         9: 6.055200890955318,
+        15: 5.713984287203567,
         56: 3.8513936255988135,
     }
 
@@ -479,6 +481,71 @@ class TestFitMsar:
         fit = fit_msar(data, max_iter=500)
         if fit.converged:
             assert fit.grad_norm <= fit.tolerance
+
+
+class TestSecantModel:
+    """NL2SOL's secant term S ~ sum_i r_i Hess(r_i) in fit_msar's descent."""
+
+    def test_large_residual_fit_converges_superlinearly(self):
+        # Q = 5.7 at the stop; Gauss-Newton steps alone took 39 steps here
+        fit = TestFitMsar().weak_fit(15)
+        assert fit.params.rho.shape == (2, 2)
+        assert fit.converged and fit.iterations <= 20
+
+    def test_secant_term_stays_symmetric_and_finite(self, monkeypatch):
+        updates, update = [], msar_module._secant_update
+
+        def spy(*args):
+            updates.append(update(*args))
+            return updates[-1]
+
+        monkeypatch.setattr(msar_module, "_secant_update", spy)
+        fit = TestFitMsar().weak_fit(15)
+        assert len(updates) == fit.iterations
+        assert any(np.any(sec) for sec in updates)
+        for sec in updates:
+            assert np.all(np.isfinite(sec))
+            np.testing.assert_array_equal(sec, sec.T)
+
+    def test_secant_update_meets_the_secant_condition(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((5, 5))
+        sec, step, y_sharp, y = a + a.T, *rng.standard_normal((3, 5))
+        y *= np.sign(y @ step)
+        new = msar_module._secant_update(sec, step, y_sharp, y)
+        np.testing.assert_allclose(new @ step, y_sharp, rtol=1e-10, atol=1e-12)
+        # a step with y's <= 0 only sizes S
+        sized = msar_module._secant_update(sec, step, y_sharp, -y)
+        tau = min(1.0, abs(step @ y_sharp) / abs(step @ sec @ step))
+        np.testing.assert_array_equal(sized, tau * sec)
+
+    def test_noiseless_problem_still_reaches_the_truth(self):
+        rng = np.random.default_rng(42)
+        n, k_y, k_x = 80, 2, 3
+        w = inverse_distance_weights(n)
+        truth = random_params(rng, k_y, k_x, target_sr=0.6)
+        xmat = rng.standard_normal((n, k_x))
+        xmat -= xmat.mean(axis=0)
+        data = MsarData(ymat=reduced_form_solve(truth.rho, w, xmat @ truth.b), xmat=xmat, weights=w)
+        fit = fit_msar(data)
+        assert fit.converged and fit.objective <= 1e-12
+        np.testing.assert_allclose(fit.params.rho, truth.rho, atol=1e-6)
+        np.testing.assert_allclose(fit.params.b, truth.b, atol=1e-6)
+
+    def test_better_gauss_newton_predictions_keep_gauss_newton_steps(self, monkeypatch):
+        # a huge S mispredicts every step, so the fit must take exactly the
+        # steps of a fit whose S stays zero (where both models tie)
+        data = random_data(np.random.default_rng(43), 60, 2, 2)
+        secant_fit = fit_msar(data)
+        fits = []
+        for scale in (0.0, 1e8):
+            monkeypatch.setattr(
+                msar_module, "_secant_update", lambda sec, *_, c=scale: c * np.eye(len(sec))
+            )
+            fits.append(fit_msar(data))
+        assert fits[0].objective_trace == fits[1].objective_trace
+        assert fits[0].objective_trace != secant_fit.objective_trace  # S matters here
+        np.testing.assert_array_equal(fits[0].params.rho, fits[1].params.rho)
 
 
 class TestReducedFormSolve:
