@@ -377,7 +377,9 @@ def _secant_update(sec, step, y_sharp, y):
     if not ys > 0:
         return sec
     w = y_sharp - sec @ step
-    return sec + (np.outer(w, y) + np.outer(y, w)) / ys - (w @ step) / ys**2 * np.outer(y, y)
+    # (w y' + y w') / y's - (w's) y y' / (y's)^2, written as u y' + y u'
+    u = w / ys - (w @ step) / (2 * ys * ys) * y
+    return sec + (np.outer(u, y) + np.outer(y, u))
 
 
 def fit_msar(

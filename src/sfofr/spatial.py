@@ -195,10 +195,10 @@ class SpatialWeights:
 
         This is the one solve with W: the reduced form of fitted values and
         predictions (``msar.reduced_form_solve``, with the Schur form of rho,
-        real unless rho has a complex eigenvalue pair) and of generated responses (``simgen.gen_response``, with the
-        real eigenbasis of the trapezoid-weighted rho surface). With N = M Z
-        the system becomes N - W N T = C Z, which is solved column by column,
-        in order:
+        real unless rho has a complex eigenvalue pair) and of generated
+        responses (``simgen.gen_response``, with the real eigenbasis of the
+        trapezoid-weighted rho surface). With N = M Z the system becomes
+        N - W N T = C Z, which is solved column by column, in order:
 
             (I - T[k, k] W) N[:, k] = (C Z)[:, k] + W N[:, :k] T[:k, k],
 
@@ -384,7 +384,8 @@ def knn_weights(coords: GeoCoordinates, h: int) -> SpatialWeights:
     found = tree.query_ball_point(xyz, reach * (1 + 1e-9) + 1e-12)
     rows = np.repeat(np.arange(n), np.fromiter(map(len, found), np.intp, n))
     cols = np.concatenate(found).astype(np.intp)
-    rows, cols = rows[rows != cols], cols[rows != cols]
+    other = rows != cols
+    rows, cols = rows[other], cols[other]
     dist = haversine_km(coords.lat[rows], coords.lon[rows], coords.lat[cols], coords.lon[cols])
     order = np.lexsort((cols, dist, rows))  # by row, then distance, then lower index
     pick = order[(np.searchsorted(rows[order], np.arange(n))[:, None] + np.arange(h)).ravel()]
