@@ -320,7 +320,8 @@ def _b_design(chain, data: MsarData) -> np.ndarray:
     depend on B. A step dB moves G by -X dB Omega_e + W'X dB Omega_e rho'."""
     rho, _, omega_e, *_, m = chain
     steps = _unit_steps(data.k_x, data.k_y)
-    design = data._products["x_wtx"] @ np.concatenate([steps @ omega_e, -steps @ omega_e @ rho.T], axis=1)
+    coef = np.concatenate([steps @ omega_e, -steps @ omega_e @ rho.T], axis=1)
+    design = data._products["x_wtx"] @ coef
     return (m * design).reshape(len(steps), -1).T
 
 
@@ -454,15 +455,15 @@ def fit_msar(
                 coef = basis.T @ jtr
             nu, blocked, accepted = 2.0, False, False
             while not accepted:
-                if secant and mu[0] + lam <= 0:  # J'J + S + lam I is not positive definite
-                    lam, nu = lam * nu, 2 * nu
-                    continue
-                if secant:
-                    step = -basis @ (coef / (mu + lam))
-                    z = vt @ step
-                else:
+                if not secant:
                     z = -sv * ur / (sv * sv + lam + np.finfo(float).tiny)  # no 0/0 at sv = 0
                     step = vt.T @ z
+                elif mu[0] + lam > 0:
+                    step = -basis @ (coef / (mu + lam))
+                    z = vt @ step
+                else:  # J'J + S + lam I is not positive definite
+                    lam, nu = lam * nu, 2 * nu
+                    continue
                 if np.linalg.norm(step) <= 1e-15 * max(1.0, np.linalg.norm(theta[free])):
                     break
                 cand = theta.copy()

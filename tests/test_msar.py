@@ -526,7 +526,8 @@ class TestSecantModel:
         truth = random_params(rng, k_y, k_x, target_sr=0.6)
         xmat = rng.standard_normal((n, k_x))
         xmat -= xmat.mean(axis=0)
-        data = MsarData(ymat=reduced_form_solve(truth.rho, w, xmat @ truth.b), xmat=xmat, weights=w)
+        ymat = reduced_form_solve(truth.rho, w, xmat @ truth.b)
+        data = MsarData(ymat=ymat, xmat=xmat, weights=w)
         fit = fit_msar(data)
         assert fit.converged and fit.objective <= 1e-12
         np.testing.assert_allclose(fit.params.rho, truth.rho, atol=1e-6)
@@ -589,7 +590,9 @@ class TestReducedFormSolve:
         np.testing.assert_allclose(reduced_form_solve(rho, w, c), expected, atol=1e-8)
 
     @pytest.mark.parametrize("complex_pair", [False, True])
-    def test_schur_form_is_real_unless_rho_has_a_complex_pair(self, monkeypatch, complex_pair):
+    def test_schur_form_is_real_unless_rho_has_a_complex_pair(
+        self, monkeypatch, complex_pair
+    ):
         # a dense W without a balance vector: the shifted LU runs in T's dtype
         rng = np.random.default_rng(31)
         n = 40
