@@ -9,6 +9,8 @@ estimated by least squares. The fitted score-space matrices map back to the
 bivariate surfaces rho(u, t) and beta(s, t).
 """
 
+from types import ModuleType as _ModuleType
+
 from .exceptions import (
     DataError,
     DivergenceError,
@@ -55,6 +57,7 @@ from .msar import (
 from .pipeline import (
     SfofrFit,
     SurfaceEstimate,
+    compare_fits,
     contraction_diagnostic,
     fit_fofr_fpc,
     fit_sfofr,
@@ -93,72 +96,8 @@ from .spatial import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSplineBasis",
-    "BasisCoefficients",
-    "DataError",
-    "DivergenceError",
-    "DomainError",
-    "FpcDecomposition",
-    "FunctionalDataset",
-    "GenerationError",
-    "GeoCoordinates",
-    "MsarData",
-    "MsarFit",
-    "MsarParams",
-    "NumericalError",
-    "ParameterError",
-    "PreconditionError",
-    "SfofrError",
-    "SfofrFit",
-    "SimConfig",
-    "SimTruth",
-    "SingularityError",
-    "SpatialWeights",
-    "SurfaceEstimate",
-    "UndefinedStatisticError",
-    "apply_S",
-    "center",
-    "choose_k",
-    "contraction_diagnostic",
-    "evaluate_basis",
-    "exponential_weights",
-    "fit_fofr_fpc",
-    "fit_fpc",
-    "fit_msar",
-    "fit_sfofr",
-    "fit_sfpc",
-    "fitted_values",
-    "functional_morans_i",
-    "gen_predictors",
-    "gen_response",
-    "generate",
-    "gradient",
-    "haversine_km",
-    "inverse_distance_weights",
-    "ise_surface",
-    "knn_weights",
-    "make_bspline_basis",
-    "morans_i",
-    "mse_curves",
-    "objective",
-    "preconditioner_m",
-    "predict",
-    "project",
-    "r_squared",
-    "reconstruct",
-    "reconstruct_beta",
-    "reconstruct_rho",
-    "reduced_form_solve",
-    "represent_response",
-    "row_normalize",
-    "run_benchmark",
-    "run_replication",
-    "smooth_curves",
-    "smoothing_residual_rms",
-    "spectral_radius",
-    "summarize_benchmark",
-    "trapezoid_weights",
-    "true_beta",
-    "true_rho",
-]
+# Every public name imported above, and no submodule: without this list, a star
+# import after ``import sfofr.cli`` would shadow the standard library's io
+__all__ = sorted(
+    n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))
+)

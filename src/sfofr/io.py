@@ -12,7 +12,7 @@ rejects (a decreasing grid, a negative weight) with the object's error type.
 Formats
 -------
 Curve CSV      : header row ``t,<t_1>,...,<t_T>`` with the grid, then one row
-                 ``<id>,<v_1>,...,<v_T>`` per curve.
+                 ``<id>,<v_1>,...,<v_T>`` per curve; ids hold no comma or line break.
 Weights CSV    : either ``dense`` (n header-less rows of n values) or
                  ``triplet`` (``i,j,w`` rows with 0-based indices, ending
                  with ``n-1,n-1,0`` when unit n-1 has none, so n survives).
@@ -49,12 +49,13 @@ from .fdbasis import FunctionalDataset, make_bspline_basis
 from .fpca import FpcDecomposition
 from .msar import MsarFit, MsarParams, spectral_radius
 from .pipeline import (
+    FIT_OPTIONS,
     SfofrFit,
     SurfaceEstimate,
-    _warn_if_unconverged,
     contraction_diagnostic,
     reconstruct_beta,
     reconstruct_rho,
+    warn_if_unconverged,
 )
 from .spatial import GeoCoordinates, SpatialWeights
 
@@ -191,7 +192,12 @@ def _raise_first_bad_field(path, numbered, first_col: int, dtype: np.dtype):
 
 
 def write_curves_csv(path, data: FunctionalDataset):
+    """Raises ParameterError for an id read_curves_csv could not read back:
+    one holding a comma or a line break."""
     ids = data.ids if data.ids is not None else tuple(str(i) for i in range(data.n))
+    bad = next((u for u in ids if any(c in u for c in ",\n\r")), None)
+    if bad is not None:
+        raise ParameterError(f"curve id {bad!r} holds a comma or a line break")
     lines = _format_rows(np.vstack([data.grid, data.values]))
     _write_csv(path, [f"{label},{line}" for label, line in zip(["t", *ids], lines)])
 
@@ -391,12 +397,14 @@ BUNDLE_FILES = (*BUNDLE_MATRICES, "w_train.npy", "rho_surface.csv", "beta_surfac
 # The manifest's convergence block holds every MsarFit field but params.
 _CONVERGENCE = tuple(f for f in fields(MsarFit) if f.name != "params")
 # The JSON type of each manifest value the loader reads, by key path; JSON
-# holds MsarFit's tuple fields (the traces) as lists
+# holds MsarFit's tuple fields (the traces) as lists. Of the options, predict
+# reads only the ridge; the others stay untyped, so extra keys still load
 _FIELD_TYPES = {"float": float, "int": int, "bool": bool, "str": str, "tuple": list}
 _MANIFEST_TYPES = {
     "dims": dict, "options": dict, "convergence": dict, "response_decomposition": dict,
     "predictor_decomposition": dict, "weights_normalized": bool, "weights_balanced": bool,
-    "weights_kind": str, **{f"dims.{k}": int for k in ("n", "k_y", "k_x", "num_basis", "degree")},
+    "weights_kind": str, "options.ridge": float,
+    **{f"dims.{k}": int for k in ("n", "k_y", "k_x", "num_basis", "degree")},
     **{f"{side}_decomposition.{k}": kind for side in ("response", "predictor") for k, kind in (
         ("kind", str), ("eigenvalues", list), ("variance_explained", list),
         ("total_variance", float))},
@@ -432,7 +440,8 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
             "num_basis": fit.y_basis.num_basis,
             "degree": fit.y_basis.degree,
         },
-        "options": dict(fit.options),
+        # the ridge predict uses, which the loader requires, also for a fit built by hand
+        "options": {"ridge": FIT_OPTIONS["ridge"], **fit.options},
         "weights_normalized": bool(fit.weights.normalized),
         "weights_kind": fit.weights.kind,
         "weights_balanced": balance is not None,
@@ -481,7 +490,7 @@ def load_fit_bundle(directory) -> SfofrFit:
         fit = _read_bundle(directory, manifest)
     except KeyError as exc:
         raise DataError(f"{directory}: manifest.json lacks key {exc.args[0]!r}") from None
-    return _warn_if_unconverged(fit)
+    return warn_if_unconverged(fit)
 
 
 def _read_bundle(directory: Path, manifest: dict) -> SfofrFit:

@@ -9,11 +9,14 @@ rho(u, t) = phi(u)' rho_hat phi(t) and beta(s, t) = psi(s)' beta_hat phi(t).
 
 Fitted values and out-of-sample predictions both solve the reduced form
 M - W M rho = X B with the error scores at their zero mean; predictions use
-the test set's own weight matrix.
+the test set's own weight matrix. compare_fits fits this model and the
+non-spatial FPC baseline from one front end, and scores both.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +46,9 @@ from .msar import (
     reduced_form_solve,
 )
 from .spatial import SpatialWeights
+
+# Source files under this directory are the package's own frames
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -113,13 +119,18 @@ class SfofrFit:
         return self.predictor_decomp.basis
 
 
-def _warn_if_unconverged(fit: SfofrFit) -> SfofrFit:
-    """Warn when the score-space fit did not converge, naming the line that
-    called the public function (``fit_sfofr``, ``load_fit_bundle``,
-    ``run_replication``) which calls this; returns ``fit``."""
+def warn_if_unconverged(fit: SfofrFit) -> SfofrFit:
+    """Warn when the score-space fit did not converge; returns ``fit``.
+
+    The warning names the first calling line outside the sfofr package, so it
+    points at the caller's own line whichever public function (fit_sfofr,
+    compare_fits, run_replication, load_fit_bundle) led here."""
     if not fit.msar_fit.converged:
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
-            f"score-space fit did not converge: {fit.msar_fit.message}", stacklevel=3
+            f"score-space fit did not converge: {fit.msar_fit.message}", stacklevel=level
         )
     return fit
 
@@ -195,13 +206,13 @@ def fit_sfofr(
     ``options`` overrides any of the fit options; ``FIT_OPTIONS`` names them
     and holds their defaults.
     """
-    if weights.n != y_data.n:
-        raise ParameterError("weight matrix size must match the number of units")
-    return _warn_if_unconverged(_fit_spatial(*_front_end(y_data, x_data, options), weights))
+    return warn_if_unconverged(_fit_spatial(*_front_end(y_data, x_data, options), weights))
 
 
 def _fit_spatial(y_coeffs, shared: dict, weights: SpatialWeights) -> SfofrFit:
     """fit_sfofr after ``_front_end``: response SFPCA, then the score-space fit."""
+    if weights.n != y_coeffs.n:
+        raise ParameterError("weight matrix size must match the number of units")
     opts = shared["options"]
     y_decomp = _staged(
         "response decomposition", fit_sfpc, y_coeffs, weights,
@@ -421,3 +432,36 @@ def r_squared(pred: FunctionalDataset, obs: FunctionalDataset) -> float:
             "observed curves have no variation around their mean curve"
         )
     return 1.0 - float(np.sum((resid * resid) @ w)) / denom
+
+
+# --- the two-fit comparison --------------------------------------------------
+
+
+def compare_fits(
+    y_train: FunctionalDataset, x_train: FunctionalDataset, weights: SpatialWeights,
+    y_test: FunctionalDataset, x_test: FunctionalDataset, weights_test: SpatialWeights,
+    options: dict | None = None,
+) -> dict:
+    """Fit the spatial model and the FPC baseline on the same training data.
+
+    Returns {"sfofr": {...}, "fpc": {...}}, each holding the method's fit, its
+    in-sample mse and its out-of-sample mspe, both against the response as the
+    method's own decomposition represents it. The fits share one front end,
+    and the test scores and smoothed test responses are computed once; every
+    result equals, bit for bit, that of the public calls made apart.
+    """
+    y_coeffs, shared = _front_end(y_train, x_train, options)
+    spatial = warn_if_unconverged(_fit_spatial(y_coeffs, shared, weights))
+    baseline = _fit_baseline(y_coeffs, shared)
+    x_scores = _new_scores(spatial, x_test, weights_test)
+    y_test_coeffs = _response_coeffs(spatial, y_test)
+    return {
+        method: {
+            "fit": fit,
+            "mse": mse_curves(fitted_values(fit), _represent(fit, y_coeffs)),
+            "mspe": mse_curves(
+                _predict_from_scores(fit, x_scores, weights_test), _represent(fit, y_test_coeffs)
+            ),
+        }
+        for method, fit in (("sfofr", spatial), ("fpc", baseline))
+    }

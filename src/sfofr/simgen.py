@@ -21,11 +21,11 @@ True surfaces:
     rho(u, t)  = alpha (1 + u t) / (1 + |u - t|)
 
 run_replication generates disjoint train/test sets (each with its own weight
-matrix of the same kind), fits the spatial model and the non-spatial FPC
-baseline, sharing every step the two fits have in common, and reports ISE
-for both surfaces plus in-sample MSE and out-of-sample MSPE. Replications
-draw from independent streams keyed by (seed, replication_index), so any
-subset of replications is reproducible.
+matrix of the same kind), compares the spatial model with the non-spatial FPC
+baseline on them through pipeline.compare_fits, which shares every step the
+two fits have in common, and adds the ISE of both surfaces to its in-sample
+MSE and out-of-sample MSPE. Replications draw from independent streams keyed
+by (seed, replication_index), so any subset of replications is reproducible.
 """
 
 from __future__ import annotations
@@ -40,22 +40,7 @@ import numpy as np
 from .exceptions import GenerationError, ParameterError
 from .fdbasis import FunctionalDataset, _read_only, evaluate_basis, make_bspline_basis
 from .fdbasis import smooth_curves, trapezoid_weights
-from .pipeline import (
-    SurfaceEstimate,
-    _fit_baseline,
-    _fit_spatial,
-    _front_end,
-    _new_scores,
-    _predict_from_scores,
-    _represent,
-    _response_coeffs,
-    _warn_if_unconverged,
-    fitted_values,
-    ise_surface,
-    mse_curves,
-    reconstruct_beta,
-    reconstruct_rho,
-)
+from .pipeline import SurfaceEstimate, compare_fits, ise_surface, reconstruct_beta, reconstruct_rho
 from .spatial import SpatialWeights, exponential_weights, inverse_distance_weights
 
 N_FOURIER_PAIRS = 10
@@ -271,39 +256,30 @@ def replication_rng(seed: int, replication_index: int):
 
 
 def run_replication(cfg: SimConfig, replication_index: int = 0) -> dict:
-    """One Monte Carlo replication: fit both methods, return the four metrics.
+    """One Monte Carlo replication: draw disjoint train and test sets, compare
+    both methods on them (``compare_fits``), and add each surface's ISE.
 
     Returns {"sfofr": {...}, "fpc": {...}} where each inner dict holds
-    ise_beta, ise_rho (nan for the baseline), mse, and mspe. MSE and MSPE
-    compare model predictions with the observed response as represented by the
-    corresponding fitted decomposition (scores of the smoothed curves mapped
-    through the retained eigenfunctions), matching what each method can
-    actually resolve.
-
-    Both fits share one front end; the test predictor scores and the smoothed
-    test responses are computed once and projected per method. The results
-    equal those of the public calls made apart, bit for bit.
+    ise_beta, ise_rho (nan for the baseline), and compare_fits' mse and mspe,
+    which compare predictions with the observed response as each method's
+    own decomposition represents it. The results equal those of the public
+    calls made apart, bit for bit.
     """
     rng = replication_rng(cfg.seed, replication_index)
     grid = cfg.grid
     w_train, x_train, y_train = _draw(cfg, cfg.n_train, rng)
     w_test, x_test, y_test = _draw(cfg, cfg.n_test, rng)
     beta_truth, rho_truth = _true_surfaces(cfg)
-    y_coeffs, shared = _front_end(y_train, x_train, cfg.fit_options)
-    spatial = _warn_if_unconverged(_fit_spatial(y_coeffs, shared, w_train))
-    fits = {"sfofr": spatial, "fpc": _fit_baseline(y_coeffs, shared)}
-    x_scores = _new_scores(spatial, x_test, w_test)
-    y_test_coeffs = _response_coeffs(spatial, y_test)
+    compared = compare_fits(y_train, x_train, w_train, y_test, x_test, w_test, cfg.fit_options)
     results = {}
-    for method, fit in fits.items():
-        rho_hat = reconstruct_rho(fit, grid, grid) if fit is spatial else None
+    for method, scored in compared.items():
+        fit = scored["fit"]
+        rho_hat = reconstruct_rho(fit, grid, grid) if method == "sfofr" else None
         results[method] = {
             "ise_beta": ise_surface(reconstruct_beta(fit, grid, grid), beta_truth),
             "ise_rho": float("nan") if rho_hat is None else ise_surface(rho_hat, rho_truth),
-            "mse": mse_curves(fitted_values(fit), _represent(fit, y_coeffs)),
-            "mspe": mse_curves(
-                _predict_from_scores(fit, x_scores, w_test), _represent(fit, y_test_coeffs)
-            ),
+            "mse": scored["mse"],
+            "mspe": scored["mspe"],
         }
     return results
 
@@ -314,15 +290,17 @@ def _replication_worker(args):
 
 
 def run_benchmark(cfg: SimConfig, n_replications: int, threads: int = 1) -> list:
-    """Run seeded replications (optionally in parallel); results are ordered
-    by replication index and independent of the worker count."""
+    """Run seeded replications, in parallel over at most one worker process
+    per replication when ``threads`` > 1; results are ordered by replication
+    index and independent of the worker count."""
     if n_replications < 1:
         raise ParameterError("n_replications must be >= 1")
     jobs = [(cfg, i) for i in range(n_replications)]
     if threads <= 1:
         pairs = [_replication_worker(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the pool forks all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(threads, n_replications)) as pool:
             pairs = list(pool.map(_replication_worker, jobs))
     return [r for _, r in sorted(pairs, key=lambda p: p[0])]
 

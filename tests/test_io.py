@@ -253,6 +253,16 @@ class TestNumericCodec:
         back = read_curves_csv(path)
         assert bits(back.grid) == bits(grid) and bits(back.values) == bits(values)
 
+    @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb"], ids=["comma", "newline", "return"])
+    def test_curve_writer_refuses_ids_the_reader_cannot_split(self, tmp_path, bad):
+        data = FunctionalDataset(
+            grid=np.linspace(0.0, 1.0, 4), values=np.zeros((3, 4)), ids=["a", bad, "c,d"]
+        )
+        path = tmp_path / "curves.csv"
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            write_curves_csv(path, data)
+        assert not path.exists()
+
     @pytest.fixture
     def special_weights(self):
         # nonnegative, zero diagonal, and one huge value per row so row sums
@@ -536,6 +546,16 @@ class TestFitBundle:
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_fit_bundle(tmp_path / "bundle")
 
+    def test_fit_without_options_saves_the_ridge_predict_uses(self, tmp_path, small_fit):
+        fit, x_new, w_new = small_fit
+        bare = dataclasses.replace(fit, options={})
+        save_fit_bundle(bare, tmp_path / "bundle")
+        back = load_fit_bundle(tmp_path / "bundle")
+        assert back.options == {"ridge": 1e-8}
+        np.testing.assert_array_equal(
+            predict(back, x_new, w_new).values, predict(bare, x_new, w_new).values
+        )
+
     def test_unconverged_load_warns_at_caller(self, tmp_path):
         y, x, w = small_data()
         with pytest.warns(UserWarning, match="did not converge"):
@@ -582,6 +602,7 @@ class TestFitBundle:
             ("dims", "num_basis"),
             ("predictor_decomposition", "eigenvalues"),
             (None, "weights_kind"),
+            ("options", "ridge"),
         ],
     )
     def test_missing_manifest_key_names_key_and_bundle(self, tmp_path, small_fit, section, key):
@@ -610,10 +631,11 @@ class TestFitBundle:
             ("convergence.objective", lambda m: "abc"),
             ("convergence.objective_trace", lambda m: 1.0),
             ("response_decomposition.total_variance", lambda m: "x"),
+            ("options.ridge", lambda m: "abc"),
         ],
         ids=["dims-list", "convergence-list", "options-list", "balanced-str", "degree-float",
              "n-bool", "num-basis-short", "n-long", "k-y-long", "k-x-short", "objective-str",
-             "trace-float", "total-variance-str"],
+             "trace-float", "total-variance-str", "ridge-str"],
     )
     def test_malformed_manifest_value_names_key_and_bundle(self, tmp_path, small_fit, key, corrupt):
         fit, _, _ = small_fit

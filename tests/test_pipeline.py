@@ -15,6 +15,7 @@ from sfofr import (
     SpatialWeights,
     SurfaceEstimate,
     UndefinedStatisticError,
+    compare_fits,
     contraction_diagnostic,
     evaluate_basis,
     exponential_weights,
@@ -33,6 +34,7 @@ from sfofr import (
     reconstruct_beta,
     reconstruct_rho,
     reduced_form_solve,
+    represent_response,
     spectral_radius,
     trapezoid_weights,
     true_rho,
@@ -474,3 +476,42 @@ class TestStatisticalBehavior:
             k_xs.append(fit.k_x)
         assert k_ys == sorted(k_ys)
         assert k_xs == sorted(k_xs)
+
+
+class TestCompareFits:
+    @staticmethod
+    def train_and_test():
+        """A small design (seed 32) whose spatial fit converges with K_y = 2."""
+        rng = np.random.default_rng(32)
+        grid = np.arange(1, 42) / 41
+        out = []
+        for n in (60, 40):
+            w = exponential_weights(n, 0.5)
+            x = gen_predictors(n, grid, rng)
+            out += [gen_response(x, w, 0.5, rng), x, w]
+        return out
+
+    def test_matches_public_calls_bit_for_bit(self):
+        y, x, w, y_test, x_test, w_test = self.train_and_test()
+        options = {"num_basis": 12}
+        got = compare_fits(y, x, w, y_test, x_test, w_test, options)
+        public = {"sfofr": fit_sfofr(y, x, w, options), "fpc": fit_fofr_fpc(y, x, options)}
+        assert list(got) == list(public) and got["sfofr"]["fit"].k_y == 2
+        for method, fit in public.items():
+            mse = mse_curves(fitted_values(fit), represent_response(fit, y))
+            mspe = mse_curves(predict(fit, x_test, w_test), represent_response(fit, y_test))
+            assert (got[method]["mse"].hex(), got[method]["mspe"].hex()) == (mse.hex(), mspe.hex())
+            mine = got[method]["fit"]
+            for part in ("rho", "b", "prec_chol"):
+                np.testing.assert_array_equal(
+                    getattr(mine.msar_fit.params, part), getattr(fit.msar_fit.params, part)
+                )
+            np.testing.assert_array_equal(mine.response_decomp.chi, fit.response_decomp.chi)
+            np.testing.assert_array_equal(mine.weights.toarray(), fit.weights.toarray())
+            assert mine.msar_fit.message == fit.msar_fit.message
+
+    def test_unconverged_fit_warns_at_caller(self):
+        y, x, w, y_test, x_test, w_test = self.train_and_test()
+        with pytest.warns(UserWarning, match="did not converge: max_iter reached") as record:
+            compare_fits(y, x, w, y_test, x_test, w_test, {"num_basis": 12, "msar_max_iter": 1})
+        assert [r.filename for r in record] == [__file__]

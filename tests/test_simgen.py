@@ -29,7 +29,7 @@ from sfofr import (
     true_beta,
     true_rho,
 )
-from sfofr import spatial
+from sfofr import simgen, spatial
 from sfofr.msar import reduced_form_solve
 from sfofr.simgen import replication_rng
 
@@ -367,13 +367,16 @@ class TestRunReplication:
         other = run_replication(cfg, replication_index=1)
         assert other["sfofr"]["mspe"] != first["sfofr"]["mspe"]
 
+    # a small design whose score-space fit does not converge
+    UNCONVERGED = SimConfig(
+        n_train=60, n_test=40, alpha=0.5, weight_kind="exponential",
+        seed=13, grid_size=41, fit_options={"num_basis": 12},
+    )
+
     def test_parallel_benchmark_matches_serial(self):
         from sfofr import run_benchmark
 
-        cfg = SimConfig(
-            n_train=60, n_test=40, alpha=0.5, weight_kind="exponential",
-            seed=13, grid_size=41, fit_options={"num_basis": 12},
-        )
+        cfg = self.UNCONVERGED
         serial = run_benchmark(cfg, 2, threads=1)
         parallel = run_benchmark(cfg, 2, threads=2)
         for rep_s, rep_p in zip(serial, parallel):
@@ -426,3 +429,34 @@ class TestRunReplication:
         with pytest.warns(UserWarning, match="did not converge: max_iter reached") as record:
             run_replication(cfg, 0)
         assert [r.filename for r in record] == [__file__]
+
+    def test_serial_benchmark_warns_at_caller(self):
+        with pytest.warns(UserWarning, match="did not converge") as record:
+            simgen.run_benchmark(self.UNCONVERGED, 2, threads=1)
+        assert {r.filename for r in record} == {__file__}
+
+    @pytest.mark.filterwarnings("ignore:score-space fit did not converge")
+    @pytest.mark.parametrize("threads, n_reps, workers", [(64, 2, 2), (2, 3, 2)])
+    def test_pool_holds_at_most_one_worker_per_replication(
+        self, monkeypatch, threads, n_reps, workers
+    ):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", SerialPool)
+        results = simgen.run_benchmark(self.UNCONVERGED, n_reps, threads=threads)
+        assert sizes == [workers] and len(results) == n_reps
