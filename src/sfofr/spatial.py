@@ -14,6 +14,9 @@ W is read-only, so the cache cannot go stale. As K depends on |i - j| only,
 W is unchanged by the reversal i -> n-1-i, and a fold T splits that ``eigh``
 into two half-size ones (Cantoni and Butler 1976). T also splits W itself,
 T W T' = diag(W+, W-), so such a W's ``matmul`` takes two half-size products.
+A lattice W keeps W, W+- and the eigenvector blocks Q+- (about 2 x 8n^2 bytes),
+and making them takes no n x n temporary: K becomes W in place, and the rest
+reads W in row bands.
 SpatialWeights.solve_lag is the one solve with W: in that eigenbasis, else by
 dense or sparse LU.
 """
@@ -27,6 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import toeplitz
 
 from .exceptions import (
     DataError,
@@ -43,6 +47,7 @@ EARTH_RADIUS_KM = 6371.0
 # nonzero, and dense otherwise: near that density one shifted solve of
 # SpatialWeights.solve_lag costs the same either way, and KNN W lies far below it.
 _CSR_MAX_DENSITY = 0.1
+_BAND = 1 << 17  # entries (1 MiB) in a row band of dense W (``_bands``)
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,10 @@ class SpatialWeights:
             mat = mat.toarray().astype(float, copy=False)
         object.__setattr__(self, "matrix", mat)
         data = mat.data if sp.issparse(mat) else mat
-        if not np.all(np.isfinite(data)):
+        low, high = (np.min(data), np.max(data)) if data.size else (0.0, 0.0)
+        if not np.isfinite([low, high]).all():  # min and max propagate nan and inf
             raise DataError("weight matrix has non-finite entries")
-        if data.size and np.min(data) < 0:
+        if low < 0:
             raise DataError("weight matrix has negative entries")
         diag = mat.diagonal()
         if np.any(diag != 0):
@@ -92,9 +98,11 @@ class SpatialWeights:
             d = np.asarray(self.balance, dtype=float).ravel()
             if d.shape != (self.n,) or not np.all(d > 0):
                 raise DataError("balance vector must hold one positive entry per unit")
-            # K = D W must be symmetric, else the spectral form solves in the wrong basis
-            k = sp.diags_array(d) @ mat if sp.issparse(mat) else mat * d[:, None]
-            if abs(k - k.T).max() > 1e-12 * k.max():
+            # K = D W must be symmetric, else the spectral form solves in the wrong basis;
+            # K and K' are compared in row bands, so neither is formed whole
+            ks = ((mat[r] * d[r, None], (mat[:, r] * d[:, None]).T) for r in _bands(*mat.shape))
+            skew, top = np.max([(abs(k - kt).max(), k.max()) for k, kt in ks], axis=0)
+            if skew > 1e-12 * top:
                 raise DataError("balance vector does not satisfy d_i w_ij = d_j w_ji")
             for a in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
                 _read_only(a)
@@ -149,28 +157,27 @@ class SpatialWeights:
         """(lambda, blocks, sqrt(d)) with W = P diag(lambda) P^-1 and P = D^{-1/2} Q,
         Q the eigenvectors of sym = D^{1/2} W D^{-1/2}; None without a balance
         vector. ``blocks`` is (Q,), or (Q+, Q-) with Q = T' diag(Q+, Q-) for
-        the fold T (``_fold``) when sym equals sym[::-1, ::-1] bit for bit."""
+        the fold T (``_fold``) when sym equals sym[::-1, ::-1] bit for bit; sym's
+        halves then come from W's rows in bands (``_split``), with no n x n
+        temporary, and a mirror-free sym is formed whole. Q+- take 8n^2 / 2 bytes."""
         if self.balance is None:
             return None
         root = np.sqrt(self.balance)
-        sym = self.toarray()
-        sym *= root[:, None]
-        sym /= root[None, :]
-        if np.array_equal(sym, sym[::-1, ::-1]):
-            pairs = tuple(map(np.linalg.eigh, _split(sym)))
-        else:
-            pairs = (np.linalg.eigh(sym),)
+        mat = self.toarray() if sp.issparse(self.matrix) else self.matrix
+        halves = _split(mat, root) or [(mat * root[:, None] / root).T]
+        # eigh of the transposes _split returns; each is freed once diagonalized
+        pairs = [np.linalg.eigh(halves.pop(0).T) for _ in range(len(halves))]
         lam = _read_only(np.concatenate([p[0] for p in pairs]))
         return lam, tuple(_read_only(p[1]) for p in pairs), _read_only(root)
 
     @cached_property
     def _fold_blocks(self):
         """(W+, W-) with T W T' = diag(W+, W-), or None unless W is read-only (has
-        a balance vector), dense, and equal to W[::-1, ::-1] bit for bit."""
+        a balance vector), dense, and equal to W[::-1, ::-1] bit for bit; W+-
+        (8n^2 / 2 bytes) are made from W's rows in bands, with no n x n temporary."""
         mat = self.matrix
-        if self.balance is None or sp.issparse(mat) or not np.array_equal(mat, mat[::-1, ::-1]):
-            return None
-        return tuple(map(_read_only, _split(mat.T)))
+        halves = None if self.balance is None or sp.issparse(mat) else _split(mat)
+        return halves and tuple(map(_read_only, halves))
 
     def _to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         """P^-1 m = diag(blocks)' T D^{1/2} m (see ``_spectrum``)."""
@@ -266,10 +273,33 @@ def _fold(x: np.ndarray):
     return even, odd
 
 
-def _split(x: np.ndarray):
-    """The diagonal blocks of T x' T', whole when x equals x[::-1, ::-1]."""
-    even, odd = _fold(x)
-    return _fold(even.T)[0], _fold(odd.T)[1]
+def _split(x: np.ndarray, scale: np.ndarray | None = None):
+    """[x+, x-] with T x T' = diag(x+, x-), or None unless x (scaled to
+    scale_i x_ij / scale_j when given) equals x[::-1, ::-1] bit for bit. Then
+    row a < m of x+ and x- is (u + u) sqrt .5 with u = (x[a, :m] +- x[a, ::-1][:m])
+    sqrt .5 (and u_m = x[a, m] for odd n, whose middle row of x+ is u), T x T'
+    rounded term by term from x's row a alone; rows are read in bands."""
+    n = len(x)
+    m, s = n // 2, np.sqrt(0.5)
+    halves = [np.empty((n - m, n - m)), np.empty((m, m))]
+    for r in _bands(n - m, n):
+        band, mirror = (x[b] if scale is None else x[b] * scale[b, None] / scale
+                        for b in (r, slice(n - r.stop, n - r.start)))
+        if not np.array_equal(band, mirror[::-1, ::-1]):
+            return None
+        left, right = band[:, :m], band[:, ::-1][:, :m]
+        plus, minus = halves[0][r], halves[1][r]
+        plus[:, :m], plus[:, m:] = (left + right) * s, band[:, m : n - m]
+        minus[:] = ((left - right) * s)[: len(minus)]
+        plus[: m - r.start] *= 2 * s  # rounds as (u + u) * s: u + u and 2 * s are exact
+        minus *= 2 * s
+    return halves
+
+
+def _bands(count: int, width: int):
+    """Slices of at most max(1, _BAND // width) rows that cover range(count)."""
+    step = max(1, _BAND // max(width, 1))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -316,17 +346,14 @@ class GeoCoordinates:
 
 
 def _lattice_weights(n: int, kernel, kind: str) -> SpatialWeights:
-    """W = D^-1 K for the symmetric K = kernel(|i - j|); W's balance d is K's row
-    sums averaged with their mirror images, so W == W[::-1, ::-1] exactly."""
+    """W = D^-1 K, made in place from the Toeplitz K = kernel(|i - j|) with zero diagonal;
+    W's balance d is K's row sums averaged with their mirror images, so W == W[::-1, ::-1]."""
     if int(n) != n or n < 2:
         raise ParameterError("n must be an integer >= 2")
-    idx = np.arange(int(n))
-    values = kernel(np.abs(idx[:, None] - idx[None, :]).astype(float))
-    np.fill_diagonal(values, 0.0)
+    values = toeplitz(np.r_[0.0, kernel(np.arange(1.0, n))])
     sums = values.sum(axis=1)
     balance = (sums + sums[::-1]) / 2  # mirrored rows may differ in the last bit
     values /= balance[:, None]
-    np.fill_diagonal(values, 0.0)  # keep the diagonal exactly zero
     return SpatialWeights(matrix=values, normalized=True, kind=kind, balance=balance)
 
 

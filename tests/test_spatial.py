@@ -1,6 +1,7 @@
 """Tests for weight matrices, Haversine distances, and Moran statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ class TestStorage:
         with pytest.raises(DataError, match="d_i w_ij = d_j w_ji"):
             SpatialWeights(matrix=w.matrix, normalized=True, balance=np.linspace(1, 5, n))
 
+    def test_banded_balance_check_reaches_the_last_partial_band(self):
+        n = 500
+        rows = spatial._BAND // n  # the balance check reads dense W in bands of this height
+        assert 1 < rows < n and n % rows
+        w = exponential_weights(n, 0.5)
+        assert not sp.issparse(w.matrix)
+        SpatialWeights(matrix=w.matrix, normalized=True, balance=w.balance)
+        with pytest.raises(DataError, match="d_i w_ij = d_j w_ji"):
+            SpatialWeights(matrix=w.matrix, normalized=True, balance=np.linspace(1, 5, n))
+        # an asymmetry in the last unit alone
+        d = w.balance.copy()
+        d[-1] *= 1 + 1e-9
+        with pytest.raises(DataError, match="d_i w_ij = d_j w_ji"):
+            SpatialWeights(matrix=w.matrix, normalized=True, balance=d)
+
     def test_row_normalize_keeps_sparse_storage(self):
         mat = 3.0 * self.ring(30)
         out = row_normalize(SpatialWeights(matrix=mat))
@@ -446,6 +462,114 @@ class TestFoldedProduct:
         for a in (plus, minus):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
+
+
+def oracle_fold(x):
+    """``spatial._fold`` as it was when W+- and sym+- were made whole."""
+    m = len(x) // 2
+    top, bot = x[:m], x[::-1][:m]
+    even = np.empty((len(x) - m, *x.shape[1:]))
+    np.add(top, bot, out=even[:m])
+    even[:m] *= np.sqrt(0.5)
+    even[m:] = x[m : len(x) - m]
+    odd = top - bot
+    odd *= np.sqrt(0.5)
+    return even, odd
+
+
+def oracle_split(x):
+    """The diagonal blocks of T x' T', two folds of the whole of x."""
+    even, odd = oracle_fold(x)
+    return oracle_fold(even.T)[0], oracle_fold(odd.T)[1]
+
+
+def oracle_lattice(n, kernel):
+    """Lattice W and its balance from the n x n grid of |i - j|."""
+    idx = np.arange(n)
+    values = kernel(np.abs(idx[:, None] - idx[None, :]).astype(float))
+    np.fill_diagonal(values, 0.0)
+    sums = values.sum(axis=1)
+    balance = (sums + sums[::-1]) / 2
+    values /= balance[:, None]
+    np.fill_diagonal(values, 0.0)
+    return values, balance
+
+
+def oracle_spectrum(w):
+    """(lambda, blocks, root) from the whole sym = D^{1/2} W D^{-1/2}."""
+    root = np.sqrt(w.balance)
+    sym = w.toarray()
+    sym *= root[:, None]
+    sym /= root[None, :]
+    halves = oracle_split(sym) if np.array_equal(sym, sym[::-1, ::-1]) else (sym,)
+    pairs = [np.linalg.eigh(h) for h in halves]
+    return np.concatenate([p[0] for p in pairs]), [p[1] for p in pairs], root
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+KERNELS = {
+    "exponential": (exponential_weights, lambda dist: np.exp(-0.5 * dist)),
+    "inverse_distance": (inverse_distance_weights, lambda dist: 1.0 / (1.0 + dist)),
+}
+
+
+class TestBandedConstruction:
+    """W, its balance check, fold blocks and spectrum are made in row bands,
+    with the bits of the arithmetic on whole n x n arrays."""
+
+    @staticmethod
+    def assert_spectrum_matches_oracle(w):
+        lam, blocks, root = w._spectrum
+        want_lam, want_blocks, want_root = oracle_spectrum(w)
+        assert same_bits(lam, want_lam) and same_bits(root, want_root)
+        assert len(blocks) == len(want_blocks)
+        assert all(same_bits(q, want) for q, want in zip(blocks, want_blocks))
+
+    @pytest.mark.parametrize("band_rows", [None, 1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 250, 251])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_lattice_matches_the_whole_array_oracle(self, monkeypatch, kernel, n, band_rows):
+        if band_rows is not None:
+            monkeypatch.setattr(spatial, "_BAND", band_rows * n)
+        make, fn = KERNELS[kernel]
+        w = make(n)
+        values, balance = oracle_lattice(n, fn)
+        assert same_bits(w.matrix, values) and same_bits(w.balance, balance)
+        plus, minus = w._fold_blocks
+        want_plus, want_minus = oracle_split(values.T)
+        assert same_bits(plus, want_plus) and same_bits(minus, want_minus)
+        self.assert_spectrum_matches_oracle(w)
+
+    @pytest.mark.parametrize("band_rows", [None, 1])
+    @pytest.mark.parametrize("n", [30, 31])
+    @pytest.mark.parametrize("make", [balanced_mirror_free, banded_balanced])
+    def test_custom_balanced_matches_the_whole_array_oracle(self, monkeypatch, make, n, band_rows):
+        if band_rows is not None:
+            monkeypatch.setattr(spatial, "_BAND", band_rows * n)
+        w = make(n)
+        assert w._fold_blocks is None
+        self.assert_spectrum_matches_oracle(w)
+
+    @pytest.mark.parametrize("n", [2000, 2001])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_no_n_by_n_temporary(self, kernel, n):
+        # W is 8 n^2 bytes, and W+-, sym+- and Q+- a quarter of that each;
+        # made from whole arrays, the build peaked at 3.0 and all at 4.25 times
+        size = 8 * n * n
+        tracemalloc.start()
+        try:
+            w = KERNELS[kernel][0](n)
+            build = tracemalloc.get_traced_memory()[1]
+            assert w._fold_blocks is not None and len(w._spectrum[1]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build <= 1.25 * size
+        assert peak <= 2.75 * size
 
 
 class TestMoransI:
