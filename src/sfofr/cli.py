@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,16 +312,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = resolve_config(args.command, args)
-        return _HANDLERS[args.command](cfg)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # a warning the filters show is one stderr line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = resolve_config(args.command, args)
+            return _HANDLERS[args.command](cfg)
+        except DataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -119,19 +119,21 @@ class SfofrFit:
         return self.predictor_decomp.basis
 
 
-def warn_if_unconverged(fit: SfofrFit) -> SfofrFit:
-    """Warn when the score-space fit did not converge; returns ``fit``.
+def warn_at_caller(message: str, category=UserWarning):
+    """Warn naming the first calling line outside the sfofr package, so the
+    warning points at the caller's own line whichever public function (fit_sfofr,
+    compare_fits, run_replication, run_benchmark, load_fit_bundle) led here."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
-    The warning names the first calling line outside the sfofr package, so it
-    points at the caller's own line whichever public function (fit_sfofr,
-    compare_fits, run_replication, load_fit_bundle) led here."""
+
+def warn_if_unconverged(fit: SfofrFit) -> SfofrFit:
+    """Warn at the caller's line when the score-space fit did not converge;
+    returns ``fit``."""
     if not fit.msar_fit.converged:
-        frame, level = sys._getframe(1), 2
-        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"score-space fit did not converge: {fit.msar_fit.message}", stacklevel=level
-        )
+        warn_at_caller(f"score-space fit did not converge: {fit.msar_fit.message}")
     return fit
 
 
@@ -369,7 +371,7 @@ def contraction_diagnostic(rho_surface: SurfaceEstimate, weights: SpatialWeights
     Reports the kernel sup norm, the L1 operator bound sup_t int |rho(u, t)| du
     (trapezoid), and ||W||_inf, together with two flags: the strict condition
     sup|rho| * ||W||_inf < 1 and the weaker L1 condition bound * ||W||_inf < 1.
-    Only warns on failure; generation and estimation may still be stable.
+    Only warns on failure, at the caller's line; generation and estimation may still be stable.
     """
     wu = trapezoid_weights(rho_surface.ugrid)
     sup_kernel = float(np.max(np.abs(rho_surface.values)))
@@ -378,10 +380,9 @@ def contraction_diagnostic(rho_surface: SurfaceEstimate, weights: SpatialWeights
     strict_ok = sup_kernel * w_inf < 1
     weak_ok = l1_bound * w_inf < 1
     if not strict_ok and not weak_ok:
-        warnings.warn(
+        warn_at_caller(
             f"both contraction conditions fail (sup {sup_kernel:.3g}, "
-            f"L1 bound {l1_bound:.3g}, ||W||_inf {w_inf:.3g})",
-            stacklevel=2,
+            f"L1 bound {l1_bound:.3g}, ||W||_inf {w_inf:.3g})"
         )
     return {
         "sup_kernel": sup_kernel,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,6 +42,7 @@ from .exceptions import GenerationError, ParameterError
 from .fdbasis import FunctionalDataset, _read_only, evaluate_basis, make_bspline_basis
 from .fdbasis import smooth_curves, trapezoid_weights
 from .pipeline import SurfaceEstimate, compare_fits, ise_surface, reconstruct_beta, reconstruct_rho
+from .pipeline import warn_at_caller
 from .spatial import SpatialWeights, exponential_weights, inverse_distance_weights
 
 N_FOURIER_PAIRS = 10
@@ -285,24 +287,27 @@ def run_replication(cfg: SimConfig, replication_index: int = 0) -> dict:
 
 
 def _replication_worker(args):
-    cfg, idx = args
-    return idx, run_replication(cfg, idx)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the parent's filters decide
+        result = run_replication(*args)
+    return result, [(str(w.message), w.category) for w in caught]
 
 
 def run_benchmark(cfg: SimConfig, n_replications: int, threads: int = 1) -> list:
     """Run seeded replications, in parallel over at most one worker process
     per replication when ``threads`` > 1; results are ordered by replication
-    index and independent of the worker count."""
+    index and independent of the worker count. Warnings name the caller's
+    line either way: workers record theirs, re-issued here in replication order."""
     if n_replications < 1:
         raise ParameterError("n_replications must be >= 1")
-    jobs = [(cfg, i) for i in range(n_replications)]
     if threads <= 1:
-        pairs = [_replication_worker(j) for j in jobs]
-    else:
-        # the pool forks all max_workers processes at the first submit
-        with ProcessPoolExecutor(max_workers=min(threads, n_replications)) as pool:
-            pairs = list(pool.map(_replication_worker, jobs))
-    return [r for _, r in sorted(pairs, key=lambda p: p[0])]
+        return [run_replication(cfg, i) for i in range(n_replications)]
+    # the pool forks all max_workers processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(threads, n_replications)) as pool:
+        done = list(pool.map(_replication_worker, [(cfg, i) for i in range(n_replications)]))
+    for message, category in (w for _, caught in done for w in caught):
+        warn_at_caller(message, category)
+    return [result for result, _ in done]
 
 
 def summarize_benchmark(results: list) -> dict:

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,28 @@ class TestFitPredict:
             assert (tmp_path / "refit" / name).read_bytes() == (
                 fit_dir / name
             ).read_bytes()
+
+    def test_warnings_print_as_one_line_each(self, tmp_path):
+        # run as `python -m sfofr`, a warning's location would read <frozen runpy>
+        sim = tmp_path / "sim"
+        result = run_cli(
+            [
+                "simulate", "--n", "60", "--alpha", "0.5", "--grid-size", "41",
+                "--seed", "42", "--out", str(sim),
+            ],
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        args = ["fit", *(f"--{k}={sim / k}.csv" for k in "yxw"), "--msar-max-iter", "1"]
+        result = run_cli([*args, "--out", str(tmp_path / "fit")], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "warning: score-space fit did not converge: max_iter reached\n" in result.stderr
+        assert all(line.startswith("warning: ") for line in result.stderr.splitlines())
+        assert "<frozen" not in result.stderr
+        with warnings.catch_warnings():  # the filters still decide
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="did not converge"):
+                main([*args, "--out", str(tmp_path / "strict")])
 
 
 class TestMoran:

@@ -13,6 +13,7 @@ from sfofr import (
     ParameterError,
     FunctionalDataset,
     GeoCoordinates,
+    SimConfig,
     SpatialWeights,
     exponential_weights,
     fit_fofr_fpc,
@@ -20,6 +21,7 @@ from sfofr import (
     fitted_values,
     gen_predictors,
     gen_response,
+    generate,
     knn_weights,
     predict,
 )
@@ -564,6 +566,18 @@ class TestFitBundle:
         with pytest.warns(UserWarning, match="did not converge") as record:
             load_fit_bundle(tmp_path / "bundle")
         assert [r.filename for r in record] == [__file__]
+
+    def test_failed_contraction_warns_at_caller(self, tmp_path):
+        # a capped fit on the data `sfofr simulate --n 60 --seed 42` draws: its
+        # rho surface has sup 13.5 and L1 bound 1.15 against ||W||_inf = 1
+        data = generate(SimConfig(n_train=60, n_test=2, alpha=0.5, seed=42, grid_size=41))
+        with pytest.warns(UserWarning, match="did not converge"):
+            fit = fit_sfofr(data.y_data, data.x_data, data.weights, options={"msar_max_iter": 1})
+        with pytest.warns(UserWarning, match="both contraction conditions fail") as record:
+            manifest = save_fit_bundle(fit, tmp_path / "bundle")
+        assert [r.filename for r in record] == [__file__]
+        contraction = manifest["diagnostics"]["contraction"]
+        assert not contraction["strict_condition_ok"] and not contraction["weak_condition_ok"]
 
     def test_corrupt_balance_vector_rejected(self, tmp_path, small_fit):
         fit, _, _ = small_fit

@@ -435,6 +435,16 @@ class TestRunReplication:
             simgen.run_benchmark(self.UNCONVERGED, 2, threads=1)
         assert {r.filename for r in record} == {__file__}
 
+    def test_parallel_benchmark_warns_as_serial(self):
+        # workers record their warnings; the parent re-issues them in order
+        seen = {}
+        for threads in (1, 2):
+            with pytest.warns(UserWarning) as record:
+                simgen.run_benchmark(self.UNCONVERGED, 2, threads=threads)
+            seen[threads] = [(str(r.message), r.filename) for r in record]
+        assert seen[1] and all(name == __file__ for _, name in seen[1])
+        assert seen[2] == seen[1]
+
     @pytest.mark.filterwarnings("ignore:score-space fit did not converge")
     @pytest.mark.parametrize("threads, n_reps, workers", [(64, 2, 2), (2, 3, 2)])
     def test_pool_holds_at_most_one_worker_per_replication(
