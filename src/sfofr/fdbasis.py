@@ -244,8 +244,8 @@ def smooth_curves(
     one Cholesky factorization of Phi' Phi + ridge I. The smoothing residual
     is left to ``smoothing_residual_rms``.
     """
-    if ridge < 0:
-        raise ParameterError("ridge must be >= 0")
+    if not 0 <= ridge < np.inf:
+        raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
     if basis.num_basis > data.n_points:
         raise ParameterError(
             f"basis size {basis.num_basis} exceeds grid length {data.n_points}"

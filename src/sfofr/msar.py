@@ -35,6 +35,7 @@ SpatialWeights.solve_lag.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -415,6 +416,8 @@ def fit_msar(
     cap) with the spectral radius capped at 0.5, and the capped fit replaces
     it when its objective is within 5%.
     """
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ParameterError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     k_y, k_x = data.k_y, data.k_x
     if data.n <= k_y + k_x:
         raise ParameterError(f"need n > Ky + Kx = {k_y + k_x} observations for identifiability")

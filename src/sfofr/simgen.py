@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -76,12 +77,13 @@ class SimConfig:
             raise ParameterError("alpha must lie in (0, 1)")
         if self.weight_kind not in ("inverse", "exponential"):
             raise ParameterError("weight_kind must be 'inverse' or 'exponential'")
-        if self.decay <= 0:
-            raise ParameterError("decay must be > 0")
+        if not 0 < self.decay < np.inf:
+            raise ParameterError(f"decay must be finite and > 0, got {self.decay}")
         if self.grid_size < 4:
             raise ParameterError("grid_size must be at least 4")
-        if self.noise_sd < 0:
-            raise ParameterError("noise_sd must be >= 0")
+        for name in ("noise_sd", "neumann_tol"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @property
     def grid(self) -> np.ndarray:
@@ -298,8 +300,9 @@ def run_benchmark(cfg: SimConfig, n_replications: int, threads: int = 1) -> list
     per replication when ``threads`` > 1; results are ordered by replication
     index and independent of the worker count. Warnings name the caller's
     line either way: workers record theirs, re-issued here in replication order."""
-    if n_replications < 1:
-        raise ParameterError("n_replications must be >= 1")
+    for name, count in (("n_replications", n_replications), ("threads", threads)):
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {count!r}")
     if threads <= 1:
         return [run_replication(cfg, i) for i in range(n_replications)]
     # the pool forks all max_workers processes at the first submit

@@ -134,8 +134,17 @@ class SpatialWeights:
         return np.asarray(self.matrix.T @ m)
 
     def diag_wtw(self) -> np.ndarray:
-        """Diagonal of W'W, i.e. squared column norms."""
-        return np.asarray((self.matrix * self.matrix).sum(axis=0)).ravel()
+        """Diagonal of W'W, i.e. squared column norms. A dense W is squared in row
+        bands whose column sums continue in row order, as (W * W).sum(axis=0)'s do."""
+        mat = self.matrix
+        if sp.issparse(mat):
+            return np.asarray((mat * mat).sum(axis=0)).ravel()
+        acc = np.zeros(self.n)
+        for rows in _bands(*mat.shape):
+            band = mat[rows] * mat[rows]
+            band[0] += acc
+            acc = band.sum(axis=0)
+        return acc
 
     def spectral_radius(self) -> float:
         """Upper bound on rho(W): ||W||_inf, the maximum row sum (W is nonnegative).
@@ -364,8 +373,8 @@ def inverse_distance_weights(n: int) -> SpatialWeights:
 
 def exponential_weights(n: int, d: float = 0.5) -> SpatialWeights:
     """Row-normalized weights w[i, j] = exp(-d |i - j|) with decay rate d > 0."""
-    if not d > 0:
-        raise ParameterError("decay parameter d must be > 0")
+    if not 0 < d < np.inf:
+        raise ParameterError(f"decay parameter d must be finite and > 0, got {d}")
     return _lattice_weights(n, lambda dist: np.exp(-d * dist), "exponential")
 
 

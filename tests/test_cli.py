@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sfofr
+from sfofr import cli, simgen
 from sfofr.cli import build_parser, main, resolve_config
 from sfofr.pipeline import FIT_OPTIONS, _resolve_options
 
@@ -496,6 +497,119 @@ class TestOptionTable:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["options"] == options
+
+
+class TestCommandTable:
+    """What ``main`` does for every command: check the required options,
+    call the handler and write the manifest of the files it returns."""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["fit"], "--y, --x, --w"),
+            (["predict"], "--bundle, --x-new, --w-new"),
+            (["moran"], "--y, --w"),
+            (["simulate"], "--seed"),
+            (["mc-bench"], "--seed"),
+            (["weights"], "--n"),
+            (["weights", "--kind", "knn"], "--coords, --knn-h"),
+        ],
+    )
+    def test_missing_required_options_named(self, argv, flags, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: missing required option(s): {flags}\n"
+        assert not out.exists()
+        # required-ness is declared on the option; weights' depends on --kind
+        _, _, options = cli._COMMANDS[argv[0]]
+        declared = [flag for flag, default, _ in options if default is cli._REQUIRED]
+        assert declared == ([] if argv[0] == "weights" else flags.split(", "))
+
+    def test_required_options_from_config_file(self, sim_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: str(sim_dir / f"{k}.csv") for k in "yxw"}))
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--num-basis", "10", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_config"]["w"] == str(sim_dir / "w.csv")
+        assert (out / "fitted.csv").exists()
+
+    @pytest.fixture(scope="class")
+    def bundle(self, sim_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bundle")
+        args = [f"--{k}={sim_dir / k}.csv" for k in "yxw"]
+        assert main(["fit", *args, "--num-basis", "10", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "12", "--grid-size", "41", "--seed", "4"],
+            ["weights", "--kind", "inverse", "--n", "6"],
+            ["weights", "--kind", "exponential", "--n", "6", "--weights-format", "triplet"],
+            ["predict", "--bundle", "{bundle}", "--x-new", "{sim}/x.csv", "--w-new", "{sim}/w.csv"],
+            ["moran", "--y", "{sim}/y.csv", "--w", "{sim}/w.csv", "--num-basis", "10"],
+            [
+                "mc-bench", "--n-train", "40", "--n-test", "30", "--grid-size", "41",
+                "--reps", "1", "--seed", "3", "--threads", "1",
+            ],
+        ],
+        ids=["simulate", "weights-dense", "weights-triplet", "predict", "moran", "mc-bench"],
+    )
+    def test_manifest_outputs_are_the_written_files(self, argv, sim_dir, bundle, tmp_path):
+        out = tmp_path / "o"
+        argv = [a.format(bundle=bundle, sim=sim_dir) for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # mc-bench's fits may stop early
+            assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert sorted(manifest["outputs"] + ["manifest.json"]) == sorted(
+            p.name for p in out.iterdir()
+        )
+
+
+class TestRangeChecks:
+    def test_nan_ridge_is_data_error(self, sim_dir, tmp_path):
+        args = [f"--{k}={sim_dir / k}.csv" for k in "yxw"]
+        result = run_cli(["fit", *args, "--ridge", "nan", "--out", str(tmp_path / "o")], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "error: response smoothing: ridge must be finite and >= 0, got nan" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "content, extra, named",
+        [
+            ('{"ridge": NaN}', [], "ridge must be finite and >= 0, got nan"),
+            ('{"ridge": Infinity}', [], "ridge must be finite and >= 0, got inf"),
+            ("{}", ["--msar-max-iter", "-5"], "max_iter must be an integer >= 0, got -5"),
+        ],
+    )
+    def test_fit_values_out_of_range_are_data_errors(
+        self, content, extra, named, sim_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        args = [f"--{k}={sim_dir / k}.csv" for k in "yxw"]
+        out = tmp_path / "o"
+        assert main(["fit", *args, "--config", str(cfg), *extra, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_mc_bench_threads_below_one_rejected(self, threads, monkeypatch, tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the benchmark started work")
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(simgen, "run_replication", no_work)
+        out = tmp_path / "o"
+        assert main(["mc-bench", "--seed", "1", "--threads", threads, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: threads must be an integer >= 1, got {threads}\n"
+        )
+        assert not out.exists()
 
 
 class TestStartup:

@@ -464,6 +464,12 @@ class TestFitMsar:
         assert fit.grad_norm <= fit.tolerance
         assert fit.message == "gradient norm below tolerance"
 
+    @pytest.mark.parametrize("max_iter", [-5, 2.5])
+    def test_max_iter_must_be_a_nonnegative_integer(self, max_iter):
+        data = random_data(np.random.default_rng(37), 25, 2, 2)
+        with pytest.raises(ParameterError, match="max_iter must be an integer >= 0"):
+            fit_msar(data, max_iter=max_iter)
+
     def test_grad_norm_is_the_gradient_norm_at_a_max_iter_stop(self):
         # the one stop test reads 2 |J'r|; at the profiled B that is the
         # gradient over the search variables (all of theta but B and zeta_0)

@@ -314,6 +314,20 @@ class TestSimConfig:
         with pytest.raises(ParameterError):
             SimConfig(n_train=1, n_test=10, alpha=0.5, seed=1)
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("decay", np.nan, "decay must be finite and > 0"),
+            ("decay", np.inf, "decay must be finite and > 0"),
+            ("noise_sd", np.nan, "noise_sd must be finite and >= 0"),
+            ("noise_sd", np.inf, "noise_sd must be finite and >= 0"),
+            ("neumann_tol", np.nan, "neumann_tol must be finite and >= 0"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value, named):
+        with pytest.raises(ParameterError, match=named):
+            SimConfig(n_train=10, n_test=10, alpha=0.5, seed=1, **{field: value})
+
     def test_generate_bit_identical_under_seed(self):
         cfg = SimConfig(
             n_train=12, n_test=12, alpha=0.5, weight_kind="inverse", seed=77,
@@ -444,6 +458,24 @@ class TestRunReplication:
             seen[threads] = [(str(r.message), r.filename) for r in record]
         assert seen[1] and all(name == __file__ for _, name in seen[1])
         assert seen[2] == seen[1]
+
+    @pytest.mark.parametrize(
+        "n_reps, threads, named",
+        [
+            (2.5, 1, "n_replications must be an integer >= 1, got 2.5"),
+            (0, 1, "n_replications must be an integer >= 1"),
+            (2, 0, "threads must be an integer >= 1, got 0"),
+            (2, -3, "threads must be an integer >= 1, got -3"),
+        ],
+    )
+    def test_counts_must_be_positive_integers(self, monkeypatch, n_reps, threads, named):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(simgen, "run_replication", no_pool)
+        with pytest.raises(ParameterError, match=named):
+            simgen.run_benchmark(self.UNCONVERGED, n_reps, threads=threads)
 
     @pytest.mark.filterwarnings("ignore:score-space fit did not converge")
     @pytest.mark.parametrize("threads, n_reps, workers", [(64, 2, 2), (2, 3, 2)])

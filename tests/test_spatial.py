@@ -80,6 +80,11 @@ class TestExponential:
         with pytest.raises(ParameterError):
             exponential_weights(5, 0.0)
 
+    @pytest.mark.parametrize("d", [np.inf, np.nan])
+    def test_rejects_non_finite_decay(self, d):
+        with pytest.raises(ParameterError, match="must be finite and > 0"):
+            exponential_weights(5, d)
+
 
 class TestHaversine:
     def test_identical_points(self):
@@ -246,6 +251,31 @@ class TestStorage:
             for a in (w, v):
                 np.testing.assert_array_equal(a.row_sums(), mat.sum(axis=1))
                 np.testing.assert_allclose(a.diag_wtw(), (mat * mat).sum(axis=0), rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: exponential_weights(30),
+            lambda: exponential_weights(2000),
+            lambda: exponential_weights(3001, 0.1),
+            lambda: inverse_distance_weights(1001),
+            lambda: SpatialWeights(np.triu(np.random.default_rng(8).random((1500, 1500)), 1)),
+        ],
+    )
+    def test_banded_diag_wtw_equals_the_whole_square(self, make):
+        w = make()
+        assert isinstance(w.matrix, np.ndarray)
+        np.testing.assert_array_equal(w.diag_wtw(), (w.matrix * w.matrix).sum(axis=0))
+
+    def test_diag_wtw_makes_no_n_by_n_temporary(self):
+        w = exponential_weights(2000)
+        tracemalloc.start()
+        try:
+            w.diag_wtw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 8 * w.n**2
 
     @pytest.mark.parametrize("decay, n", [(0.5, 40), (40.0, 500)])
     def test_balance_vector_must_satisfy_detailed_balance(self, decay, n):
