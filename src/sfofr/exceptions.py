@@ -5,7 +5,13 @@ Two broad families matter to callers (and to the CLI exit codes):
 files, dimension mismatches, violated preconditions — while ``NumericalError``
 covers failures of the numerics themselves — divergent solves, singular
 systems, non-finite objectives.
+
+Count and finite-scalar arguments are checked by ``_check_count`` and
+``_check_finite`` below, so each range rule and its message live in one place.
 """
+
+import math
+import numbers
 
 
 class SfofrError(Exception):
@@ -18,6 +24,23 @@ class DataError(SfofrError, ValueError):
 
 class ParameterError(DataError):
     """An argument violates its documented range or consistency requirement."""
+
+
+def _check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int when it is a whole number in [low, high] (no upper bound
+    without ``high``); integral floats pass. Anything else raises ``ParameterError``."""
+    whole = isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    if not whole or value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def _check_finite(name: str, value, positive: bool = False) -> None:
+    """Require a finite ``value`` >= 0, or > 0 when ``positive``."""
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        sign = ">" if positive else ">="
+        raise ParameterError(f"{name} must be finite and {sign} 0, got {value}")
 
 
 class DomainError(DataError):

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .exceptions import DomainError, ParameterError, SingularityError
+from .exceptions import DomainError, ParameterError, SingularityError, _check_count, _check_finite
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -161,11 +161,8 @@ def make_bspline_basis(num_basis: int, degree: int = 3) -> BSplineBasis:
     exact for the degree-2*degree polynomial products. Bases are cached per
     (num_basis, degree), with read-only knots, Gram matrix and Gram roots.
     """
-    if int(degree) != degree or degree < 1:
-        raise ParameterError("degree must be an integer >= 1")
-    if int(num_basis) != num_basis or num_basis < degree + 1:
-        raise ParameterError("num_basis must be an integer >= degree + 1")
-    return _bspline_basis(int(num_basis), int(degree))
+    degree = _check_count("degree", degree, 1)
+    return _bspline_basis(_check_count("num_basis", num_basis, degree + 1), degree)
 
 
 @lru_cache(maxsize=4)
@@ -244,8 +241,7 @@ def smooth_curves(
     one Cholesky factorization of Phi' Phi + ridge I. The smoothing residual
     is left to ``smoothing_residual_rms``.
     """
-    if not 0 <= ridge < np.inf:
-        raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
+    _check_finite("ridge", ridge)
     if basis.num_basis > data.n_points:
         raise ParameterError(
             f"basis size {basis.num_basis} exceeds grid length {data.n_points}"

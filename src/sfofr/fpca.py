@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, PreconditionError
+from .exceptions import ParameterError, PreconditionError, _check_count
 from .fdbasis import BasisCoefficients, BSplineBasis, evaluate_basis
 from .spatial import SpatialWeights
 
@@ -60,8 +60,7 @@ class FpcDecomposition:
 
     def truncate(self, k: int) -> "FpcDecomposition":
         """Keep the leading k components."""
-        if not 1 <= k <= self.n_components:
-            raise ParameterError(f"k must be in [1, {self.n_components}]")
+        k = _check_count("k", k, 1, self.n_components)
         return FpcDecomposition(
             kind=self.kind,
             chi=self.chi[:, :k],
@@ -123,22 +122,18 @@ def _canonicalize_degenerate(eigvals, eigvecs, cov):
     return rep, vecs, variances
 
 
-def _decompose(coeffs, weights, n_components, variance_threshold) -> FpcDecomposition:
-    """FPCA of centered coefficients; spatial when ``weights`` is given."""
+def _decompose(coeffs, weights, variance_threshold) -> FpcDecomposition:
+    """FPCA of centered coefficients, spatial when ``weights`` is given."""
     if not coeffs.is_centered():
         raise PreconditionError(
             "coefficients must be centered; run fdbasis.center before smoothing"
         )
+    if coeffs.n < 2:
+        raise ParameterError("FPCA needs at least 2 curves")
     if weights is not None and weights.n != coeffs.n:
         raise ParameterError(
             f"weight matrix size {weights.n} does not match {coeffs.n} curves"
         )
-    if variance_threshold is not None and n_components is not None:
-        raise ParameterError("give n_components or variance_threshold, not both")
-    k_max = min(coeffs.n - 1, coeffs.basis.num_basis)
-    k = k_max if n_components is None else n_components
-    if int(k) != k or not 1 <= k <= k_max:
-        raise ParameterError(f"number of components must be in [1, {k_max}]")
     n, basis = coeffs.n, coeffs.basis
     d = coeffs.coef @ basis.gram_sqrt
     cov = d.T @ d / n
@@ -148,7 +143,7 @@ def _decompose(coeffs, weights, n_components, variance_threshold) -> FpcDecompos
     eigvals, eigvecs = np.linalg.eigh((crit + crit.T) / 2)
     rep, eigvecs, variances = _canonicalize_degenerate(eigvals, eigvecs, cov)
     # primary key |criterion eigenvalue|, variance breaks exact ties
-    order = np.lexsort((-variances, -np.abs(rep)))[: int(k)]
+    order = np.lexsort((-variances, -np.abs(rep)))[: min(n - 1, basis.num_basis)]
     chi = _fix_signs(basis.gram_inv_sqrt @ eigvecs[:, order])
     scores = coeffs.coef @ basis.gram @ chi
     total = float(np.sum(d * d) / n)
@@ -168,27 +163,26 @@ def _decompose(coeffs, weights, n_components, variance_threshold) -> FpcDecompos
 
 
 def fit_fpc(
-    coeffs: BasisCoefficients,
-    n_components: int | None = None,
-    variance_threshold: float | None = None,
+    coeffs: BasisCoefficients, *, variance_threshold: float | None = None
 ) -> FpcDecomposition:
-    """Classical FPCA of centered coefficients.
+    """Classical FPCA of n centered curves on L basis functions.
 
-    Pass either an explicit component count or a variance threshold in (0, 1];
-    with a threshold the decomposition is truncated at the smallest K whose
-    cumulative score-variance share reaches it.
+    K is chosen one way: the decomposition keeps all min(n - 1, L) components,
+    or, given a ``variance_threshold`` in (0, 1], the smallest K whose
+    cumulative score-variance share reaches it (``choose_k``). Any other K
+    comes from ``.truncate(k)``.
     """
-    return _decompose(coeffs, None, n_components, variance_threshold)
+    return _decompose(coeffs, None, variance_threshold)
 
 
 def fit_sfpc(
     coeffs: BasisCoefficients,
     weights: SpatialWeights,
-    n_components: int | None = None,
+    *,
     variance_threshold: float | None = None,
 ) -> FpcDecomposition:
-    """Spatial FPCA: components maximizing score variance times Moran's I."""
-    return _decompose(coeffs, weights, n_components, variance_threshold)
+    """Spatial FPCA (score variance times Moran's I); K is chosen as in ``fit_fpc``."""
+    return _decompose(coeffs, weights, variance_threshold)
 
 
 def choose_k(decomp: FpcDecomposition, threshold: float) -> int:

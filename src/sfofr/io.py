@@ -57,7 +57,7 @@ from .pipeline import (
     reconstruct_rho,
     warn_if_unconverged,
 )
-from .spatial import GeoCoordinates, SpatialWeights
+from .spatial import GeoCoordinates, SpatialWeights, _rows_sum_to_one
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
 BUNDLE_VERSION = 2
@@ -115,13 +115,22 @@ def _parse_float(token: str, path, line_no: int) -> float:
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
-def _format_rows(mat, row_format=None) -> list[str]:
-    """CSV lines of a 2-D array, all values "%.17g" unless ``row_format`` is
-    given."""
+def _format_rows(mat) -> list[str]:
+    """CSV lines of a 2-D array, all values "%.17g"."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if row_format is None:
-        row_format = ",".join(["%.17g"] * mat.shape[1])
+    row_format = ",".join(["%.17g"] * mat.shape[1])
     return [row_format % tuple(row) for row in mat.tolist()]
+
+
+def _triplets(weights: SpatialWeights) -> np.ndarray:
+    """W's nonzero (i, j, w) triplets in row-major order, as one ``_TRIPLET``
+    record array: the triplet CSV's rows and a bundle's w_train.npy."""
+    coo = sp.coo_array(weights.matrix)
+    coo.sum_duplicates()  # sorts by row, then column
+    coo.eliminate_zeros()
+    rec = np.empty(coo.nnz, dtype=_TRIPLET)
+    rec["i"], rec["j"], rec["w"] = coo.row, coo.col, coo.data
+    return rec
 
 
 def _write_csv(path, lines):
@@ -221,12 +230,10 @@ def write_weights_csv(path, weights: SpatialWeights, layout: str = "dense"):
     if layout == "dense":
         lines = _format_rows(weights.toarray())
     elif layout == "triplet":
-        coo = sp.coo_array(weights.matrix)  # row-major, nonzeros only
-        # indices below 2**53 are exact as floats
-        triplets = np.column_stack([coo.row, coo.col, coo.data])
-        lines = ["i,j,w"] + _format_rows(triplets, row_format="%d,%d,%.17g")
+        rec = _triplets(weights)
+        lines = ["i,j,w"] + ["%d,%d,%.17g" % row for row in rec.tolist()]
         last = weights.n - 1  # the reader sizes W by the largest index
-        if last not in coo.row and last not in coo.col:
+        if last not in rec["i"] and last not in rec["j"]:
             lines.append(f"{last},{last},0")
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
@@ -262,9 +269,7 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
         mat.eliminate_zeros()
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
-    sums = np.asarray(mat.sum(axis=1)).ravel()
-    normalized = bool(np.all((np.abs(sums - 1.0) <= 1e-12) | (sums == 0.0)))
-    return _build(path, SpatialWeights, matrix=mat, normalized=normalized)
+    return _build(path, SpatialWeights, matrix=mat, normalized=_rows_sum_to_one(mat))
 
 
 # --- coordinates CSV ---------------------------------------------------------
@@ -343,22 +348,9 @@ def check_json_type(value, kind: type, what: str):
 # --- bundle weights (binary) -------------------------------------------------
 
 
-def _write_weights_npy(path, weights: SpatialWeights):
-    """Save W's nonzero (i, j, w) triplets, row-major, as one ``_TRIPLET``
-    record array in ``.npy`` form; the bytes depend on W alone."""
-    coo = sp.coo_array(weights.matrix)
-    coo.sum_duplicates()  # sorts by row, then column
-    nonzero = coo.data != 0
-    rec = np.empty(np.count_nonzero(nonzero), dtype=_TRIPLET)
-    for name, values in zip(_TRIPLET.names, (coo.row, coo.col, coo.data)):
-        rec[name] = values[nonzero]
-    del coo  # hold at most two copies of W at a time
-    atomic_write(path, rec)
-
-
 def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
-    """Read the n x n W that ``_write_weights_npy`` saved; stored as CSR or
-    dense by W's density, as when it was built."""
+    """Read the n x n W that ``save_fit_bundle`` saved as ``_triplets``; stored
+    as CSR or dense by W's density, as when it was built."""
     try:
         rec = np.load(path, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
@@ -422,7 +414,7 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
 
     for name, paths in BUNDLE_MATRICES.items():
         write_matrix_csv(directory / name, np.vstack([attrgetter(p)(fit) for p in paths]))
-    _write_weights_npy(directory / "w_train.npy", fit.weights)
+    atomic_write(directory / "w_train.npy", _triplets(fit.weights))  # bytes depend on W alone
     balance = fit.weights.balance
     if balance is not None:
         write_matrix_csv(directory / "w_balance.csv", balance)

@@ -35,14 +35,13 @@ SpatialWeights.solve_lag.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as linalg
 
-from .exceptions import NumericalError, ParameterError
+from .exceptions import NumericalError, ParameterError, _check_count
 from .fdbasis import _read_only
 from .spatial import SpatialWeights
 
@@ -416,8 +415,7 @@ def fit_msar(
     cap) with the spectral radius capped at 0.5, and the capped fit replaces
     it when its objective is within 5%.
     """
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ParameterError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    max_iter = _check_count("max_iter", max_iter, 0)
     k_y, k_x = data.k_y, data.k_x
     if data.n <= k_y + k_x:
         raise ParameterError(f"need n > Ky + Kx = {k_y + k_x} observations for identifiability")

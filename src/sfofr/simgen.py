@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import GenerationError, ParameterError
+from .exceptions import GenerationError, ParameterError, _check_count, _check_finite
 from .fdbasis import FunctionalDataset, _read_only, evaluate_basis, make_bspline_basis
 from .fdbasis import smooth_curves, trapezoid_weights
 from .pipeline import SurfaceEstimate, compare_fits, ise_surface, reconstruct_beta, reconstruct_rho
@@ -71,19 +70,14 @@ class SimConfig:
     fit_options: dict | None = field(default=None)
 
     def __post_init__(self):
-        if self.n_train < 2 or self.n_test < 2:
-            raise ParameterError("n_train and n_test must be at least 2")
+        for name, low in (("n_train", 2), ("n_test", 2), ("grid_size", 4)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), low))
         if not 0 < self.alpha < 1:
             raise ParameterError("alpha must lie in (0, 1)")
         if self.weight_kind not in ("inverse", "exponential"):
             raise ParameterError("weight_kind must be 'inverse' or 'exponential'")
-        if not 0 < self.decay < np.inf:
-            raise ParameterError(f"decay must be finite and > 0, got {self.decay}")
-        if self.grid_size < 4:
-            raise ParameterError("grid_size must be at least 4")
-        for name in ("noise_sd", "neumann_tol"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("decay", "noise_sd", "neumann_tol"):
+            _check_finite(name, getattr(self, name), positive=name == "decay")
 
     @property
     def grid(self) -> np.ndarray:
@@ -300,9 +294,8 @@ def run_benchmark(cfg: SimConfig, n_replications: int, threads: int = 1) -> list
     per replication when ``threads`` > 1; results are ordered by replication
     index and independent of the worker count. Warnings name the caller's
     line either way: workers record theirs, re-issued here in replication order."""
-    for name, count in (("n_replications", n_replications), ("threads", threads)):
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ParameterError(f"{name} must be an integer >= 1, got {count!r}")
+    n_replications = _check_count("n_replications", n_replications, 1)
+    threads = _check_count("threads", threads, 1)
     if threads <= 1:
         return [run_replication(cfg, i) for i in range(n_replications)]
     # the pool forks all max_workers processes at the first submit

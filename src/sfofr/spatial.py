@@ -38,6 +38,8 @@ from .exceptions import (
     ParameterError,
     PreconditionError,
     UndefinedStatisticError,
+    _check_count,
+    _check_finite,
 )
 from .fdbasis import BasisCoefficients, _read_only, evaluate_basis
 
@@ -48,6 +50,12 @@ EARTH_RADIUS_KM = 6371.0
 # SpatialWeights.solve_lag costs the same either way, and KNN W lies far below it.
 _CSR_MAX_DENSITY = 0.1
 _BAND = 1 << 17  # entries (1 MiB) in a row band of dense W (``_bands``)
+
+
+def _rows_sum_to_one(matrix) -> bool:
+    """W's row-normalization rule: every nonzero row sum is within 1e-12 of 1."""
+    sums = np.asarray(matrix.sum(axis=1)).ravel()
+    return bool(np.all((np.abs(sums - 1.0) <= 1e-12) | (sums == 0.0)))
 
 
 @dataclass(frozen=True)
@@ -88,12 +96,8 @@ class SpatialWeights:
         diag = mat.diagonal()
         if np.any(diag != 0):
             raise DataError("weight matrix diagonal must be exactly zero")
-        if self.normalized:
-            sums = self.row_sums()
-            bad = np.abs(sums - 1.0) > 1e-12
-            bad &= sums != 0.0
-            if np.any(bad):
-                raise DataError("normalized=True but some nonzero row sums differ from 1")
+        if self.normalized and not _rows_sum_to_one(mat):
+            raise DataError("normalized=True but some nonzero row sums differ from 1")
         if self.balance is not None:
             d = np.asarray(self.balance, dtype=float).ravel()
             if d.shape != (self.n,) or not np.all(d > 0):
@@ -357,8 +361,7 @@ class GeoCoordinates:
 def _lattice_weights(n: int, kernel, kind: str) -> SpatialWeights:
     """W = D^-1 K, made in place from the Toeplitz K = kernel(|i - j|) with zero diagonal;
     W's balance d is K's row sums averaged with their mirror images, so W == W[::-1, ::-1]."""
-    if int(n) != n or n < 2:
-        raise ParameterError("n must be an integer >= 2")
+    n = _check_count("n", n, 2)
     values = toeplitz(np.r_[0.0, kernel(np.arange(1.0, n))])
     sums = values.sum(axis=1)
     balance = (sums + sums[::-1]) / 2  # mirrored rows may differ in the last bit
@@ -373,8 +376,7 @@ def inverse_distance_weights(n: int) -> SpatialWeights:
 
 def exponential_weights(n: int, d: float = 0.5) -> SpatialWeights:
     """Row-normalized weights w[i, j] = exp(-d |i - j|) with decay rate d > 0."""
-    if not 0 < d < np.inf:
-        raise ParameterError(f"decay parameter d must be finite and > 0, got {d}")
+    _check_finite("decay parameter d", d, positive=True)
     return _lattice_weights(n, lambda dist: np.exp(-d * dist), "exponential")
 
 
@@ -410,9 +412,7 @@ def knn_weights(coords: GeoCoordinates, h: int) -> SpatialWeights:
     from scipy.spatial import cKDTree  # imported here: `import sfofr` stays light
 
     n = coords.n
-    if int(h) != h or not 1 <= h <= n - 1:
-        raise ParameterError("h must be an integer with 1 <= h <= n - 1")
-    h = int(h)
+    h = _check_count("h", h, 1, n - 1)
     lat, lon = np.radians(coords.lat), np.radians(coords.lon)
     xyz = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
     tree = cKDTree(xyz)

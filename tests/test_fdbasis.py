@@ -40,6 +40,22 @@ class TestMakeBasis:
         with pytest.raises(ParameterError):
             make_bspline_basis(10, -1)
 
+    @pytest.mark.parametrize(
+        "num_basis, degree, named",
+        [
+            (np.nan, 3, "num_basis must be an integer >= 4, got nan"),
+            (8, np.inf, "degree must be an integer >= 1, got inf"),
+            (8.5, 3, "num_basis must be an integer >= 4, got 8.5"),
+            ("8", 3, "num_basis must be an integer >= 4, got '8'"),
+        ],
+    )
+    def test_rejects_sizes_that_are_not_whole_numbers(self, num_basis, degree, named):
+        with pytest.raises(ParameterError, match=named):
+            make_bspline_basis(num_basis, degree)
+
+    def test_integral_float_sizes_give_the_int_basis(self):
+        assert make_bspline_basis(8.0, 3.0) is make_bspline_basis(8, 3)
+
     def test_degree_one_gram_analytic(self):
         # two hat functions 1 - t and t on [0, 1]:
         # int (1-t)^2 = 1/3, int t(1-t) = 1/6, int t^2 = 1/3

@@ -145,7 +145,24 @@ class TestFitFpc:
         rng = np.random.default_rng(11)
         coeffs = centered_coeffs(rng.standard_normal((5, 8)), basis)
         with pytest.raises(ParameterError):
-            fit_fpc(coeffs, n_components=6)  # > n - 1
+            fit_fpc(coeffs).truncate(6)  # > n - 1
+
+    @pytest.mark.parametrize("k", [2.5, np.nan, 0])
+    def test_truncate_needs_a_whole_k_in_range(self, basis, k):
+        coeffs = centered_coeffs(np.random.default_rng(11).standard_normal((5, 8)), basis)
+        with pytest.raises(ParameterError, match=r"k must be an integer in \[1, 4\]"):
+            fit_fpc(coeffs).truncate(k)
+
+    def test_all_components_unless_a_threshold_is_given(self, basis):
+        coeffs = centered_coeffs(np.random.default_rng(11).standard_normal((5, 8)), basis)
+        assert fit_fpc(coeffs).n_components == 4  # min(n - 1, L)
+        assert fit_fpc(coeffs).truncate(2.0).n_components == 2
+        with pytest.raises(ParameterError, match="at least 2 curves"):  # min(n - 1, L) = 0
+            fit_fpc(BasisCoefficients(coef=np.zeros((1, 8)), basis=basis))
+        with pytest.raises(TypeError):  # a threshold is keyword-only
+            fit_fpc(coeffs, 0.9)
+        with pytest.raises(TypeError):
+            fit_sfpc(coeffs, exponential_weights(5, 0.5), 2)
 
 
 class TestFitSfpc:
@@ -170,7 +187,7 @@ class TestFitSfpc:
         coef = np.outer(rng.standard_normal(4), rng.standard_normal(8))
         coef += np.outer(rng.standard_normal(4), rng.standard_normal(8))
         coeffs = centered_coeffs(coef, basis)
-        decomp = fit_sfpc(coeffs, w, n_components=3)
+        decomp = fit_sfpc(coeffs, w).truncate(3)
         ev_oracle, chi_oracle, _ = dense_oracle(coeffs.coef, basis, ring)
         np.testing.assert_allclose(decomp.eigenvalues, ev_oracle[:3], atol=1e-8)
         # rank-two data: eigenvectors are only identified (up to sign) on the
@@ -316,7 +333,7 @@ class TestProjectReconstruct:
     def test_eigenfunction_projects_to_unit_vector(self, basis):
         rng = np.random.default_rng(23)
         train = centered_coeffs(rng.standard_normal((10, 8)), basis)
-        decomp = fit_fpc(train, n_components=4)
+        decomp = fit_fpc(train).truncate(4)
         eta2 = BasisCoefficients(coef=decomp.chi[:, 1][None, :], basis=basis)
         scores = project(eta2, decomp)
         np.testing.assert_allclose(scores[0], np.eye(4)[1], atol=1e-8)
@@ -333,7 +350,7 @@ class TestProjectReconstruct:
     def test_zero_scores_zero_curves(self, basis):
         rng = np.random.default_rng(25)
         train = centered_coeffs(rng.standard_normal((10, 8)), basis)
-        decomp = fit_fpc(train, n_components=3)
+        decomp = fit_fpc(train).truncate(3)
         out = reconstruct(np.zeros((4, 3)), decomp, np.linspace(0, 1, 11))
         np.testing.assert_allclose(out, 0.0)
 

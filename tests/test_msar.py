@@ -464,7 +464,7 @@ class TestFitMsar:
         assert fit.grad_norm <= fit.tolerance
         assert fit.message == "gradient norm below tolerance"
 
-    @pytest.mark.parametrize("max_iter", [-5, 2.5])
+    @pytest.mark.parametrize("max_iter", [-5, 2.5, np.nan])
     def test_max_iter_must_be_a_nonnegative_integer(self, max_iter):
         data = random_data(np.random.default_rng(37), 25, 2, 2)
         with pytest.raises(ParameterError, match="max_iter must be an integer >= 0"):

@@ -65,8 +65,8 @@ def toy_fit():
     coef_x = rng.standard_normal((n, 8))
     coef_x -= coef_x.mean(axis=0)
     weights = exponential_weights(n, 0.5)
-    y_decomp = fit_sfpc(BasisCoefficients(coef=coef_y, basis=basis), weights, 2)
-    x_decomp = fit_fpc(BasisCoefficients(coef=coef_x, basis=basis), 3)
+    y_decomp = fit_sfpc(BasisCoefficients(coef=coef_y, basis=basis), weights).truncate(2)
+    x_decomp = fit_fpc(BasisCoefficients(coef=coef_x, basis=basis)).truncate(3)
     params = MsarParams(
         rho=np.array([[0.3, 0.1], [-0.05, 0.2]]),
         b=rng.standard_normal((3, 2)),

@@ -322,11 +322,15 @@ class TestSimConfig:
             ("noise_sd", np.nan, "noise_sd must be finite and >= 0"),
             ("noise_sd", np.inf, "noise_sd must be finite and >= 0"),
             ("neumann_tol", np.nan, "neumann_tol must be finite and >= 0"),
+            ("n_train", np.nan, "n_train must be an integer >= 2, got nan"),
+            ("n_test", np.inf, "n_test must be an integer >= 2, got inf"),
+            ("grid_size", np.nan, "grid_size must be an integer >= 4, got nan"),
+            ("grid_size", 4.5, "grid_size must be an integer >= 4, got 4.5"),
         ],
     )
     def test_non_finite_values_rejected(self, field, value, named):
         with pytest.raises(ParameterError, match=named):
-            SimConfig(n_train=10, n_test=10, alpha=0.5, seed=1, **{field: value})
+            SimConfig(**{"n_train": 10, "n_test": 10, "alpha": 0.5, "seed": 1, field: value})
 
     def test_generate_bit_identical_under_seed(self):
         cfg = SimConfig(

@@ -55,6 +55,11 @@ class TestInverseDistance:
         with pytest.raises(ParameterError):
             inverse_distance_weights(1)
 
+    @pytest.mark.parametrize("n", [np.inf, np.nan, 4.5])
+    def test_rejects_n_that_is_not_a_whole_number(self, n):
+        with pytest.raises(ParameterError, match=f"n must be an integer >= 2, got {n}"):
+            inverse_distance_weights(n)
+
 
 class TestExponential:
     def test_two_units_any_decay(self):
@@ -151,8 +156,8 @@ class TestKnn:
 
     def test_rejects_bad_h(self):
         coords = GeoCoordinates(lat=np.zeros(5), lon=np.arange(5.0))
-        for h in (0, 5, 7):
-            with pytest.raises(ParameterError):
+        for h in (0, 5, 7, np.nan, np.inf, 2.5):
+            with pytest.raises(ParameterError, match=r"h must be an integer in \[1, 4\]"):
                 knn_weights(coords, h)
 
     @staticmethod
