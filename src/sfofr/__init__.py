@@ -48,7 +48,6 @@ from .msar import (
     MsarParams,
     apply_S,
     fit_msar,
-    gradient,
     objective,
     preconditioner_m,
     reduced_form_solve,
@@ -91,7 +90,6 @@ from .spatial import (
     inverse_distance_weights,
     knn_weights,
     morans_i,
-    row_normalize,
 )
 
 __version__ = "0.1.0"

@@ -37,10 +37,12 @@ def _check_count(name: str, value, low: int, high: int | None = None) -> int:
 
 
 def _check_finite(name: str, value, positive: bool = False) -> None:
-    """Require a finite ``value`` >= 0, or > 0 when ``positive``."""
-    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+    """Require a finite real ``value`` >= 0, or > 0 when ``positive``; anything
+    else, non-numbers and arrays included, raises ``ParameterError``."""
+    real = isinstance(value, numbers.Real)
+    if not (real and (0 < value < math.inf if positive else 0 <= value < math.inf)):
         sign = ">" if positive else ">="
-        raise ParameterError(f"{name} must be finite and {sign} 0, got {value}")
+        raise ParameterError(f"{name} must be finite and {sign} 0, got {value!r}")
 
 
 class DomainError(DataError):

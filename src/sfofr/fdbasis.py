@@ -33,6 +33,22 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_grid(grid, min_points: int) -> np.ndarray:
+    """``grid`` as a float array when it holds at least ``min_points`` finite,
+    strictly increasing points in [0, 1]; anything else raises a ``DataError``."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < min_points:
+        raise ParameterError(f"grid must be 1-D with at least {min_points} points")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise DomainError(f"grid points must be finite; point {bad[0]} is {grid[bad[0]]}")
+    if grid[0] < 0.0 or grid[-1] > 1.0:
+        raise DomainError("grid must lie within [0, 1]")
+    if np.any(np.diff(grid) <= 0):
+        raise ParameterError("grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class FunctionalDataset:
     """n curves observed on a shared grid in [0, 1].
@@ -49,19 +65,10 @@ class FunctionalDataset:
     ids: tuple | None = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _check_grid(self.grid, 4)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.size < 4:
-            raise ParameterError("grid must be 1-D with at least 4 points")
-        bad = np.flatnonzero(~np.isfinite(grid))
-        if bad.size:
-            raise DomainError(f"grid points must be finite; point {bad[0]} is {grid[bad[0]]}")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
-            raise DomainError("grid must lie within [0, 1]")
-        if np.any(np.diff(grid) <= 0):
-            raise ParameterError("grid must be strictly increasing")
         if values.ndim != 2 or values.shape[1] != grid.size:
             raise ParameterError(
                 f"values must be n x {grid.size}, got shape {values.shape}"
@@ -147,9 +154,9 @@ class BasisCoefficients:
     def n(self) -> int:
         return self.coef.shape[0]
 
-    def is_centered(self, tol: float = 1e-8) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.coef))) if self.coef.size else 1.0)
-        return bool(np.max(np.abs(self.coef.mean(axis=0))) <= tol * scale)
+    def is_centered(self) -> bool:
+        scale = np.max(np.abs(self.coef), initial=0.0)
+        return bool(np.max(np.abs(self.coef.mean(axis=0))) <= 1e-8 * scale)
 
 
 def make_bspline_basis(num_basis: int, degree: int = 3) -> BSplineBasis:

@@ -264,11 +264,6 @@ def _gradient_raw(theta: np.ndarray, data: MsarData) -> np.ndarray:
     return 2.0 * jac.T @ (chain[-1] * chain[-2]).ravel()
 
 
-def gradient(params: MsarParams, data: MsarData) -> np.ndarray:
-    """Flat gradient of Q over (vec rho, vec B, zeta), from the analytic Jacobian."""
-    return _gradient_raw(_pack(params.rho, params.b, params.prec_chol), data)
-
-
 # --- estimation -------------------------------------------------------------
 
 
@@ -351,7 +346,7 @@ def _profiled(theta: np.ndarray, data: MsarData):
     return theta, resid, qmat, chain
 
 
-def _default_init(data: MsarData) -> np.ndarray:
+def _start_chol(data: MsarData) -> np.ndarray:
     """Cholesky factor of the inverse OLS residual covariance (identity if singular)."""
     b0, *_ = np.linalg.lstsq(data.xmat, data.ymat, rcond=None)
     resid = data.ymat - data.xmat @ b0
@@ -385,47 +380,39 @@ def _secant_update(sec, step, y_sharp, y):
 
 def fit_msar(
     data: MsarData,
-    init: MsarParams | None = None,
     tol: float | None = None,
     max_iter: int = 500,
 ) -> MsarFit:
     """Levenberg-Marquardt (Moré 1978) on the variable-projection residual of Q.
 
     The search runs over x = (vec rho, zeta without its first entry), from
-    ``init``'s rho and U or by default from rho = 0 and the inverse OLS
-    residual covariance. Each evaluation profiles B out (``_profiled``);
-    Kaufman's Jacobian J = (I - QQ') dr/dx (``_jacobian``) gives the damped
-    step, which solves (H + lam I) step = -J'r for one of two models of Q's
-    Hessian 2H: Gauss-Newton's H = J'J, or H = J'J + S with NL2SOL's secant
-    term S (``_secant_update``). S starts at zero and is updated after every
-    accepted step; the next step takes the model that predicted that step's
-    change in Q better, so a fit whose Gauss-Newton model keeps predicting
-    better takes Gauss-Newton steps only. As r is orthogonal to the B design, 2 J'r is dQ/dx at
-    the profiled B (the envelope gradient): the one stop test and
-    ``grad_norm`` read its norm. Candidates with |lambda_1(rho)| at the cap
-    1 - iota are refused by raising the damping. A candidate is accepted when
-    it lowers Q, the change computed as (r_new - r).(r_new + r), or, at Q's
-    rounding floor, when Q rises by at most 64 eps Q and |J'r| falls.
+    rho = 0 and the inverse OLS residual covariance. Each evaluation
+    profiles B out (``_profiled``); Kaufman's Jacobian J = (I - QQ') dr/dx
+    (``_jacobian``) gives the damped step, which solves (H + lam I) step =
+    -J'r for one of two models of Q's Hessian 2H: Gauss-Newton's H = J'J, or
+    H = J'J + S with NL2SOL's secant term S (``_secant_update``). S starts at
+    zero and is updated after every accepted step; the next step takes the
+    model that predicted that step's change in Q better, so a fit whose
+    Gauss-Newton model keeps predicting better takes Gauss-Newton steps only.
+    As r is orthogonal to the B design, 2 J'r is dQ/dx at the profiled B
+    (the envelope gradient): the one stop test and ``grad_norm`` read its
+    norm. Candidates with |lambda_1(rho)| at the cap 1 - iota are refused by
+    raising the damping. A candidate is accepted when it lowers Q, the change
+    computed as (r_new - r).(r_new + r), or, at Q's rounding floor, when Q
+    rises by at most 64 eps Q and |J'r| falls.
 
     ``message`` says why the fit stopped: "gradient norm below tolerance"
     (``converged``: 2 |J'r| <= ``tol``, by default 1e-8 * max(1, Q_start));
     "stopped at the spectral-radius constraint boundary" (the cap blocked the
     damped steps); "no step lowers Q"; or "max_iter reached". A fit that ends
-    at the cap is rerun from the same start (when that start lies inside the
-    cap) with the spectral radius capped at 0.5, and the capped fit replaces
-    it when its objective is within 5%.
+    at the cap is rerun from the same start with the spectral radius capped
+    at 0.5, and the capped fit replaces it when its objective is within 5%.
     """
     max_iter = _check_count("max_iter", max_iter, 0)
     k_y, k_x = data.k_y, data.k_x
     if data.n <= k_y + k_x:
         raise ParameterError(f"need n > Ky + Kx = {k_y + k_x} observations for identifiability")
-    if init is not None:
-        if init.k_y != k_y or init.k_x != k_x:
-            raise ParameterError("init dimensions do not match data")
-        rho0, u0 = init.rho, init.prec_chol
-    else:
-        rho0, u0 = np.zeros((k_y, k_y)), _default_init(data)
-    start = _profiled(_pack(rho0, np.zeros((k_x, k_y)), u0), data)
+    start = _profiled(_pack(np.zeros((k_y, k_y)), np.zeros((k_x, k_y)), _start_chol(data)), data)
     free = np.r_[0 : k_y * k_y, k_y * (k_y + k_x) + 1 : start[0].size]
     q0 = float(start[1] @ start[1])
     if not np.isfinite(q0):
@@ -444,7 +431,7 @@ def fit_msar(
         jac = linearize(qmat, chain)
         jtr, q, lam = jac.T @ r, q0, None
         jtr_norm, sec, secant = np.linalg.norm(jtr), np.zeros((search.size,) * 2), False
-        trace, sr_trace, message = [q], [spectral_radius(rho0)], "max_iter reached"
+        trace, sr_trace, message = [q], [0.0], "max_iter reached"
         for _ in range(max_iter):
             if 2 * jtr_norm <= tol:
                 break
@@ -502,7 +489,7 @@ def fit_msar(
         return theta, q, norm, trace, sr_trace, message
 
     theta, q, norm, trace, sr_trace, message = descend(1 - IOTA)
-    if sr_trace[-1] >= 1 - 2 * IOTA and sr_trace[0] < 0.5:
+    if sr_trace[-1] >= 1 - 2 * IOTA:
         # Near the boundary S approaches singularity and Q loses its power to
         # discriminate, so weakly dependent data can show a spurious
         # maximal-dependence minimum. A rerun capped at spectral radius 0.5

@@ -32,6 +32,7 @@ from .fdbasis import (
     BasisCoefficients,
     BSplineBasis,
     FunctionalDataset,
+    _check_grid,
     center,
     make_bspline_basis,
     smooth_curves,
@@ -56,7 +57,8 @@ class SurfaceEstimate:
     """A bivariate surface sampled on a rectangular grid in [0, 1]^2.
 
     ``ugrid`` is the first-axis grid (u for a rho surface, s for a beta
-    surface); ``values[a, b]`` is the surface at (ugrid[a], tgrid[b]).
+    surface); ``values[a, b]`` is the surface at (ugrid[a], tgrid[b]). Each
+    grid holds at least 2 finite, strictly increasing points in [0, 1].
     """
 
     ugrid: np.ndarray
@@ -65,15 +67,11 @@ class SurfaceEstimate:
     kind: str = "rho"
 
     def __post_init__(self):
-        ugrid = np.asarray(self.ugrid, dtype=float)
-        tgrid = np.asarray(self.tgrid, dtype=float)
+        ugrid, tgrid = _check_grid(self.ugrid, 2), _check_grid(self.tgrid, 2)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "ugrid", ugrid)
         object.__setattr__(self, "tgrid", tgrid)
         object.__setattr__(self, "values", values)
-        for g in (ugrid, tgrid):
-            if g.ndim != 1 or g.size < 2 or g.min() < 0 or g.max() > 1:
-                raise ParameterError("surface grids must be 1-D within [0, 1]")
         if values.shape != (ugrid.size, tgrid.size):
             raise ParameterError("surface values do not match the grids")
         if not np.all(np.isfinite(values)):
@@ -428,7 +426,7 @@ def r_squared(pred: FunctionalDataset, obs: FunctionalDataset) -> float:
     resid = obs.values - pred.values
     spread = obs.values - obs.values.mean(axis=0)
     denom = float(np.sum((spread * spread) @ w))
-    if denom <= 1e-14 * max(1.0, float(np.sum(obs.values**2 @ w))):
+    if denom <= 1e-14 * float(np.sum(obs.values**2 @ w)):
         raise UndefinedStatisticError(
             "observed curves have no variation around their mean curve"
         )

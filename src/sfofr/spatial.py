@@ -23,7 +23,6 @@ dense or sparse LU.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -429,20 +428,6 @@ def knn_weights(coords: GeoCoordinates, h: int) -> SpatialWeights:
     return SpatialWeights(matrix=mat, normalized=True, kind="knn")
 
 
-def row_normalize(weights: SpatialWeights) -> SpatialWeights:
-    """Scale each nonzero row to sum to one; all-zero rows are kept and warned about."""
-    sums = weights.row_sums()
-    zero_rows = sums == 0
-    if np.any(zero_rows):
-        warnings.warn(
-            f"{int(zero_rows.sum())} isolated unit(s) with no neighbors; "
-            "their rows stay zero",
-            stacklevel=2,
-        )
-    scale = np.where(zero_rows, 1.0, sums)[:, None]
-    return SpatialWeights(matrix=weights.matrix / scale, normalized=True, kind=weights.kind)
-
-
 def morans_i(x, weights: SpatialWeights) -> float:
     """Moran's I statistic x_c' W x_c / x_c' x_c of the mean-centered values."""
     x = np.asarray(x, dtype=float).ravel()
@@ -450,7 +435,7 @@ def morans_i(x, weights: SpatialWeights) -> float:
         raise ParameterError("value vector length must match weight matrix size")
     xc = x - x.mean()
     denom = float(xc @ xc)
-    if denom < 1e-14 * max(1.0, float(x @ x)):
+    if denom <= 1e-14 * float(x @ x):
         raise UndefinedStatisticError("Moran's I is undefined for constant values")
     return float(xc @ weights.matmul(xc)) / denom
 
@@ -473,7 +458,8 @@ def functional_morans_i(
     vals = coeffs.coef @ phi.T  # n x |tgrid| curve values at each t
     num = np.einsum("ij,ij->j", vals, weights.matmul(vals))
     den = np.einsum("ij,ij->j", vals, vals)
-    bad = den < 1e-14
+    # |A g(t)|^2 <= |A|_F^2 |g(t)|^2, the curves' own scale at t
+    bad = den <= 1e-14 * np.sum(coeffs.coef**2) * np.einsum("ij,ij->i", phi, phi)
     if np.any(bad):
         raise UndefinedStatisticError(
             "functional Moran's I undefined (zero variance) at t = "

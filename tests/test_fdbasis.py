@@ -262,7 +262,7 @@ class TestSmoothCurves:
         with pytest.raises(ParameterError):
             smooth_curves(data, make_bspline_basis(20, 3))
 
-    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-8])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-8, "1e-8", None, np.array([1e-8])])
     def test_ridge_must_be_finite_and_nonnegative(self, ridge):
         data = FunctionalDataset(grid=np.linspace(0, 1, 30), values=np.ones((2, 30)))
         with pytest.raises(ParameterError, match="ridge must be finite and >= 0"):

@@ -26,7 +26,6 @@ from sfofr import (
     fit_sfofr,
     gen_predictors,
     gen_response,
-    gradient,
     inverse_distance_weights,
     knn_weights,
     objective,
@@ -221,7 +220,7 @@ class TestGradient:
         xmat -= xmat.mean(axis=0)
         ymat = reduced_form_solve(truth.rho, w, xmat @ truth.b)
         data = MsarData(ymat=ymat, xmat=xmat, weights=w)
-        g = gradient(truth, data)
+        g = _gradient_raw(_pack(truth.rho, truth.b, truth.prec_chol), data)
         assert np.max(np.abs(g[: 4 + 4])) < 1e-8  # rho and B blocks
 
     def test_matches_all_numeric_oracle(self):
@@ -250,8 +249,9 @@ class TestGradient:
         assert objective(params, scaled) == pytest.approx(
             c**2 * objective(params, data), rel=1e-10
         )
-        g_base = gradient(params, data)
-        g_scaled = gradient(params, scaled)
+        theta = _pack(params.rho, params.b, params.prec_chol)
+        g_base = _gradient_raw(theta, data)
+        g_scaled = _gradient_raw(theta, scaled)
         nrb = 4 + 4  # rho block + B block for Ky=Kx=2
         np.testing.assert_allclose(g_scaled[:nrb], c**2 * g_base[:nrb], rtol=1e-5)
 
@@ -343,19 +343,6 @@ class TestFitMsar:
         ols, *_ = np.linalg.lstsq(xmat, ymat, rcond=None)
         np.testing.assert_allclose(fit.params.rho, 0.0, atol=1e-8)
         np.testing.assert_allclose(fit.params.b, ols, atol=1e-6)
-
-    def test_restart_from_fitted_point_is_stationary(self):
-        rng = np.random.default_rng(14)
-        n = 40
-        w = exponential_weights(n, 0.5)
-        truth = random_params(rng, 2, 2, target_sr=0.4)
-        xmat = rng.standard_normal((n, 2))
-        xmat -= xmat.mean(axis=0)
-        ymat = reduced_form_solve(truth.rho, w, xmat @ truth.b)
-        data = MsarData(ymat=ymat, xmat=xmat, weights=w)
-        first = fit_msar(data)
-        second = fit_msar(data, init=first.params)
-        assert abs(second.objective - first.objective) < first.tolerance
 
     def test_monotone_objective_trace(self):
         rng = np.random.default_rng(15)
@@ -478,7 +465,8 @@ class TestFitMsar:
         fit = fit_msar(data, max_iter=3)
         assert fit.message == "max_iter reached"
         free = np.r_[0:4, 4 + 4 + 1 : 4 + 4 + 3]
-        norm = np.linalg.norm(gradient(fit.params, data)[free])
+        theta = _pack(fit.params.rho, fit.params.b, fit.params.prec_chol)
+        norm = np.linalg.norm(_gradient_raw(theta, data)[free])
         assert fit.grad_norm == pytest.approx(norm, rel=1e-8)
 
     def test_converged_flag_semantics(self):

@@ -1,4 +1,5 @@
-"""Tests of the package's structure: its export list and its module imports."""
+"""Tests of the package's structure: its export list and who calls it, its
+module imports, and where it checks counts and raises warnings."""
 
 import ast
 import inspect
@@ -6,10 +7,13 @@ from pathlib import Path
 
 import sfofr
 
+SRC = Path(sfofr.__file__).parent
+ROOT = SRC.parent.parent
+
 
 def test_no_module_imports_private_pipeline_names():
     private = []
-    for path in sorted(Path(sfofr.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module in ("pipeline", "sfofr.pipeline"):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
@@ -56,9 +60,46 @@ def _count_checks(tree):
 def test_counts_are_checked_only_by_the_shared_check():
     by_module = {
         path.name: _count_checks(ast.parse(path.read_text()))
-        for path in sorted(Path(sfofr.__file__).parent.glob("*.py"))
+        for path in sorted(SRC.glob("*.py"))
     }
     assert by_module.pop("exceptions.py")  # the scan finds the shared check itself
     assert {name: lines for name, lines in by_module.items() if lines} == {}
     planted = "if int(n) != n or n < 2:\n    pass\nok = isinstance(h, numbers.Integral)\n"
     assert _count_checks(ast.parse(planted)) == [1, 3]
+
+
+def _referenced(tree):
+    """Bare names a module reads; a definition, an assignment target or an
+    import alone is no reference."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_exported_name_has_a_caller():
+    # a caller is the library itself, a demo, or an acceptance criterion
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*(_referenced(ast.parse(p.read_text())) for p in paths))
+    assert sorted(set(sfofr.__all__) - used) == []
+    planted = "from sfofr import a, b\nc: int = 1\ndef d():\n    return a(c.e)\n"
+    assert _referenced(ast.parse(planted)) == {"a", "int", "c"}
+
+
+def _warn_calls(tree):
+    """Lines that call ``warnings.warn``."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "warnings.warn"
+    )
+
+
+def test_every_warning_goes_through_warn_at_caller():
+    lines, first = inspect.getsourcelines(sfofr.pipeline.warn_at_caller)
+    own = range(first, first + len(lines))
+    by_module = {
+        path.name: [n for n in _warn_calls(ast.parse(path.read_text()))
+                    if not (path.name == "pipeline.py" and n in own)]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in by_module.items() if lines} == {}
+    planted = "import warnings\nwarn_at_caller('x')\nwarnings.warn('y', stacklevel=2)\n"
+    assert _warn_calls(ast.parse(planted)) == [3]

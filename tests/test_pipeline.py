@@ -8,6 +8,7 @@ import pytest
 
 from sfofr import (
     BasisCoefficients,
+    DomainError,
     FunctionalDataset,
     MsarFit,
     MsarParams,
@@ -280,6 +281,21 @@ class TestContractionDiagnostic:
 
 
 class TestMetrics:
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([0, np.nan, 1], DomainError),
+            ([0, 1, 0.5], ParameterError),  # ise_surface read this as ISE 0.25 of a unit gap
+            ([0, 0.5, 0.5, 1], ParameterError),
+        ],
+    )
+    @pytest.mark.parametrize("axis", ["ugrid", "tgrid"])
+    def test_surface_grids_must_be_finite_and_increasing(self, bad, error, axis):
+        grids = {"ugrid": np.linspace(0, 1, len(bad)), "tgrid": np.linspace(0, 1, len(bad))}
+        grids[axis] = np.array(bad, dtype=float)
+        with pytest.raises(error, match="grid"):
+            SurfaceEstimate(**grids, values=np.ones((len(bad), len(bad))))
+
     def test_ise_identity_and_constant(self):
         grid = np.linspace(0, 1, 101)
         vals = np.sin(np.outer(grid, grid))

@@ -321,6 +321,7 @@ class TestSimConfig:
             ("decay", np.inf, "decay must be finite and > 0"),
             ("noise_sd", np.nan, "noise_sd must be finite and >= 0"),
             ("noise_sd", np.inf, "noise_sd must be finite and >= 0"),
+            ("noise_sd", "1", "noise_sd must be finite and >= 0, got '1'"),
             ("neumann_tol", np.nan, "neumann_tol must be finite and >= 0"),
             ("n_train", np.nan, "n_train must be an integer >= 2, got nan"),
             ("n_test", np.inf, "n_test must be an integer >= 2, got inf"),

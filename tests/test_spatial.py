@@ -13,6 +13,7 @@ from sfofr import (
     FunctionalDataset,
     GeoCoordinates,
     ParameterError,
+    PreconditionError,
     SimConfig,
     SpatialWeights,
     UndefinedStatisticError,
@@ -24,7 +25,7 @@ from sfofr import (
     knn_weights,
     make_bspline_basis,
     morans_i,
-    row_normalize,
+    r_squared,
     smooth_curves,
 )
 
@@ -85,7 +86,7 @@ class TestExponential:
         with pytest.raises(ParameterError):
             exponential_weights(5, 0.0)
 
-    @pytest.mark.parametrize("d", [np.inf, np.nan])
+    @pytest.mark.parametrize("d", [np.inf, np.nan, "0.5", None, np.array([0.5, 0.6])])
     def test_rejects_non_finite_decay(self, d):
         with pytest.raises(ParameterError, match="must be finite and > 0"):
             exponential_weights(5, d)
@@ -204,33 +205,6 @@ class TestKnn:
         check_weight_contract(w)
 
 
-class TestRowNormalize:
-    def test_idempotent(self):
-        w = exponential_weights(6, 0.5)
-        again = row_normalize(w)
-        np.testing.assert_allclose(again.toarray(), w.toarray(), atol=1e-15)
-
-    def test_simple_row(self):
-        w = SpatialWeights(matrix=np.array([[0, 2, 2], [1, 0, 0], [3, 1, 0.0]]))
-        out = row_normalize(w)
-        np.testing.assert_allclose(out.toarray()[0], [0, 0.5, 0.5])
-
-    def test_isolated_unit_preserved_with_warning(self):
-        mat = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        with pytest.warns(UserWarning, match="isolated"):
-            out = row_normalize(SpatialWeights(matrix=mat))
-        np.testing.assert_allclose(out.toarray()[2], 0.0)
-        assert out.normalized
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(DataError):
-            SpatialWeights(matrix=np.array([[0, -1.0], [1, 0]]))
-
-    def test_nonzero_diagonal_rejected(self):
-        with pytest.raises(DataError):
-            SpatialWeights(matrix=np.eye(3))
-
-
 class TestStorage:
     def ring(self, n):
         mat = np.zeros((n, n))
@@ -305,11 +279,13 @@ class TestStorage:
         with pytest.raises(DataError, match="d_i w_ij = d_j w_ji"):
             SpatialWeights(matrix=w.matrix, normalized=True, balance=d)
 
-    def test_row_normalize_keeps_sparse_storage(self):
-        mat = 3.0 * self.ring(30)
-        out = row_normalize(SpatialWeights(matrix=mat))
-        assert sp.issparse(out.matrix) and out.normalized
-        np.testing.assert_array_equal(out.toarray(), self.ring(30))
+    def test_negative_entries_rejected(self):
+        with pytest.raises(DataError):
+            SpatialWeights(matrix=np.array([[0, -1.0], [1, 0]]))
+
+    def test_nonzero_diagonal_rejected(self):
+        with pytest.raises(DataError):
+            SpatialWeights(matrix=np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -430,7 +406,7 @@ class TestSpectralForm:
         for w in (
             knn_weights(coords, 4),
             SpatialWeights(matrix=lattice.toarray(), normalized=True),
-            row_normalize(lattice),
+            SpatialWeights(matrix=lattice.matrix / lattice.row_sums()[:, None], normalized=True),
         ):
             assert w._spectrum is None
 
@@ -473,7 +449,7 @@ class TestFoldedProduct:
         for w in (
             balanced_mirror_free(30),
             SpatialWeights(matrix=lattice.toarray(), normalized=True),
-            row_normalize(lattice),
+            SpatialWeights(matrix=lattice.matrix / lattice.row_sums()[:, None], normalized=True),
             banded_balanced(30),
             knn_weights(coords, 3),
         ):
@@ -686,8 +662,6 @@ class TestFunctionalMoransI:
         np.testing.assert_allclose(doubled, base, rtol=1e-10)
 
     def test_requires_centered_coefficients(self):
-        from sfofr import PreconditionError
-
         grid = np.linspace(0, 1, 40)
         basis = make_bspline_basis(8, 3)
         data = FunctionalDataset(grid=grid, values=np.ones((5, 40)) + np.arange(5)[:, None])
@@ -720,3 +694,43 @@ class TestFunctionalMoransI:
         coeffs = _smooth_centered(y.values, grid, basis)
         values = functional_morans_i(coeffs, w, grid)
         assert np.max(np.abs(values)) < 0.05
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_zero_variance_checks_are_scale_free(scale):
+    # Moran's I, functional Moran's I and R^2 are ratios of quadratic forms,
+    # so their zero-variance checks must not depend on the data's units
+    rng = np.random.default_rng(41)
+    w = exponential_weights(20, 0.5)
+    x = rng.standard_normal(20)
+    assert morans_i(scale * x, w) == pytest.approx(morans_i(x, w), rel=1e-12)
+
+    grid = np.linspace(0, 1, 30)
+    basis = make_bspline_basis(8, 3)
+    raw = rng.standard_normal((20, 30))
+    base = functional_morans_i(_smooth_centered(raw, grid, basis), w, grid)
+    scaled = functional_morans_i(_smooth_centered(scale * raw, grid, basis), w, grid)
+    np.testing.assert_allclose(scaled, base, rtol=1e-10)
+    off_center = FunctionalDataset(grid=grid, values=scale * (raw + 0.5))
+    with pytest.raises(PreconditionError):
+        functional_morans_i(smooth_curves(off_center, basis), w, grid)
+
+    obs = rng.standard_normal((5, 30))
+    pred = obs + 0.1 * rng.standard_normal((5, 30))
+
+    def r2(pred, obs):
+        pair = [FunctionalDataset(grid=grid, values=v) for v in (pred, obs)]
+        return r_squared(*pair)
+
+    assert r2(scale * pred, scale * obs) == pytest.approx(r2(pred, obs), rel=1e-12)
+
+    for flat in (np.zeros(20), np.full(20, scale)):
+        curves = np.outer(flat, np.ones(30))
+        with pytest.raises(UndefinedStatisticError):
+            morans_i(flat, w)
+        with pytest.raises(UndefinedStatisticError):
+            r2(scale * pred[:2], curves[:2])
+        # centering constant curves can leave one rounding residue in every
+        # row, which is_centered refuses
+        with pytest.raises((UndefinedStatisticError, PreconditionError)):
+            functional_morans_i(_smooth_centered(curves, grid, basis), w, grid)
