@@ -184,7 +184,7 @@ def cmd_mc_bench(cfg: dict, out: Path) -> list:
                 f"{idx},{method},{sio.fmt(m['ise_beta'])},{ise_rho},"
                 f"{sio.fmt(m['mse'])},{sio.fmt(m['mspe'])}"
             )
-    sio.atomic_write(out / "results.csv", "\n".join(lines) + "\n")
+    sio.write_lines(out / "results.csv", lines)
     summary = summarize_benchmark(results)
     summary["config"] = cfg
     sio.write_json(out / "summary.json", summary)

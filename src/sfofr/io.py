@@ -9,6 +9,12 @@ Numbers are parsed by numpy's reader, so Python-only spellings such as
 with its physical line number, blank lines included; data the object it builds
 rejects (a decreasing grid, a negative weight) with the object's error type.
 
+No CSV reader or writer holds a whole file's text. Writers format and write
+one band of rows at a time, a sparse W's dense layout included, and readers
+stream the lines into numpy; so a dense W at n = 2000 (an 87 MiB file) is
+written with a few MiB of ``tracemalloc`` peak and read with little more than
+W's own 30.5 MiB.
+
 Formats
 -------
 Curve CSV      : header row ``t,<t_1>,...,<t_T>`` with the grid, then one row
@@ -26,7 +32,8 @@ Fit bundle     : a directory holding manifest.json, the nine CSV matrices
                  W as w_train.npy: one ``np.save`` (no pickle) of its nonzero
                  (i, j, w) triplets in row-major order, as a 1-D
                  int64/int64/float64 record array, with n taken from the
-                 manifest's ``dims.n``; the file's bytes depend on W alone.
+                 manifest's ``dims.n``; the file's bytes depend on W alone
+                 (written as the header, then one band of rows at a time).
                  W's ``balance`` field, when set (lattice W), goes to
                  w_balance.csv. Only version 2 loads.
 """
@@ -36,8 +43,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import closing
 from dataclasses import fields, replace
 from functools import partial, reduce
+from io import BytesIO
+from itertools import chain, islice
 from operator import attrgetter, getitem
 from pathlib import Path
 
@@ -57,7 +67,7 @@ from .pipeline import (
     reconstruct_rho,
     warn_if_unconverged,
 )
-from .spatial import GeoCoordinates, SpatialWeights, _rows_sum_to_one
+from .spatial import GeoCoordinates, SpatialWeights, _bands, _count_nonzero, _rows_sum_to_one
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
 BUNDLE_VERSION = 2
@@ -68,26 +78,33 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def atomic_write(path, data: str | np.ndarray):
-    """Write text, or an array in ``.npy`` form (no pickle), via a temp file
-    in the same directory, then rename.
+def atomic_write(path, data):
+    """Write ``data`` via a temp file in the same directory, then rename.
 
-    An array goes straight from its buffer to the file, with no bytes copy.
+    ``data`` is text, or an iterable of chunks that are all text or all
+    bytes-like (such as arrays); each chunk goes to the file in one write as
+    it comes, so the whole file is never held at once.
     """
+    chunks = iter([data] if isinstance(data, str) else data)
+    first = next(chunks, "")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as handle:
-            if isinstance(data, str):
-                handle.write(data)
-            else:
-                np.save(handle, data, allow_pickle=False)
+        with os.fdopen(fd, "w" if isinstance(first, str) else "wb") as handle:
+            handle.write(first)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_lines(path, lines):
+    """Write text ``lines``, each ended by a newline."""
+    atomic_write(path, (f"{line}\n" for line in lines))
 
 
 def _build(path, cls, **kwargs):
@@ -108,78 +125,167 @@ def _parse_float(token: str, path, line_no: int) -> float:
 
 # --- numeric codec -----------------------------------------------------------
 #
-# Every numeric reader and writer handles a whole matrix at a time: numpy
-# parses all rows in one call, and one %-format string per row shape writes
-# them. "%.17g" gives the same text as fmt().
+# Every numeric reader and writer works in bounded row bands, so no file's
+# whole text is ever held. A writer formats about _TEXT_BAND values at a time,
+# one %-format string per row shape ("%.17g" gives the same text as fmt()),
+# and hands each band's text to atomic_write. A reader streams the file's
+# lines, read in blocks of at most _READ_BYTES characters, into one
+# np.loadtxt call, checking field counts as they pass, and walks the file
+# again only to name a line in an error.
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+_TEXT_BAND = 1 << 15  # values per band of text written, about 0.6 MB of it
+_READ_BYTES = 1 << 18  # characters of text read at a time
 
 
-def _format_rows(mat) -> list[str]:
-    """CSV lines of a 2-D array, all values "%.17g"."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    row_format = ",".join(["%.17g"] * mat.shape[1])
-    return [row_format % tuple(row) for row in mat.tolist()]
+def _format_rows(mat, labels=None):
+    """CSV text of the rows of a 2-D array or CSR matrix, all values "%.17g",
+    each row led by its label when ``labels`` is given; one chunk per band of
+    rows, a CSR band densified on its own."""
+    row = ",".join(["%.17g"] * mat.shape[1])
+    if labels is not None:
+        row = "%s," + row
+    for band in _bands(*mat.shape, _TEXT_BAND):
+        block = mat[band]
+        rows = (block.toarray() if sp.issparse(block) else block).tolist()
+        if labels is not None:
+            rows = [(label, *values) for label, values in zip(labels[band], rows)]
+        yield _text([row % tuple(values) for values in rows])
 
 
-def _triplets(weights: SpatialWeights) -> np.ndarray:
+def _text(lines: list) -> str:
+    """The text of ``lines``, each ended by a newline; appends "" to ``lines``
+    (joining once is faster than a newline in every row's format)."""
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _write_rows(path, mat):
+    """A header-less CSV of ``mat``'s rows; with no rows, one empty line."""
+    atomic_write(path, _format_rows(mat) if mat.shape[0] else "\n")
+
+
+def _triplets(weights: SpatialWeights):
     """W's nonzero (i, j, w) triplets in row-major order, as one ``_TRIPLET``
-    record array: the triplet CSV's rows and a bundle's w_train.npy."""
-    coo = sp.coo_array(weights.matrix)
-    coo.sum_duplicates()  # sorts by row, then column
-    coo.eliminate_zeros()
-    rec = np.empty(coo.nnz, dtype=_TRIPLET)
-    rec["i"], rec["j"], rec["w"] = coo.row, coo.col, coo.data
-    return rec
+    record array per band of rows: the triplet CSV's rows and a bundle's
+    w_train.npy. Repeated entries are summed and zeros dropped."""
+    mat, n = weights.matrix, weights.n
+    per_row = mat.nnz // max(n, 1) if sp.issparse(mat) else n  # entries, at most or on average
+    for band in _bands(n, 3 * per_row, _TEXT_BAND):  # three values a triplet
+        coo = sp.coo_array(mat[band])
+        coo.sum_duplicates()  # sorts by row, then column
+        coo.eliminate_zeros()
+        rec = np.empty(coo.nnz, dtype=_TRIPLET)
+        rec["i"], rec["j"], rec["w"] = coo.row + band.start, coo.col, coo.data
+        yield rec
 
 
-def _write_csv(path, lines):
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _read_lines(path) -> list[tuple[int, str]]:
-    """The non-blank lines of a file, each with its physical (1-based) number."""
+def _open(path):
     try:
-        text = Path(path).read_text()
+        return open(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
 
 
-def _parse_numeric(path, numbered, width=None, first_col: int = 0, dtype=float):
-    """Parse ``(line_no, line)`` rows of ``width`` comma-separated fields (by
-    default the first row's count), from column ``first_col`` on, in one
-    ``np.loadtxt`` call; no rows give an empty 2-D array.
+def _pieces(handle):
+    """Lists of the pieces ``str.splitlines`` cuts a text file's text into,
+    read in blocks that double from 8 KiB (a header costs little) to
+    _READ_BYTES characters."""
+    tail, size = "", min(1 << 13, _READ_BYTES)
+    while block := handle.read(size):
+        # "x" ends the last piece, which the next block may go on with
+        pieces = "".join((tail, block, "x")).splitlines()
+        tail = pieces.pop()[:-1]
+        size = min(2 * size, _READ_BYTES)
+        yield pieces
+    if tail:
+        yield [tail]
 
-    Field counts are checked line by line first, so a ragged row is named by
-    its physical line. Only when numpy rejects a value are the lines walked
-    again with Python's parsers to name the first bad line; a value that only
-    numpy rejects (``1_000``) is named by the first line numpy rejects alone.
+
+def _numbered(path, skip: int = 0):
+    """Stream ``(line_no, line)`` for each non-blank line of a file after its
+    first ``skip`` ones, numbered from 1 with blank ones counted."""
+    with _open(path) as handle:
+        pieces = chain.from_iterable(_pieces(handle))
+        numbered = ((no, line) for no, line in enumerate(pieces, start=1) if line.strip())
+        yield from islice(numbered, skip, None)
+
+
+def _batches(path, skip: int = 0):
+    """The lines ``_numbered`` streams, without their numbers, a list at a
+    time, so numpy takes them with no Python call a line."""
+    with _open(path) as handle:
+        for pieces in _pieces(handle):
+            lines = [line for line in pieces if line.strip()]
+            lines, skip = lines[skip:], max(0, skip - len(lines))
+            if lines:
+                yield lines
+
+
+def _line(path, row: int = 0, skip: int = 0):
+    """``(line_no, line)`` of non-blank line ``row`` (0-based) after the first
+    ``skip``; None if the file has no such line."""
+    with closing(_numbered(path, skip)) as numbered:
+        return next(islice(numbered, row, None), None)
+
+
+def _checked(path, batches, width: int, skip: int, ids: list | None = None):
+    """Each of ``_batches(path, skip)``, checked to hold ``width`` fields a
+    line, the first ragged line named by walking the file again; the first
+    field of each line goes to ``ids`` when given."""
+    done = 0
+    for lines in batches:
+        commas = [line.count(",") for line in lines]
+        if commas.count(width - 1) != len(commas):
+            k = next(k for k, c in enumerate(commas) if c != width - 1)
+            no = _line(path, done + k, skip)[0]
+            raise DataError(f"{path}:{no}: expected {width} fields, got {commas[k] + 1}")
+        if ids is not None:
+            ids += [line.split(",", 1)[0] for line in lines]
+        done += len(lines)
+        yield lines
+
+
+def _parse_numeric(path, skip=0, width=None, first_col=0, dtype=float, ids=None):
+    """Parse the non-blank lines of a file after its first ``skip``: rows of
+    ``width`` comma-separated fields (by default the first row's count), from
+    column ``first_col`` on, streamed through one ``np.loadtxt`` call; no rows
+    give an empty 2-D array. ``ids``, a list when given, collects each row's
+    first field.
+
+    Field counts are checked as the lines stream past, so a ragged row is
+    named by its physical line. Only when numpy rejects a value is the file
+    walked again: every field count is checked first, as before numpy ran,
+    then Python's parsers name the first bad line; a value that only numpy
+    rejects (``1_000``) is named by the first line numpy rejects alone.
     """
-    if width is None:
-        width = numbered[0][1].count(",") + 1 if numbered else 0
-    if not numbered:
-        return np.empty((0, width - first_col), dtype)
-    for no, line in numbered:
-        got = line.count(",") + 1
-        if got != width:
-            raise DataError(f"{path}:{no}: expected {width} fields, got {got}")
-
-    kwargs = dict(
-        delimiter=",", comments=None, ndmin=2, dtype=dtype, usecols=range(first_col, width)
-    )
-    try:
-        return np.loadtxt([line for _, line in numbered], **kwargs)
-    except ValueError as exc:
-        _raise_first_bad_field(path, numbered, first_col, np.dtype(dtype))
-        for no, line in numbered:
-            try:
-                np.loadtxt([line], **kwargs)
-            except ValueError as line_exc:
-                # numpy's "at row 0, column c" counts within this one line
-                reason = str(line_exc).partition(" at row ")[0]
-                raise DataError(f"{path}:{no}: {reason}") from None
-        raise DataError(f"{path}: {exc}") from None
+    with closing(_batches(path, skip)) as batches:
+        head = next(batches, None)
+        if width is None:
+            width = head[0].count(",") + 1 if head else 0
+        if head is None:
+            return np.empty((0, width - first_col), dtype)
+        kwargs = dict(
+            delimiter=",", comments=None, ndmin=2, dtype=dtype, usecols=range(first_col, width)
+        )
+        rows = chain.from_iterable(_checked(path, chain([head], batches), width, skip, ids))
+        try:
+            return np.loadtxt(rows, **kwargs)
+        except DataError:
+            raise
+        except ValueError as exc:
+            error = exc
+    for _ in _checked(path, _batches(path, skip), width, skip):
+        pass
+    _raise_first_bad_field(path, _numbered(path, skip), first_col, np.dtype(dtype))
+    for no, line in _numbered(path, skip):
+        try:
+            np.loadtxt([line], **kwargs)
+        except ValueError as line_exc:
+            # numpy's "at row 0, column c" counts within this one line
+            reason = str(line_exc).partition(" at row ")[0]
+            raise DataError(f"{path}:{no}: {reason}") from None
+    raise DataError(f"{path}: {error}") from None
 
 
 def _raise_first_bad_field(path, numbered, first_col: int, dtype: np.dtype):
@@ -207,58 +313,64 @@ def write_curves_csv(path, data: FunctionalDataset):
     bad = next((u for u in ids if any(c in u for c in ",\n\r")), None)
     if bad is not None:
         raise ParameterError(f"curve id {bad!r} holds a comma or a line break")
-    lines = _format_rows(np.vstack([data.grid, data.values]))
-    _write_csv(path, [f"{label},{line}" for label, line in zip(["t", *ids], lines)])
+    grid = _format_rows(data.grid[None, :], ["t"])
+    atomic_write(path, chain(grid, _format_rows(data.values, ids)))
 
 
 def read_curves_csv(path) -> FunctionalDataset:
-    numbered = _read_lines(path)
-    if not numbered:
+    head = _line(path)
+    if head is None:
         raise DataError(f"{path}: empty curve file")
-    no, header = numbered[0]
+    no, header = head
     if header.split(",")[0].strip() != "t":
         raise DataError(f"{path}:{no}: curve files must start with a 't' header row")
-    mat = _parse_numeric(path, numbered, first_col=1)
-    ids = [line.split(",", 1)[0] for _, line in numbered[1:]]
-    return _build(path, FunctionalDataset, grid=mat[0], values=mat[1:], ids=ids)
+    ids = []
+    mat = _parse_numeric(path, first_col=1, ids=ids)
+    return _build(path, FunctionalDataset, grid=mat[0], values=mat[1:], ids=ids[1:])
 
 
 # --- weights CSV -------------------------------------------------------------
 
 
+def _triplet_text(weights: SpatialWeights):
+    """A triplet weights CSV, one chunk per band of W's rows."""
+    yield "i,j,w\n"
+    last, named = weights.n - 1, False  # the reader sizes W by the largest index
+    for rec in _triplets(weights):
+        named = named or last in rec["i"] or last in rec["j"]
+        yield _text(["%d,%d,%.17g" % row for row in rec.tolist()])
+    if not named:
+        yield f"{last},{last},0\n"
+
+
 def write_weights_csv(path, weights: SpatialWeights, layout: str = "dense"):
     if layout == "dense":
-        lines = _format_rows(weights.toarray())
+        _write_rows(path, weights.matrix)
     elif layout == "triplet":
-        rec = _triplets(weights)
-        lines = ["i,j,w"] + ["%d,%d,%.17g" % row for row in rec.tolist()]
-        last = weights.n - 1  # the reader sizes W by the largest index
-        if last not in rec["i"] and last not in rec["j"]:
-            lines.append(f"{last},{last},0")
+        atomic_write(path, _triplet_text(weights))
     else:
         raise ParameterError(f"unknown weights layout {layout!r}")
-    _write_csv(path, lines)
 
 
 def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
-    numbered = _read_lines(path)
-    if not numbered:
+    head = _line(path)
+    if head is None:
         raise DataError(f"{path}: empty weights file")
     if layout == "dense":
-        mat = _parse_numeric(path, numbered)
+        mat = _parse_numeric(path)
         if mat.shape[0] != mat.shape[1]:
             raise DataError(f"{path}: dense weights must form a square matrix")
     elif layout == "triplet":
-        no, header = numbered[0]
+        no, header = head
         if header.replace(" ", "") != "i,j,w":
             raise DataError(f"{path}:{no}: triplet weights need an 'i,j,w' header")
-        rows = numbered[1:]
-        if not rows:
+        rec = _parse_numeric(path, 1, 3, dtype=_TRIPLET).ravel()
+        if not rec.size:
             raise DataError(f"{path}: triplet weights file has no entries")
-        rec = _parse_numeric(path, rows, 3, dtype=_TRIPLET).ravel()
         negative = np.flatnonzero((rec["i"] < 0) | (rec["j"] < 0))
         if negative.size:
-            raise DataError(f"{path}:{rows[negative[0]][0]}: indices must be nonnegative")
+            no = _line(path, negative[0], 1)[0]
+            raise DataError(f"{path}:{no}: indices must be nonnegative")
         # a repeated (i, j) keeps its last value, as the file reads
         ij = np.column_stack([rec["i"], rec["j"]])[::-1]
         ij, first = np.unique(ij, axis=0, return_index=True)
@@ -277,44 +389,50 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
 
 def read_coords_csv(path):
     """Read ``id,lat,lon`` rows; returns (ids, GeoCoordinates)."""
-    numbered = _read_lines(path)
-    no, header = numbered[0] if numbered else (1, "")
+    no, header = _line(path) or (1, "")
     if header.replace(" ", "").lower() != "id,lat,lon":
         raise DataError(f"{path}:{no}: coordinate files need an 'id,lat,lon' header")
-    rows = numbered[1:]
-    latlon = _parse_numeric(path, rows, 3, first_col=1)
+    ids = []
+    latlon = _parse_numeric(path, 1, 3, first_col=1, ids=ids)
     bad = np.flatnonzero(~np.isfinite(latlon).all(axis=1))
     if bad.size:
-        raise DataError(f"{path}:{rows[bad[0]][0]}: coordinates must be finite")
-    ids = [line.split(",", 1)[0] for _, line in rows]
+        raise DataError(f"{path}:{_line(path, bad[0], 1)[0]}: coordinates must be finite")
     return ids, _build(path, GeoCoordinates, lat=latlon[:, 0], lon=latlon[:, 1])
 
 
 # --- tidy outputs ------------------------------------------------------------
 
 
-def write_surface_csv(path, surface: SurfaceEstimate):
+def _surface_text(surface: SurfaceEstimate):
+    """A surface CSV, one chunk per band of u rows."""
+    yield "u,t,value\n"
     t_text = ["%.17g," % t for t in surface.tgrid.tolist()]  # each grid value formatted once
-    lines = ["u,t,value"]
-    for u, row in zip(surface.ugrid.tolist(), surface.values.tolist()):
-        u_text = "%.17g," % u
-        lines += [u_text + t + "%.17g" % v for t, v in zip(t_text, row)]
-    _write_csv(path, lines)
+    for band in _bands(len(surface.ugrid), len(t_text), _TEXT_BAND):
+        lines = []
+        for u, row in zip(surface.ugrid[band].tolist(), surface.values[band].tolist()):
+            u_text = "%.17g," % u
+            lines += [u_text + t + "%.17g" % v for t, v in zip(t_text, row)]
+        yield _text(lines)
+
+
+def write_surface_csv(path, surface: SurfaceEstimate):
+    atomic_write(path, _surface_text(surface))
 
 
 def write_moran_csv(path, tgrid, values):
-    _write_csv(path, ["t,value"] + _format_rows(np.column_stack([tgrid, values])))
+    rows = _format_rows(np.column_stack([tgrid, values]))
+    atomic_write(path, chain(["t,value\n"], rows))
 
 
 # --- plain matrix CSV (header-less) ------------------------------------------
 
 
 def write_matrix_csv(path, mat):
-    _write_csv(path, _format_rows(mat))
+    _write_rows(path, np.atleast_2d(np.asarray(mat, dtype=float)))
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return _parse_numeric(path, _read_lines(path))
+    return _parse_numeric(path)
 
 
 def write_json(path, payload: dict):
@@ -348,8 +466,20 @@ def check_json_type(value, kind: type, what: str):
 # --- bundle weights (binary) -------------------------------------------------
 
 
+def _write_triplets_npy(path, weights: SpatialWeights):
+    """Write the bytes ``np.save`` gives for all of W's ``_triplets`` as one
+    record array (they depend on W alone): the ``.npy`` header, then each
+    band's records."""
+    count = _count_nonzero(weights.matrix)
+    header = BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(_TRIPLET), "fortran_order": False, "shape": (count,)
+    })
+    atomic_write(path, chain([header.getvalue()], _triplets(weights)))
+
+
 def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
-    """Read the n x n W that ``save_fit_bundle`` saved as ``_triplets``; stored
+    """Read the n x n W that ``_write_triplets_npy`` saved; stored
     as CSR or dense by W's density, as when it was built."""
     try:
         rec = np.load(path, allow_pickle=False)
@@ -414,7 +544,7 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
 
     for name, paths in BUNDLE_MATRICES.items():
         write_matrix_csv(directory / name, np.vstack([attrgetter(p)(fit) for p in paths]))
-    atomic_write(directory / "w_train.npy", _triplets(fit.weights))  # bytes depend on W alone
+    _write_triplets_npy(directory / "w_train.npy", fit.weights)
     balance = fit.weights.balance
     if balance is not None:
         write_matrix_csv(directory / "w_balance.csv", balance)

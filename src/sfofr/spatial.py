@@ -51,6 +51,11 @@ _CSR_MAX_DENSITY = 0.1
 _BAND = 1 << 17  # entries (1 MiB) in a row band of dense W (``_bands``)
 
 
+def _count_nonzero(matrix) -> int:
+    """Nonzero entries of a dense or sparse matrix, repeated sparse entries summed."""
+    return int(matrix.count_nonzero() if sp.issparse(matrix) else np.count_nonzero(matrix))
+
+
 def _rows_sum_to_one(matrix) -> bool:
     """W's row-normalization rule: every nonzero row sum is within 1e-12 of 1."""
     sums = np.asarray(matrix.sum(axis=1)).ravel()
@@ -72,13 +77,11 @@ class SpatialWeights:
 
     def __post_init__(self):
         mat = self.matrix
-        if sp.issparse(mat):
-            nnz = mat.count_nonzero()
-        else:
+        if not sp.issparse(mat):
             mat = np.asarray(mat, dtype=float)
             if mat.ndim != 2:
                 raise ParameterError("weight matrix must be 2-D")
-            nnz = np.count_nonzero(mat)
+        nnz = _count_nonzero(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ParameterError("weight matrix must be square")
         if nnz <= _CSR_MAX_DENSITY * mat.shape[0] ** 2:
@@ -308,9 +311,9 @@ def _split(x: np.ndarray, scale: np.ndarray | None = None):
     return halves
 
 
-def _bands(count: int, width: int):
-    """Slices of at most max(1, _BAND // width) rows that cover range(count)."""
-    step = max(1, _BAND // max(width, 1))
+def _bands(count: int, width: int, size: int = _BAND):
+    """Slices of at most max(1, size // width) rows that cover range(count)."""
+    step = max(1, size // max(width, 1))
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from sfofr import (
     gen_predictors,
     gen_response,
     generate,
+    inverse_distance_weights,
     knn_weights,
     predict,
 )
+from sfofr import io as sio
 from sfofr.io import (
     BUNDLE_FILES,
     fmt,
@@ -357,6 +360,196 @@ class TestNumericCodec:
         path.write_text("i,j,w\n0,1,0.5\n\n3.0,0,0.5\n")
         with pytest.raises(DataError, match=r"w\.csv:4: indices must be integers"):
             read_weights_csv(path, layout="triplet")
+
+
+def joined(rows):
+    """A file's text as the whole-file writer gave it: "\n".join(rows) + "\n"."""
+    return "\n".join(rows) + "\n"
+
+
+def fmt_row(values):
+    return ",".join(fmt(v) for v in values)
+
+
+def whole_triplets(weights):
+    """W's nonzero triplets built from W whole, as one record array."""
+    coo = sp.coo_array(weights.matrix)
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    rec = np.empty(coo.nnz, dtype=sio._TRIPLET)
+    rec["i"], rec["j"], rec["w"] = coo.row, coo.col, coo.data
+    return rec
+
+
+def traced_peak(fn):
+    """The ``tracemalloc`` peak of ``fn()``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def banded_weights():
+    """Dense lattice W (several text bands), CSR KNN W, a W whose last unit
+    has no entry, and an all-zero W."""
+    rng = np.random.default_rng(8)
+    coords = GeoCoordinates(lat=rng.uniform(-33, -3, 300), lon=rng.uniform(-73, -35, 300))
+    trailing = sp.csr_array(([0.5, 1.0, 0.5], ([0, 1, 0], [1, 0, 2])), shape=(5, 5))
+    return {
+        "lattice": inverse_distance_weights(300),
+        "knn": knn_weights(coords, 5),
+        "trailing": SpatialWeights(matrix=trailing),
+        "zero": SpatialWeights(matrix=np.zeros((4, 4))),
+    }
+
+
+MiB = 2**20
+
+
+class TestBandedCodec:
+    """Files are written and read in bounded row bands, with the bytes,
+    arrays and messages of the whole-file codec."""
+
+    @pytest.fixture(params=["default", "tiny"])
+    def band(self, request, monkeypatch):
+        if request.param == "tiny":  # many bands, and rows wider than a band
+            monkeypatch.setattr(sio, "_TEXT_BAND", 7)
+            monkeypatch.setattr(sio, "_READ_BYTES", 16)
+
+    @pytest.mark.parametrize("name", ["lattice", "knn", "trailing", "zero"])
+    def test_weights_writers_match_whole_file_text(self, tmp_path, band, name):
+        w = banded_weights()[name]
+        path = tmp_path / "w.csv"
+        write_weights_csv(path, w, layout="dense")
+        assert path.read_text() == joined([fmt_row(row) for row in w.toarray()])
+        assert bits(read_weights_csv(path, layout="dense").toarray()) == bits(w.toarray())
+        write_weights_csv(path, w, layout="triplet")
+        rec = whole_triplets(w)
+        rows = ["i,j,w"] + [f"{i},{j},{fmt(v)}" for i, j, v in rec.tolist()]
+        last = w.n - 1
+        if last not in rec["i"] and last not in rec["j"]:
+            rows.append(f"{last},{last},0")
+        assert path.read_text() == joined(rows)
+        assert bits(read_weights_csv(path, layout="triplet").toarray()) == bits(w.toarray())
+
+    @pytest.mark.parametrize("name", ["lattice", "knn", "zero"])
+    def test_bundle_weights_match_np_save_of_whole_triplets(self, tmp_path, band, name):
+        w = banded_weights()[name]
+        sio._write_triplets_npy(tmp_path / "w.npy", w)
+        np.save(tmp_path / "ref.npy", whole_triplets(w), allow_pickle=False)
+        assert (tmp_path / "w.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
+
+    @pytest.mark.parametrize("ids", [None, [f"unit {i}" for i in range(400)]])
+    def test_curve_writer_matches_whole_file_text(self, tmp_path, band, ids):
+        rng = np.random.default_rng(9)
+        data = FunctionalDataset(
+            grid=np.linspace(0.0, 1.0, 101), values=rng.standard_normal((400, 101)), ids=ids
+        )
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, data)
+        labels = ["t", *(ids or map(str, range(400)))]
+        rows = [fmt_row(row) for row in [data.grid, *data.values]]
+        assert path.read_text() == joined([f"{u},{row}" for u, row in zip(labels, rows)])
+        back = read_curves_csv(path)
+        assert back.ids == tuple(labels[1:]) and bits(back.values) == bits(data.values)
+
+    def test_tidy_and_matrix_writers_match_whole_file_text(self, tmp_path, band):
+        rng = np.random.default_rng(10)
+        ugrid, tgrid = np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 101)
+        values = rng.standard_normal((201, 101))
+        path = tmp_path / "out.csv"
+        write_surface_csv(path, SurfaceEstimate(ugrid=ugrid, tgrid=tgrid, values=values))
+        triples = [(u, t, values[a, b]) for a, u in enumerate(ugrid) for b, t in enumerate(tgrid)]
+        assert path.read_text() == joined(["u,t,value"] + [fmt_row(r) for r in triples])
+        write_moran_csv(path, tgrid, values[0])
+        moran = [fmt_row(r) for r in zip(tgrid, values[0])]
+        assert path.read_text() == joined(["t,value"] + moran)
+        for mat in (values, values[0], np.empty((0, 3)), np.empty((3, 0))):
+            write_matrix_csv(path, mat)
+            assert path.read_text() == joined([fmt_row(r) for r in np.atleast_2d(mat)])
+        sio.write_lines(path, ["a,b", "", "c"])
+        assert path.read_text() == joined(["a,b", "", "c"])
+
+    def test_dense_weights_memory_is_bounded(self, tmp_path):
+        w = inverse_distance_weights(1000)
+        path = tmp_path / "w.csv"
+        # whole-file text peaked at 65 MiB writing and 43 MiB reading
+        assert traced_peak(lambda: write_weights_csv(path, w, layout="dense")) <= 8 * MiB
+        read_peak = traced_peak(lambda: read_weights_csv(path, layout="dense"))
+        assert read_peak <= w.matrix.nbytes + 4 * MiB  # W itself is 7.6 MiB
+
+    def test_curve_memory_is_bounded(self, tmp_path):
+        rng = np.random.default_rng(11)
+        data = FunctionalDataset(grid=np.linspace(0.0, 1.0, 101), values=rng.random((5570, 101)))
+        path = tmp_path / "curves.csv"
+        # whole-file text peaked at 44 MiB writing and 22 MiB reading
+        assert traced_peak(lambda: write_curves_csv(path, data)) <= 8 * MiB
+        assert traced_peak(lambda: read_curves_csv(path)) <= data.values.nbytes + 4 * MiB
+
+    @pytest.mark.parametrize("blank", ["", "   ", "\t", " \t "])
+    def test_line_numbers_count_blank_and_whitespace_lines(self, tmp_path, band, blank):
+        path = tmp_path / "w.csv"
+        path.write_text(f"0,1,0\n{blank}\n{blank}\n1,0,x\n0,1,0\n")
+        with pytest.raises(DataError, match=r"w\.csv:4: cannot parse number 'x'"):
+            read_weights_csv(path, layout="dense")
+        path.write_text(f"{blank}\n0,1,0\n{blank}\n1,0\n")
+        with pytest.raises(DataError, match=r"w\.csv:4: expected 3 fields, got 2"):
+            read_matrix_csv(path)
+        path.write_text(f"i,j,w\n{blank}\n0,1,1\n{blank}\n1,-1,1\n")
+        with pytest.raises(DataError, match=r"w\.csv:5: indices must be nonnegative"):
+            read_weights_csv(path, layout="triplet")
+
+    def test_crlf_and_cr_line_ends(self, tmp_path, band):
+        path = tmp_path / "curves.csv"
+        path.write_bytes(b"t,0,0.5,0.75,1\r\nu0,1,2,3,4\r\n\r\nu1,5,6,7,8\r\n")
+        back = read_curves_csv(path)
+        assert back.ids == ("u0", "u1") and back.values.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+        path.write_bytes(b"0,1\r1,0\r")
+        assert read_matrix_csv(path).tolist() == [[0, 1], [1, 0]]
+        path.write_bytes(b"0,1,0\r\n\r\n1,0\r\n")
+        with pytest.raises(DataError, match=r"curves\.csv:3: expected 3 fields, got 2"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("sep", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_line_breaks_inside_a_line_split_it_as_splitlines_does(self, tmp_path, band, sep):
+        path = tmp_path / "m.csv"
+        path.write_text(f"0,1,0{sep}1,0,0\n0,1,x\n")
+        with pytest.raises(DataError, match=r"m\.csv:3: cannot parse number 'x'"):
+            read_matrix_csv(path)
+        path.write_text(f"0,1{sep}{sep}1,0\n")
+        assert read_matrix_csv(path).tolist() == [[0, 1], [1, 0]]
+
+    def test_ragged_row_is_named_before_any_bad_value(self, tmp_path, band):
+        path = tmp_path / "w.csv"
+        path.write_text("0,1,0\n1,0,x\n\n0,1\n")
+        with pytest.raises(DataError, match=r"w\.csv:4: expected 3 fields, got 2"):
+            read_weights_csv(path, layout="dense")
+        # far past the bad value, beyond any batch of lines read at once
+        path.write_text("1,0,x\n" + "0,1,0\n" * 60000 + "0,1\n")
+        with pytest.raises(DataError, match=r"w\.csv:60002: expected 3 fields, got 2"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
+    def test_empty_file_messages(self, tmp_path, band, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        for read, message in [
+            (read_curves_csv, f"{path}: empty curve file"),
+            (read_weights_csv, f"{path}: empty weights file"),
+            (partial(read_weights_csv, layout="triplet"), f"{path}: empty weights file"),
+            (read_coords_csv, f"{path}:1: coordinate files need an 'id,lat,lon' header"),
+        ]:
+            with pytest.raises(DataError) as info:
+                read(path)
+            assert str(info.value) == message
+        assert read_matrix_csv(path).shape == (0, 0)
+        path.write_text(f"i,j,w\n{text}")
+        with pytest.raises(DataError, match="triplet weights file has no entries"):
+            read_weights_csv(path, layout="triplet")
+        with pytest.raises(DataError, match=f"cannot read {re.escape(str(tmp_path))}"):
+            read_matrix_csv(tmp_path / "missing.csv")
 
 
 class TestCoordsCsv:
