@@ -150,14 +150,7 @@ def _format_rows(mat, labels=None):
         rows = (block.toarray() if sp.issparse(block) else block).tolist()
         if labels is not None:
             rows = [(label, *values) for label, values in zip(labels[band], rows)]
-        yield _text([row % tuple(values) for values in rows])
-
-
-def _text(lines: list) -> str:
-    """The text of ``lines``, each ended by a newline; appends "" to ``lines``
-    (joining once is faster than a newline in every row's format)."""
-    lines.append("")
-    return "\n".join(lines)
+        yield "\n".join([row % tuple(values) for values in rows]) + "\n"
 
 
 def _write_rows(path, mat):
@@ -189,14 +182,12 @@ def _open(path):
 
 def _pieces(handle):
     """Lists of the pieces ``str.splitlines`` cuts a text file's text into,
-    read in blocks that double from 8 KiB (a header costs little) to
-    _READ_BYTES characters."""
-    tail, size = "", min(1 << 13, _READ_BYTES)
-    while block := handle.read(size):
+    read in blocks of _READ_BYTES characters."""
+    tail = ""
+    while block := handle.read(_READ_BYTES):
         # "x" ends the last piece, which the next block may go on with
         pieces = "".join((tail, block, "x")).splitlines()
         tail = pieces.pop()[:-1]
-        size = min(2 * size, _READ_BYTES)
         yield pieces
     if tail:
         yield [tail]
@@ -211,15 +202,21 @@ def _numbered(path, skip: int = 0):
         yield from islice(numbered, skip, None)
 
 
-def _batches(path, skip: int = 0):
+def _batches(path):
     """The lines ``_numbered`` streams, without their numbers, a list at a
     time, so numpy takes them with no Python call a line."""
     with _open(path) as handle:
         for pieces in _pieces(handle):
-            lines = [line for line in pieces if line.strip()]
-            lines, skip = lines[skip:], max(0, skip - len(lines))
-            if lines:
+            if lines := [line for line in pieces if line.strip()]:
                 yield lines
+
+
+def _skip(batches, skip: int):
+    """``batches`` without their first ``skip`` lines."""
+    for lines in batches:
+        lines, skip = lines[skip:], max(0, skip - len(lines))
+        if lines:
+            yield lines
 
 
 def _line(path, row: int = 0, skip: int = 0):
@@ -230,9 +227,10 @@ def _line(path, row: int = 0, skip: int = 0):
 
 
 def _checked(path, batches, width: int, skip: int, ids: list | None = None):
-    """Each of ``_batches(path, skip)``, checked to hold ``width`` fields a
-    line, the first ragged line named by walking the file again; the first
-    field of each line goes to ``ids`` when given."""
+    """Each of the line ``batches`` a file has after its first ``skip``,
+    checked to hold ``width`` fields a line, the first ragged line named by
+    walking the file again; the first field of each line goes to ``ids``
+    when given."""
     done = 0
     for lines in batches:
         commas = [line.count(",") for line in lines]
@@ -246,12 +244,14 @@ def _checked(path, batches, width: int, skip: int, ids: list | None = None):
         yield lines
 
 
-def _parse_numeric(path, skip=0, width=None, first_col=0, dtype=float, ids=None):
+def _parse_numeric(path, skip=0, width=None, first_col=0, dtype=float, ids=None, head=None):
     """Parse the non-blank lines of a file after its first ``skip``: rows of
     ``width`` comma-separated fields (by default the first row's count), from
     column ``first_col`` on, streamed through one ``np.loadtxt`` call; no rows
     give an empty 2-D array. ``ids``, a list when given, collects each row's
-    first field.
+    first field. ``head``, when given, is called with the file's first
+    non-blank line (None if it has none) before any line is parsed, so a
+    reader checks its header from the one pass over the file.
 
     Field counts are checked as the lines stream past, so a ragged row is
     named by its physical line. Only when numpy rejects a value is the file
@@ -259,23 +259,27 @@ def _parse_numeric(path, skip=0, width=None, first_col=0, dtype=float, ids=None)
     then Python's parsers name the first bad line; a value that only numpy
     rejects (``1_000``) is named by the first line numpy rejects alone.
     """
-    with closing(_batches(path, skip)) as batches:
-        head = next(batches, None)
+    with closing(_batches(path)) as batches:
+        first = next(batches, None)
+        if head is not None:
+            head(first[0] if first else None)
+        lines = _skip(chain([first] if first else [], batches), skip)
+        top = next(lines, None)
         if width is None:
-            width = head[0].count(",") + 1 if head else 0
-        if head is None:
+            width = top[0].count(",") + 1 if top else 0
+        if top is None:
             return np.empty((0, width - first_col), dtype)
         kwargs = dict(
             delimiter=",", comments=None, ndmin=2, dtype=dtype, usecols=range(first_col, width)
         )
-        rows = chain.from_iterable(_checked(path, chain([head], batches), width, skip, ids))
+        rows = chain.from_iterable(_checked(path, chain([top], lines), width, skip, ids))
         try:
             return np.loadtxt(rows, **kwargs)
         except DataError:
             raise
         except ValueError as exc:
             error = exc
-    for _ in _checked(path, _batches(path, skip), width, skip):
+    for _ in _checked(path, _skip(_batches(path), skip), width, skip):
         pass
     _raise_first_bad_field(path, _numbered(path, skip), first_col, np.dtype(dtype))
     for no, line in _numbered(path, skip):
@@ -318,14 +322,15 @@ def write_curves_csv(path, data: FunctionalDataset):
 
 
 def read_curves_csv(path) -> FunctionalDataset:
-    head = _line(path)
-    if head is None:
-        raise DataError(f"{path}: empty curve file")
-    no, header = head
-    if header.split(",")[0].strip() != "t":
-        raise DataError(f"{path}:{no}: curve files must start with a 't' header row")
+    def check(header):
+        if header is None:
+            raise DataError(f"{path}: empty curve file")
+        if header.split(",")[0].strip() != "t":
+            no = _line(path)[0]
+            raise DataError(f"{path}:{no}: curve files must start with a 't' header row")
+
     ids = []
-    mat = _parse_numeric(path, first_col=1, ids=ids)
+    mat = _parse_numeric(path, first_col=1, ids=ids, head=check)
     return _build(path, FunctionalDataset, grid=mat[0], values=mat[1:], ids=ids[1:])
 
 
@@ -336,9 +341,9 @@ def _triplet_text(weights: SpatialWeights):
     """A triplet weights CSV, one chunk per band of W's rows."""
     yield "i,j,w\n"
     last, named = weights.n - 1, False  # the reader sizes W by the largest index
-    for rec in _triplets(weights):
+    for rec in filter(len, _triplets(weights)):  # a band of zeros writes nothing
         named = named or last in rec["i"] or last in rec["j"]
-        yield _text(["%d,%d,%.17g" % row for row in rec.tolist()])
+        yield "\n".join(["%d,%d,%.17g" % row for row in rec.tolist()]) + "\n"
     if not named:
         yield f"{last},{last},0\n"
 
@@ -353,18 +358,19 @@ def write_weights_csv(path, weights: SpatialWeights, layout: str = "dense"):
 
 
 def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
-    head = _line(path)
-    if head is None:
-        raise DataError(f"{path}: empty weights file")
+    def check(header):
+        if header is None:
+            raise DataError(f"{path}: empty weights file")
+        if layout == "triplet" and header.replace(" ", "") != "i,j,w":
+            no = _line(path)[0]
+            raise DataError(f"{path}:{no}: triplet weights need an 'i,j,w' header")
+
     if layout == "dense":
-        mat = _parse_numeric(path)
+        mat = _parse_numeric(path, head=check)
         if mat.shape[0] != mat.shape[1]:
             raise DataError(f"{path}: dense weights must form a square matrix")
     elif layout == "triplet":
-        no, header = head
-        if header.replace(" ", "") != "i,j,w":
-            raise DataError(f"{path}:{no}: triplet weights need an 'i,j,w' header")
-        rec = _parse_numeric(path, 1, 3, dtype=_TRIPLET).ravel()
+        rec = _parse_numeric(path, 1, 3, dtype=_TRIPLET, head=check).ravel()
         if not rec.size:
             raise DataError(f"{path}: triplet weights file has no entries")
         negative = np.flatnonzero((rec["i"] < 0) | (rec["j"] < 0))
@@ -380,6 +386,8 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
         mat = sp.csr_array((values, (ij[:, 0], ij[:, 1])), shape=(n, n))
         mat.eliminate_zeros()
     else:
+        if _line(path) is None:  # an empty file is named first, as for a known layout
+            check(None)
         raise ParameterError(f"unknown weights layout {layout!r}")
     return _build(path, SpatialWeights, matrix=mat, normalized=_rows_sum_to_one(mat))
 
@@ -389,11 +397,13 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
 
 def read_coords_csv(path):
     """Read ``id,lat,lon`` rows; returns (ids, GeoCoordinates)."""
-    no, header = _line(path) or (1, "")
-    if header.replace(" ", "").lower() != "id,lat,lon":
-        raise DataError(f"{path}:{no}: coordinate files need an 'id,lat,lon' header")
+    def check(header):
+        if (header or "").replace(" ", "").lower() != "id,lat,lon":
+            no = _line(path)[0] if header else 1
+            raise DataError(f"{path}:{no}: coordinate files need an 'id,lat,lon' header")
+
     ids = []
-    latlon = _parse_numeric(path, 1, 3, first_col=1, ids=ids)
+    latlon = _parse_numeric(path, 1, 3, first_col=1, ids=ids, head=check)
     bad = np.flatnonzero(~np.isfinite(latlon).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{_line(path, bad[0], 1)[0]}: coordinates must be finite")
@@ -412,7 +422,7 @@ def _surface_text(surface: SurfaceEstimate):
         for u, row in zip(surface.ugrid[band].tolist(), surface.values[band].tolist()):
             u_text = "%.17g," % u
             lines += [u_text + t + "%.17g" % v for t, v in zip(t_text, row)]
-        yield _text(lines)
+        yield "\n".join(lines) + "\n"
 
 
 def write_surface_csv(path, surface: SurfaceEstimate):

@@ -311,9 +311,10 @@ def _split(x: np.ndarray, scale: np.ndarray | None = None):
     return halves
 
 
-def _bands(count: int, width: int, size: int = _BAND):
-    """Slices of at most max(1, size // width) rows that cover range(count)."""
-    step = max(1, size // max(width, 1))
+def _bands(count: int, width: int, size: int | None = None):
+    """Slices of at most max(1, size // width) rows that cover range(count);
+    ``size`` is _BAND, as read at the call, unless given."""
+    step = max(1, (size or _BAND) // max(width, 1))
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 

@@ -551,6 +551,24 @@ class TestBandedCodec:
         with pytest.raises(DataError, match=f"cannot read {re.escape(str(tmp_path))}"):
             read_matrix_csv(tmp_path / "missing.csv")
 
+    def test_header_errors_come_first_and_name_their_line(self, tmp_path, band):
+        path = tmp_path / "h.csv"
+        path.write_text("\n \nx,0,1\nu0,1\n")  # a bad header, then a ragged row
+        for read, message in [
+            (read_curves_csv, "3: curve files must start with a 't' header row"),
+            (partial(read_weights_csv, layout="triplet"),
+             "3: triplet weights need an 'i,j,w' header"),
+            (read_coords_csv, "3: coordinate files need an 'id,lat,lon' header"),
+        ]:
+            with pytest.raises(DataError) as info:
+                read(path)
+            assert str(info.value) == f"{path}:{message}"
+        with pytest.raises(ParameterError, match="unknown weights layout 'csr'"):
+            read_weights_csv(path, layout="csr")
+        path.write_text(" \n")  # an empty file is named before the layout
+        with pytest.raises(DataError, match="empty weights file"):
+            read_weights_csv(path, layout="csr")
+
 
 class TestCoordsCsv:
     def test_read(self, tmp_path):

@@ -540,12 +540,35 @@ class TestBandedConstruction:
         assert len(blocks) == len(want_blocks)
         assert all(same_bits(q, want) for q, want in zip(blocks, want_blocks))
 
+    @staticmethod
+    def use_bands_of(monkeypatch, band_rows, n):
+        """Make dense W's row bands ``band_rows`` rows high (all of W when
+        None); returns a list that gets the number of bands each ``_bands``
+        call yields."""
+        counts = []
+        if band_rows is not None:
+            monkeypatch.setattr(spatial, "_BAND", band_rows * n)
+            bands = spatial._bands
+
+            def counted(*args):
+                slices = list(bands(*args))
+                counts.append(len(slices))
+                return iter(slices)
+
+            monkeypatch.setattr(spatial, "_bands", counted)
+        return counts
+
+    @staticmethod
+    def assert_balance_check_banded(counts, band_rows, n):
+        # the balance check reads W's n rows in bands; no banded read has more
+        if band_rows is not None:
+            assert max(counts) == -(-n // band_rows)
+
     @pytest.mark.parametrize("band_rows", [None, 1, 3])
     @pytest.mark.parametrize("n", [2, 3, 6, 7, 250, 251])
     @pytest.mark.parametrize("kernel", list(KERNELS))
     def test_lattice_matches_the_whole_array_oracle(self, monkeypatch, kernel, n, band_rows):
-        if band_rows is not None:
-            monkeypatch.setattr(spatial, "_BAND", band_rows * n)
+        counts = self.use_bands_of(monkeypatch, band_rows, n)
         make, fn = KERNELS[kernel]
         w = make(n)
         values, balance = oracle_lattice(n, fn)
@@ -554,16 +577,17 @@ class TestBandedConstruction:
         want_plus, want_minus = oracle_split(values.T)
         assert same_bits(plus, want_plus) and same_bits(minus, want_minus)
         self.assert_spectrum_matches_oracle(w)
+        self.assert_balance_check_banded(counts, band_rows, n)
 
     @pytest.mark.parametrize("band_rows", [None, 1])
     @pytest.mark.parametrize("n", [30, 31])
     @pytest.mark.parametrize("make", [balanced_mirror_free, banded_balanced])
     def test_custom_balanced_matches_the_whole_array_oracle(self, monkeypatch, make, n, band_rows):
-        if band_rows is not None:
-            monkeypatch.setattr(spatial, "_BAND", band_rows * n)
+        counts = self.use_bands_of(monkeypatch, band_rows, n)
         w = make(n)
         assert w._fold_blocks is None
         self.assert_spectrum_matches_oracle(w)
+        self.assert_balance_check_banded(counts, band_rows, n)
 
     @pytest.mark.parametrize("n", [2000, 2001])
     @pytest.mark.parametrize("kernel", list(KERNELS))
