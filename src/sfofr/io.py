@@ -5,9 +5,11 @@ IEEE doubles bit-exactly; the one binary file, a fit bundle's w_train.npy,
 holds the doubles themselves. Files are written atomically (temp file in the
 target directory, then rename) so a crashed run never leaves a partial file.
 Numbers are parsed by numpy's reader, so Python-only spellings such as
-``1_000`` are rejected. Every reader error names its file: a malformed line
-with its physical line number, blank lines included; data the object it builds
-rejects (a decreasing grid, a negative weight) with the object's error type.
+``1_000`` are rejected. Lines are split by Python's text reader: a line ends
+at a line feed, a carriage return or the pair, and at no other Unicode break.
+Every reader error names its file: a malformed line with its physical line
+number, blank lines included; data the object it builds rejects (a decreasing
+grid, a negative weight) with the object's error type.
 
 No CSV reader or writer holds a whole file's text. Writers format and write
 one band of rows at a time, a sparse W's dense layout included, and readers
@@ -18,7 +20,8 @@ W's own 30.5 MiB.
 Formats
 -------
 Curve CSV      : header row ``t,<t_1>,...,<t_T>`` with the grid, then one row
-                 ``<id>,<v_1>,...,<v_T>`` per curve; ids hold no comma or line break.
+                 ``<id>,<v_1>,...,<v_T>`` per curve; ids hold no comma, line
+                 feed or carriage return.
 Weights CSV    : either ``dense`` (n header-less rows of n values) or
                  ``triplet`` (``i,j,w`` rows with 0-based indices, ending
                  with ``n-1,n-1,0`` when unit n-1 has none, so n survives).
@@ -43,7 +46,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from contextlib import closing
 from dataclasses import fields, replace
 from functools import partial, reduce
 from io import BytesIO
@@ -83,15 +85,19 @@ def atomic_write(path, data):
 
     ``data`` is text, or an iterable of chunks that are all text or all
     bytes-like (such as arrays); each chunk goes to the file in one write as
-    it comes, so the whole file is never held at once.
+    it comes, so the whole file is never held at once. The file gets the mode
+    ``open(path, "w")`` gives a new file: 0o666 less the umask.
     """
     chunks = iter([data] if isinstance(data, str) else data)
     first = next(chunks, "")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    umask = os.umask(0o077)  # Python reads the umask only by setting it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w" if isinstance(first, str) else "wb") as handle:
+            os.chmod(tmp, 0o666 & ~umask)
             handle.write(first)
             for chunk in chunks:
                 handle.write(chunk)
@@ -116,22 +122,15 @@ def _build(path, cls, **kwargs):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _parse_float(token: str, path, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise DataError(f"{path}:{line_no}: cannot parse number {token!r}") from None
-
-
 # --- numeric codec -----------------------------------------------------------
 #
 # Every numeric reader and writer works in bounded row bands, so no file's
 # whole text is ever held. A writer formats about _TEXT_BAND values at a time,
 # one %-format string per row shape ("%.17g" gives the same text as fmt()),
 # and hands each band's text to atomic_write. A reader streams the file's
-# lines, read in blocks of at most _READ_BYTES characters, into one
-# np.loadtxt call, checking field counts as they pass, and walks the file
-# again only to name a line in an error.
+# lines, read by Python's text reader in batches of about _READ_BYTES
+# characters, into one np.loadtxt call, checking field counts as they pass;
+# it walks the file again only to name a line in an error.
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _TEXT_BAND = 1 << 15  # values per band of text written, about 0.6 MB of it
@@ -180,63 +179,35 @@ def _open(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _pieces(handle):
-    """Lists of the pieces ``str.splitlines`` cuts a text file's text into,
-    read in blocks of _READ_BYTES characters."""
-    tail = ""
-    while block := handle.read(_READ_BYTES):
-        # "x" ends the last piece, which the next block may go on with
-        pieces = "".join((tail, block, "x")).splitlines()
-        tail = pieces.pop()[:-1]
-        yield pieces
-    if tail:
-        yield [tail]
-
-
-def _numbered(path, skip: int = 0):
-    """Stream ``(line_no, line)`` for each non-blank line of a file after its
-    first ``skip`` ones, numbered from 1 with blank ones counted."""
-    with _open(path) as handle:
-        pieces = chain.from_iterable(_pieces(handle))
-        numbered = ((no, line) for no, line in enumerate(pieces, start=1) if line.strip())
-        yield from islice(numbered, skip, None)
-
-
-def _batches(path):
-    """The lines ``_numbered`` streams, without their numbers, a list at a
-    time, so numpy takes them with no Python call a line."""
-    with _open(path) as handle:
-        for pieces in _pieces(handle):
-            if lines := [line for line in pieces if line.strip()]:
-                yield lines
-
-
-def _skip(batches, skip: int):
-    """``batches`` without their first ``skip`` lines."""
-    for lines in batches:
-        lines, skip = lines[skip:], max(0, skip - len(lines))
-        if lines:
+def _batches(handle):
+    """The non-blank lines of an open text file, newlines kept, a list of
+    about _READ_BYTES characters at a time, so numpy takes them with no
+    Python call a line. Lines are Python's universal newlines: one ends at a
+    line feed, a carriage return or the pair, and at no other break."""
+    while lines := handle.readlines(_READ_BYTES):
+        if lines := [line for line in lines if line.strip()]:
             yield lines
 
 
-def _line(path, row: int = 0, skip: int = 0):
-    """``(line_no, line)`` of non-blank line ``row`` (0-based) after the first
-    ``skip``; None if the file has no such line."""
-    with closing(_numbered(path, skip)) as numbered:
+def _line(path, row: int = 0):
+    """``(line_no, line)`` of non-blank line ``row`` (0-based), numbered from
+    1 with blank lines counted, as ``_batches`` splits them; None if the file
+    has no such line."""
+    with _open(path) as handle:
+        numbered = ((no, line) for no, line in enumerate(handle, 1) if line.strip())
         return next(islice(numbered, row, None), None)
 
 
-def _checked(path, batches, width: int, skip: int, ids: list | None = None):
-    """Each of the line ``batches`` a file has after its first ``skip``,
-    checked to hold ``width`` fields a line, the first ragged line named by
-    walking the file again; the first field of each line goes to ``ids``
-    when given."""
-    done = 0
+def _checked(path, batches, width: int, done: int, ids: list | None = None):
+    """Each of the line ``batches``, which follow the file's first ``done``
+    non-blank lines, checked to hold ``width`` fields a line, the first
+    ragged line named by walking the file again; the first field of each line
+    goes to ``ids`` when given."""
     for lines in batches:
         commas = [line.count(",") for line in lines]
         if commas.count(width - 1) != len(commas):
             k = next(k for k, c in enumerate(commas) if c != width - 1)
-            no = _line(path, done + k, skip)[0]
+            no = _line(path, done + k)[0]
             raise DataError(f"{path}:{no}: expected {width} fields, got {commas[k] + 1}")
         if ids is not None:
             ids += [line.split(",", 1)[0] for line in lines]
@@ -245,66 +216,58 @@ def _checked(path, batches, width: int, skip: int, ids: list | None = None):
 
 
 def _parse_numeric(path, skip=0, width=None, first_col=0, dtype=float, ids=None, head=None):
-    """Parse the non-blank lines of a file after its first ``skip``: rows of
-    ``width`` comma-separated fields (by default the first row's count), from
-    column ``first_col`` on, streamed through one ``np.loadtxt`` call; no rows
-    give an empty 2-D array. ``ids``, a list when given, collects each row's
-    first field. ``head``, when given, is called with the file's first
-    non-blank line (None if it has none) before any line is parsed, so a
-    reader checks its header from the one pass over the file.
+    """Parse the non-blank lines of a file after its first ``skip`` (0 or 1):
+    rows of ``width`` comma-separated fields (by default the first row's
+    count), from column ``first_col`` on, streamed through one ``np.loadtxt``
+    call; no rows give an empty 2-D array. ``ids``, a list when given,
+    collects each row's first field. ``head``, when given, is called with the
+    file's first non-blank line (None if it has none) before any line is
+    parsed, so a reader checks its header from the one pass over the file.
 
     Field counts are checked as the lines stream past, so a ragged row is
-    named by its physical line. Only when numpy rejects a value is the file
-    walked again: every field count is checked first, as before numpy ran,
-    then Python's parsers name the first bad line; a value that only numpy
-    rejects (``1_000``) is named by the first line numpy rejects alone.
+    named by its physical line. When numpy rejects a value, the rest of the
+    stream is still checked for field counts, so a ragged row anywhere is
+    named first; then the line of numpy's row is named, with the message of
+    Python's parsers where they reject it too (``int`` for the integer
+    fields of a structured ``dtype``) and numpy's own otherwise (``1_000``).
     """
-    with closing(_batches(path)) as batches:
-        first = next(batches, None)
+    with _open(path) as handle:
+        batches = _batches(handle)
+        first = next(batches, [])
         if head is not None:
-            head(first[0] if first else None)
-        lines = _skip(chain([first] if first else [], batches), skip)
+            head(first[0].rstrip("\n") if first else None)
+        lines = filter(None, chain([first[skip:]], batches))
         top = next(lines, None)
         if width is None:
             width = top[0].count(",") + 1 if top else 0
         if top is None:
             return np.empty((0, width - first_col), dtype)
-        kwargs = dict(
-            delimiter=",", comments=None, ndmin=2, dtype=dtype, usecols=range(first_col, width)
-        )
-        rows = chain.from_iterable(_checked(path, chain([top], lines), width, skip, ids))
+        checked = _checked(path, chain([top], lines), width, skip, ids)
         try:
-            return np.loadtxt(rows, **kwargs)
+            return np.loadtxt(
+                chain.from_iterable(checked), delimiter=",", comments=None, ndmin=2,
+                dtype=dtype, usecols=range(first_col, width),
+            )
         except DataError:
             raise
         except ValueError as exc:
             error = exc
-    for _ in _checked(path, _skip(_batches(path), skip), width, skip):
-        pass
-    _raise_first_bad_field(path, _numbered(path, skip), first_col, np.dtype(dtype))
-    for no, line in _numbered(path, skip):
+        for _ in checked:
+            pass
+    # numpy names the 0-based row of the lines it was given
+    reason, _, where = str(error).partition(" at row ")
+    if not where:
+        raise DataError(f"{path}: {error}") from None
+    no, line = _line(path, skip + int(where.partition(",")[0]))
+    kinds = [field[0].kind for field in (np.dtype(dtype).fields or {}).values()]
+    for col, token in enumerate(line.rstrip("\n").split(",")[first_col:]):
+        integer = col < len(kinds) and kinds[col] == "i"
         try:
-            np.loadtxt([line], **kwargs)
-        except ValueError as line_exc:
-            # numpy's "at row 0, column c" counts within this one line
-            reason = str(line_exc).partition(" at row ")[0]
-            raise DataError(f"{path}:{no}: {reason}") from None
-    raise DataError(f"{path}: {error}") from None
-
-
-def _raise_first_bad_field(path, numbered, first_col: int, dtype: np.dtype):
-    """Raise DataError at the first field Python's parser rejects (``int`` for
-    the integer fields of a structured ``dtype``); return if there is none."""
-    kinds = [dtype[name].kind for name in dtype.names] if dtype.names else ()
-    for no, line in numbered:
-        for col, token in enumerate(line.split(",")[first_col:]):
-            if col < len(kinds) and kinds[col] == "i":
-                try:
-                    int(token)
-                except ValueError:
-                    raise DataError(f"{path}:{no}: indices must be integers") from None
-            else:
-                _parse_float(token, path, no)
+            (int if integer else float)(token)
+        except ValueError:
+            reason = "indices must be integers" if integer else f"cannot parse number {token!r}"
+            break
+    raise DataError(f"{path}:{no}: {reason}") from None
 
 
 # --- curve CSV ---------------------------------------------------------------
@@ -312,7 +275,8 @@ def _raise_first_bad_field(path, numbered, first_col: int, dtype: np.dtype):
 
 def write_curves_csv(path, data: FunctionalDataset):
     """Raises ParameterError for an id read_curves_csv could not read back:
-    one holding a comma or a line break."""
+    one holding a comma, a line feed or a carriage return. Other Unicode
+    breaks (form feed, U+2028 and the like) stay inside the id's line."""
     ids = data.ids if data.ids is not None else tuple(str(i) for i in range(data.n))
     bad = next((u for u in ids if any(c in u for c in ",\n\r")), None)
     if bad is not None:
@@ -375,15 +339,14 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
             raise DataError(f"{path}: triplet weights file has no entries")
         negative = np.flatnonzero((rec["i"] < 0) | (rec["j"] < 0))
         if negative.size:
-            no = _line(path, negative[0], 1)[0]
+            no = _line(path, negative[0] + 1)[0]
             raise DataError(f"{path}:{no}: indices must be nonnegative")
+        n = int(max(rec["i"].max(), rec["j"].max())) + 1
         # a repeated (i, j) keeps its last value, as the file reads
-        ij = np.column_stack([rec["i"], rec["j"]])[::-1]
-        ij, first = np.unique(ij, axis=0, return_index=True)
-        n = int(ij.max()) + 1
+        keys, first = np.unique((rec["i"] * n + rec["j"])[::-1], return_index=True)
         values = rec["w"][::-1][first]
         # CSR, as _read_weights_npy builds: counting a COO's nonzeros sorts it
-        mat = sp.csr_array((values, (ij[:, 0], ij[:, 1])), shape=(n, n))
+        mat = sp.csr_array((values, np.divmod(keys, n)), shape=(n, n))
         mat.eliminate_zeros()
     else:
         if _line(path) is None:  # an empty file is named first, as for a known layout
@@ -406,7 +369,7 @@ def read_coords_csv(path):
     latlon = _parse_numeric(path, 1, 3, first_col=1, ids=ids, head=check)
     bad = np.flatnonzero(~np.isfinite(latlon).all(axis=1))
     if bad.size:
-        raise DataError(f"{path}:{_line(path, bad[0], 1)[0]}: coordinates must be finite")
+        raise DataError(f"{path}:{_line(path, bad[0] + 1)[0]}: coordinates must be finite")
     return ids, _build(path, GeoCoordinates, lat=latlon[:, 0], lon=latlon[:, 1])
 
 

@@ -1,7 +1,9 @@
 """Round-trip tests for the file formats and the fit bundle."""
 
 import dataclasses
+import os
 import re
+import stat
 import tracemalloc
 from functools import partial
 
@@ -513,13 +515,39 @@ class TestBandedCodec:
             read_matrix_csv(path)
 
     @pytest.mark.parametrize("sep", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
-    def test_line_breaks_inside_a_line_split_it_as_splitlines_does(self, tmp_path, band, sep):
-        path = tmp_path / "m.csv"
-        path.write_text(f"0,1,0{sep}1,0,0\n0,1,x\n")
-        with pytest.raises(DataError, match=r"m\.csv:3: cannot parse number 'x'"):
+    def test_ids_holding_other_line_breaks_read_back(self, tmp_path, band, sep):
+        # only "\n", "\r" and "\r\n" end a line; Unicode's other breaks stay in it
+        ids = [f"a{sep}b", sep, f"{sep}{sep}c"]
+        data = FunctionalDataset(
+            grid=np.linspace(0.0, 1.0, 4), values=np.arange(12.0).reshape(3, 4), ids=ids
+        )
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, data)
+        back = read_curves_csv(path)
+        assert back.ids == tuple(ids) and bits(back.values) == bits(data.values)
+        path.write_text(f"0,1,0{sep}1\n0,1,x\n")
+        with pytest.raises(DataError) as info:
             read_matrix_csv(path)
-        path.write_text(f"0,1{sep}{sep}1,0\n")
-        assert read_matrix_csv(path).tolist() == [[0, 1], [1, 0]]
+        assert str(info.value) == f"{path}:1: cannot parse number {f'0{sep}1'!r}"
+
+    def test_first_bad_value_is_named_in_file_order(self, tmp_path, band):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1_000\n0,x\n")  # numpy alone rejects 1_000; both reject x
+        with pytest.raises(DataError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}:1: could not convert string '1_000' to float64"
+        path.write_text("0,1\n" * 50 + "\n0,x\n0,1_000\n")  # past the first batch
+        with pytest.raises(DataError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}:52: cannot parse number 'x'"
+        path.write_text("i,j,w\n0,1,1_0\n1.5,0,1\n")
+        with pytest.raises(DataError) as info:
+            read_weights_csv(path, layout="triplet")
+        assert str(info.value) == f"{path}:2: could not convert string '1_0' to float64"
+        path.write_text("i,j,w\n0,1,1\n\n1,1_0,1\n1.5,0,1\n")
+        with pytest.raises(DataError) as info:
+            read_weights_csv(path, layout="triplet")
+        assert str(info.value) == f"{path}:4: could not convert string '1_0' to int64"
 
     def test_ragged_row_is_named_before_any_bad_value(self, tmp_path, band):
         path = tmp_path / "w.csv"
@@ -568,6 +596,20 @@ class TestBandedCodec:
         path.write_text(" \n")  # an empty file is named before the layout
         with pytest.raises(DataError, match="empty weights file"):
             read_weights_csv(path, layout="csr")
+
+
+def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        with open(tmp_path / "open.txt", "w"):
+            pass
+        write_matrix_csv(tmp_path / "m.csv", np.eye(2))
+        write_json(tmp_path / "manifest.json", {"a": 1})
+        sio._write_triplets_npy(tmp_path / "w.npy", banded_weights()["trailing"])
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["open.txt", "m.csv", "manifest.json", "w.npy"], 0o644)
 
 
 class TestCoordsCsv:

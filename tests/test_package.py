@@ -1,5 +1,6 @@
 """Tests of the package's structure: its export list and who calls it, its
-module imports, and where it checks counts and raises warnings."""
+module imports, where it checks counts and raises warnings, and where it
+reads a whole file."""
 
 import ast
 import inspect
@@ -103,3 +104,34 @@ def test_every_warning_goes_through_warn_at_caller():
     assert {name: lines for name, lines in by_module.items() if lines} == {}
     planted = "import warnings\nwarn_at_caller('x')\nwarnings.warn('y', stacklevel=2)\n"
     assert _warn_calls(ast.parse(planted)) == [3]
+
+
+def _whole_file_reads(tree):
+    """Lines that take a whole file's text at once: a ``read_text``,
+    ``read_bytes`` or ``splitlines`` call, or ``read`` or ``readlines`` with
+    no size."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, sized = node.func.attr, node.args or node.keywords
+            if name in ("read_text", "read_bytes", "splitlines") or (
+                name in ("read", "readlines") and not sized
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_read_json_reads_a_whole_file():
+    lines, first = inspect.getsourcelines(sfofr.io.read_json)
+    own = range(first, first + len(lines))
+    by_module = {
+        path.name: [n for n in _whole_file_reads(ast.parse(path.read_text()))
+                    if not (path.name == "io.py" and n in own)]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in by_module.items() if lines} == {}
+    planted = (
+        "a = p.read_text()\nb = f.read(1 << 18)\nc = a.splitlines()\nd = f.readlines()\n"
+        "e = f.readlines(4096)\ng = f.read()\nh = p.read_bytes()\n"
+    )
+    assert _whole_file_reads(ast.parse(planted)) == [1, 3, 4, 6, 7]
