@@ -32,7 +32,7 @@ import numpy as np
 from . import io as sio
 from .exceptions import DataError, NumericalError, ParameterError
 from .fdbasis import FunctionalDataset, center, make_bspline_basis, smooth_curves
-from .pipeline import FIT_OPTIONS, fit_sfofr, fitted_values, predict
+from .pipeline import FIT_OPTIONS, fit_sfofr, fitted_values, predict, resolve_fit_options
 from .simgen import SimConfig, generate, run_benchmark, summarize_benchmark
 from .spatial import (
     exponential_weights,
@@ -132,10 +132,11 @@ def cmd_weights(cfg: dict, out: Path) -> list:
 
 
 def cmd_fit(cfg: dict, out: Path) -> None:
+    options = resolve_fit_options({k: cfg[k] for k in FIT_OPTIONS})  # before any file is read
     y = sio.read_curves_csv(cfg["y"])
     x = sio.read_curves_csv(cfg["x"])
     weights = _read_weights(cfg, "w")
-    fit = fit_sfofr(y, x, weights, options={k: cfg[k] for k in FIT_OPTIONS})
+    fit = fit_sfofr(y, x, weights, options=options)
     fitted = fitted_values(fit)
     sio.write_curves_csv(
         out / "fitted.csv",

@@ -6,8 +6,9 @@ files, dimension mismatches, violated preconditions — while ``NumericalError``
 covers failures of the numerics themselves — divergent solves, singular
 systems, non-finite objectives.
 
-Count and finite-scalar arguments are checked by ``_check_count`` and
-``_check_finite`` below, so each range rule and its message live in one place.
+Count, finite-scalar and share arguments are checked by ``_check_count``,
+``_check_finite`` and ``_check_share`` below, so each range rule and its
+message live in one place.
 """
 
 import math
@@ -43,6 +44,12 @@ def _check_finite(name: str, value, positive: bool = False) -> None:
     if not (real and (0 < value < math.inf if positive else 0 <= value < math.inf)):
         sign = ">" if positive else ">="
         raise ParameterError(f"{name} must be finite and {sign} 0, got {value!r}")
+
+
+def _check_share(name: str, value) -> None:
+    """Require a real ``value`` in (0, 1]; anything else raises ``ParameterError``."""
+    if not (isinstance(value, numbers.Real) and 0 < value <= 1):
+        raise ParameterError(f"{name} must be in (0, 1], got {value!r}")
 
 
 class DomainError(DataError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, PreconditionError, _check_count
+from .exceptions import ParameterError, PreconditionError, _check_count, _check_share
 from .fdbasis import BasisCoefficients, BSplineBasis, evaluate_basis
 from .spatial import SpatialWeights
 
@@ -187,8 +187,7 @@ def fit_sfpc(
 
 def choose_k(decomp: FpcDecomposition, threshold: float) -> int:
     """Smallest K whose cumulative score-variance share reaches ``threshold``."""
-    if not 0 < threshold <= 1:
-        raise ParameterError("threshold must be in (0, 1]")
+    _check_share("threshold", threshold)
     cum = np.cumsum(decomp.variance_explained)
     idx = np.searchsorted(cum, threshold - 1e-12)
     return int(min(idx, decomp.n_components - 1) + 1)

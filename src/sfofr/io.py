@@ -69,7 +69,14 @@ from .pipeline import (
     reconstruct_rho,
     warn_if_unconverged,
 )
-from .spatial import GeoCoordinates, SpatialWeights, _bands, _count_nonzero, _rows_sum_to_one
+from .spatial import (
+    _CSR_MAX_DENSITY,
+    GeoCoordinates,
+    SpatialWeights,
+    _bands,
+    _count_nonzero,
+    _rows_sum_to_one,
+)
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
 BUNDLE_VERSION = 2
@@ -452,22 +459,40 @@ def _write_triplets_npy(path, weights: SpatialWeights):
 
 
 def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
-    """Read the n x n W that ``_write_triplets_npy`` saved; stored
-    as CSR or dense by W's density, as when it was built."""
+    """Read the n x n W that ``_write_triplets_npy`` saved; stored as CSR or
+    dense by W's density, as when it was built. The records are read a band
+    at a time into W's storage, so no copy of the whole file is held."""
     try:
-        rec = np.load(path, allow_pickle=False)
+        rec = np.load(path, mmap_mode="r", allow_pickle=False)  # reads the header only
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"cannot read weights {path}: {exc}") from None
     if not isinstance(rec, np.ndarray) or rec.dtype != _TRIPLET or rec.ndim != 1:
         raise DataError(f"{path}: expected a 1-D (i, j, w) record array")
-    i, j, w = (np.ascontiguousarray(rec[name]) for name in _TRIPLET.names)
-    del rec  # hold at most two copies of W at a time
-    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
-    if bad.size:
-        k = bad[0]
-        raise DataError(f"{path}: entry {k} index ({i[k]}, {j[k]}) outside 0..{n - 1}")
-    # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
-    mat = sp.csr_array((w, (i, j)), shape=(n, n))
+    count, offset = len(rec), rec.offset
+    del rec  # pages read through the map would count as the process's own memory
+    # the storage _CSR_MAX_DENSITY gives W, as the file holds each nonzero once:
+    # a dense W is filled in place, a CSR W's triplets are gathered field by field
+    dense = count > _CSR_MAX_DENSITY * n * n
+    mat = np.zeros((n, n)) if dense else [np.empty(count, _TRIPLET[f]) for f in "ijw"]
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        for band in _bands(count, 3, _TEXT_BAND):
+            rec = np.fromfile(handle, _TRIPLET, band.stop - band.start)
+            i, j, w = rec["i"], rec["j"], rec["w"]
+            bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+            if bad.size:
+                k = bad[0]
+                raise DataError(
+                    f"{path}: entry {band.start + k} index ({i[k]}, {j[k]}) outside 0..{n - 1}"
+                )
+            if dense:
+                np.add.at(mat, (i, j), w)  # repeated entries summed, as CSR sums them
+            else:
+                for field, values in zip(mat, (i, j, w)):
+                    field[band] = values
+    if not dense:  # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
+        i, j, w = mat
+        mat = sp.csr_array((w, (i, j)), shape=(n, n))
     return _build(path, SpatialWeights, matrix=mat, normalized=normalized, kind=kind)
 
 

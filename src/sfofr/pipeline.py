@@ -27,6 +27,9 @@ from .exceptions import (
     ParameterError,
     SfofrError,
     UndefinedStatisticError,
+    _check_count,
+    _check_finite,
+    _check_share,
 )
 from .fdbasis import (
     BasisCoefficients,
@@ -157,12 +160,20 @@ DEFAULT_RIDGE = FIT_OPTIONS["ridge"]
 DEFAULT_VAR_THRESHOLD = FIT_OPTIONS["var_threshold"]
 
 
-def _resolve_options(options: dict | None) -> dict:
+def resolve_fit_options(options: dict | None) -> dict:
+    """``FIT_OPTIONS`` overridden by ``options``, each value checked here, under
+    the label of the stage that takes it, so a bad one fails before any work."""
     options = options or {}
     unknown = set(options) - set(FIT_OPTIONS)
     if unknown:
         raise ParameterError(f"unknown fit options: {sorted(unknown)}")
-    return {**FIT_OPTIONS, **{k: v for k, v in options.items() if v is not None}}
+    opts = {**FIT_OPTIONS, **{k: v for k, v in options.items() if v is not None}}
+    degree = _staged("basis construction", _check_count, "degree", opts["degree"], 1)
+    _staged("basis construction", _check_count, "num_basis", opts["num_basis"], degree + 1)
+    _staged("response smoothing", _check_finite, "ridge", opts["ridge"])
+    _staged("predictor decomposition", _check_share, "var_threshold", opts["var_threshold"])
+    _staged("score-space estimation", _check_count, "msar_max_iter", opts["msar_max_iter"], 0)
+    return opts
 
 
 def _front_end(y_data: FunctionalDataset, x_data: FunctionalDataset, options: dict | None):
@@ -172,7 +183,7 @@ def _front_end(y_data: FunctionalDataset, x_data: FunctionalDataset, options: di
     Returns the response's basis coefficients and the SfofrFit fields that
     both fits fill alike.
     """
-    opts = _resolve_options(options)
+    opts = resolve_fit_options(options)
     if y_data.n != x_data.n:
         raise ParameterError("response and predictor must have the same n")
     basis = _staged(

@@ -17,8 +17,8 @@ T W T' = diag(W+, W-), so such a W's ``matmul`` takes two half-size products.
 A lattice W keeps W, W+- and the eigenvector blocks Q+- (about 2 x 8n^2 bytes),
 and making them takes no n x n temporary: K becomes W in place, and the rest
 reads W in row bands.
-SpatialWeights.solve_lag is the one solve with W: in that eigenbasis, else by
-dense or sparse LU.
+SpatialWeights.solve_lag is the one solve with W: in that eigenbasis, a fold
+block at a time, else by dense LU (one n x n array per shift) or sparse LU.
 """
 
 from __future__ import annotations
@@ -194,22 +194,6 @@ class SpatialWeights:
         halves = None if self.balance is None or sp.issparse(mat) else _split(mat)
         return halves and tuple(map(_read_only, halves))
 
-    def _to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """P^-1 m = diag(blocks)' T D^{1/2} m (see ``_spectrum``)."""
-        _, blocks, root = self._spectrum
-        parts = _fold(root[:, None] * m) if len(blocks) == 2 else (root[:, None] * m,)
-        out = np.empty(m.shape, np.result_type(root, m))
-        np.matmul(blocks[0].T, parts[0], out=out[: len(blocks[0])])
-        if len(blocks) == 2:
-            np.matmul(blocks[1].T, parts[1], out=out[len(blocks[0]) :])
-        return out
-
-    def _from_eigenbasis(self, y: np.ndarray) -> np.ndarray:
-        """P y = D^{-1/2} T' diag(blocks) y (see ``_spectrum``)."""
-        _, blocks, root = self._spectrum
-        parts = [q @ x for q, x in zip(blocks, np.split(y, [len(blocks[0])]))]
-        return (_unfold(*parts) if len(blocks) == 2 else parts[0]) / root[:, None]
-
     def solve_lag(
         self, t: np.ndarray, z: np.ndarray, z_inv: np.ndarray, c: np.ndarray
     ) -> np.ndarray:
@@ -233,9 +217,9 @@ class SpatialWeights:
 
             Y[:, k] = ((P^-1 C Z)[:, k] + lambda (.) Y[:, :k] T[:k, k]) / (1 - T[k, k] lambda),
 
-        so a diagonal T makes Y one broadcast division; M = P Re(Y Z^-1). P^-1
-        and P are applied block by block: a lattice W folds into two half-size
-        blocks, so each transform costs half the flops of one n x n product.
+        so a diagonal T makes Y one broadcast division; M = P Re(Y Z^-1). P^-1 and
+        P apply Q' and Q one fold block at a time (``_spectrum``); Z, Z^-1 and the
+        division take all n rows, as BLAS may round a row block's product apart.
 
         Raises DivergenceError when max |T[k, k]| times the bound
         ``spectral_radius()`` on rho(W) reaches 1.
@@ -247,29 +231,38 @@ class SpatialWeights:
                 f"spectral radius bound of rho' (x) W is {sr:.6g} >= 1; system diverges"
             )
         if self._spectrum is not None:
-            lam = self._spectrum[0]
-            rhs = self._to_eigenbasis(c) @ z  # P^-1 C Z
-            denom = 1 - np.outer(lam, shifts)
+            lam, blocks, root = self._spectrum
+            folded, cut = len(blocks) == 2, [len(blocks[0])]
+            parts = list(_fold(root[:, None] * c) if folded else [root[:, None] * c])
+            y = np.concatenate([q.T @ parts.pop(0) for q in blocks]) @ z  # P^-1 C Z
             if not np.any(np.triu(t, 1)):
-                out = rhs / denom
+                y = y / (1 - np.outer(lam, shifts))
             else:
-                out = np.empty_like(rhs)
+                rhs, y, denom = y, np.empty_like(y), 1 - np.outer(lam, shifts)
                 for k in range(shifts.size):
-                    out[:, k] = (rhs[:, k] + lam * (out[:, :k] @ t[:k, k])) / denom[:, k]
-            return self._from_eigenbasis((out @ z_inv).real)
+                    y[:, k] = (rhs[:, k] + lam * (y[:, :k] @ t[:k, k])) / denom[:, k]
+            out = np.empty(c.shape, np.result_type(root, c))  # P Re(Y Z^-1), before T' and D^-1/2
+            for q, y_b, rows in zip(blocks, np.split((y @ z_inv).real, cut), np.split(out, cut)):
+                np.matmul(q, y_b, out=rows)
+            out = _unfold(*np.split(out, cut)) if folded else out
+            return np.divide(out, root[:, None], out=out)
         rhs = c @ z
         n, w = self.n, self.matrix
         if sp.issparse(w):
-            w, eye, solve = sp.csc_array(w), sp.identity(n, format="csc"), spla.spsolve
-        else:
-            eye, solve = np.eye(n), np.linalg.solve
+            w, eye = sp.csc_array(w), sp.identity(n, format="csc")
         out = np.empty_like(rhs)
         for k in range(shifts.size):
             lag = out[:, :k] @ t[:k, k]
             b = rhs[:, k] + self.matmul(lag.real)
             if np.iscomplexobj(lag):
                 b = b + 1j * self.matmul(lag.imag)
-            out[:, k] = solve(eye - t[k, k] * w, b)
+            if sp.issparse(w):
+                out[:, k] = spla.spsolve(eye - t[k, k] * w, b)
+            else:  # I - T[k, k] W as one array (W's diagonal is zero), freed after use
+                shifted = w * -t[k, k]
+                np.fill_diagonal(shifted, 1)
+                out[:, k] = np.linalg.solve(shifted, b)
+                del shifted
         return np.ascontiguousarray((out @ z_inv).real)
 
 

@@ -17,7 +17,7 @@ import pytest
 import sfofr
 from sfofr import cli, simgen
 from sfofr.cli import build_parser, main, resolve_config
-from sfofr.pipeline import FIT_OPTIONS, _resolve_options
+from sfofr.pipeline import FIT_OPTIONS, resolve_fit_options
 
 # Directory holding the imported package, absolute, so that the child process
 # finds the same package from whatever working directory it runs in (a
@@ -469,7 +469,7 @@ class TestOptionTable:
 
     def test_fit_defaults_are_the_pipeline_defaults(self):
         cfg = resolve_config("fit", build_parser().parse_args(["fit"]))
-        defaults = _resolve_options(None)
+        defaults = resolve_fit_options(None)
         assert {k: cfg[k] for k in defaults} == defaults
 
     def test_fit_help_lists_one_flag_per_fit_option(self, capsys):
@@ -595,6 +595,32 @@ class TestRangeChecks:
         assert main(["fit", *args, "--config", str(cfg), *extra, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--num-basis", "2", "basis construction: num_basis must be an integer >= 4, got 2"),
+            ("--degree", "0", "basis construction: degree must be an integer >= 1, got 0"),
+            ("--ridge", "-1", "response smoothing: ridge must be finite and >= 0, got -1.0"),
+            (
+                "--var-threshold", "1.5",
+                "predictor decomposition: var_threshold must be in (0, 1], got 1.5",
+            ),
+            (
+                "--msar-max-iter", "-5",
+                "score-space estimation: msar_max_iter must be an integer >= 0, got -5",
+            ),
+        ],
+    )
+    def test_bad_fit_option_fails_before_any_file_is_read(
+        self, flag, value, named, tmp_path, capsys
+    ):
+        args = [f"--{k}={tmp_path / 'absent'}.csv" for k in "yxw"]
+        out = tmp_path / "o"
+        assert main(["fit", *args, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {named}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -4,7 +4,6 @@ import dataclasses
 import os
 import re
 import stat
-import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -154,19 +153,18 @@ class TestWeightsCsv:
         with pytest.raises(DataError, match="no entries"):
             read_weights_csv(path, layout="triplet")
 
-    def test_sparse_triplet_round_trip_never_densifies(self, tmp_path):
+    def test_sparse_triplet_round_trip_never_densifies(self, tmp_path, traced_peak):
         n = 3000
         rng = np.random.default_rng(7)
         coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
         w = knn_weights(coords, 5)
         path = tmp_path / "w.csv"
-        tracemalloc.start()
-        try:
+
+        def round_trip():
             write_weights_csv(path, w, layout="triplet")
-            back = read_weights_csv(path, layout="triplet")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return read_weights_csv(path, layout="triplet")
+
+        back, peak = traced_peak(round_trip)
         assert sp.issparse(back.matrix) and back.normalized
         assert (back.matrix != w.matrix).nnz == 0
         assert peak < n * n * 8 / 10  # a dense n x n array is 72 MB
@@ -383,16 +381,6 @@ def whole_triplets(weights):
     return rec
 
 
-def traced_peak(fn):
-    """The ``tracemalloc`` peak of ``fn()``, in bytes."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def banded_weights():
     """Dense lattice W (several text bands), CSR KNN W, a W whose last unit
     has no entry, and an all-zero W."""
@@ -474,21 +462,21 @@ class TestBandedCodec:
         sio.write_lines(path, ["a,b", "", "c"])
         assert path.read_text() == joined(["a,b", "", "c"])
 
-    def test_dense_weights_memory_is_bounded(self, tmp_path):
+    def test_dense_weights_memory_is_bounded(self, tmp_path, traced_peak):
         w = inverse_distance_weights(1000)
         path = tmp_path / "w.csv"
         # whole-file text peaked at 65 MiB writing and 43 MiB reading
-        assert traced_peak(lambda: write_weights_csv(path, w, layout="dense")) <= 8 * MiB
-        read_peak = traced_peak(lambda: read_weights_csv(path, layout="dense"))
+        assert traced_peak(lambda: write_weights_csv(path, w, layout="dense"))[1] <= 8 * MiB
+        read_peak = traced_peak(lambda: read_weights_csv(path, layout="dense"))[1]
         assert read_peak <= w.matrix.nbytes + 4 * MiB  # W itself is 7.6 MiB
 
-    def test_curve_memory_is_bounded(self, tmp_path):
+    def test_curve_memory_is_bounded(self, tmp_path, traced_peak):
         rng = np.random.default_rng(11)
         data = FunctionalDataset(grid=np.linspace(0.0, 1.0, 101), values=rng.random((5570, 101)))
         path = tmp_path / "curves.csv"
         # whole-file text peaked at 44 MiB writing and 22 MiB reading
-        assert traced_peak(lambda: write_curves_csv(path, data)) <= 8 * MiB
-        assert traced_peak(lambda: read_curves_csv(path)) <= data.values.nbytes + 4 * MiB
+        assert traced_peak(lambda: write_curves_csv(path, data))[1] <= 8 * MiB
+        assert traced_peak(lambda: read_curves_csv(path))[1] <= data.values.nbytes + 4 * MiB
 
     @pytest.mark.parametrize("blank", ["", "   ", "\t", " \t "])
     def test_line_numbers_count_blank_and_whitespace_lines(self, tmp_path, band, blank):
@@ -702,7 +690,7 @@ class TestFitBundle:
         assert "rho_spectral_radius" in manifest["diagnostics"]
         assert "contraction" in manifest["diagnostics"]
 
-    def test_sparse_weights_bundle_round_trip_never_densifies(self, tmp_path):
+    def test_sparse_weights_bundle_round_trip_never_densifies(self, tmp_path, traced_peak):
         n = 2000
         rng = np.random.default_rng(56)
         coords = GeoCoordinates(lat=rng.uniform(-33, -3, n), lon=rng.uniform(-73, -35, n))
@@ -711,13 +699,12 @@ class TestFitBundle:
         x = gen_predictors(n, grid, rng)
         y = gen_response(x, w, 0.0, rng)
         fit = fit_sfofr(y, x, w, options={"num_basis": 8})
-        tracemalloc.start()
-        try:
+
+        def round_trip():
             save_fit_bundle(fit, tmp_path / "bundle")
-            loaded = load_fit_bundle(tmp_path / "bundle")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return load_fit_bundle(tmp_path / "bundle")
+
+        loaded, peak = traced_peak(round_trip)
         assert_binary_weights(tmp_path / "bundle")
         assert sp.issparse(loaded.weights.matrix)
         assert (loaded.weights.matrix != w.matrix).nnz == 0
@@ -725,6 +712,34 @@ class TestFitBundle:
         np.testing.assert_array_equal(
             fitted_values(loaded).values, fitted_values(fit).values
         )
+
+    def test_dense_weights_load_holds_w_and_little_more(self, tmp_path, traced_peak):
+        # the whole record array and a copy of each field peaked at 11.4 MiB
+        data = generate(SimConfig(n_train=500, n_test=2, alpha=0.5, seed=3, grid_size=31))
+        w = SpatialWeights(matrix=data.weights.toarray(), normalized=True)
+        fit = fit_sfofr(data.y_data, data.x_data, w, options={"num_basis": 8})
+        save_fit_bundle(fit, tmp_path / "bundle")
+        loaded, peak = traced_peak(lambda: load_fit_bundle(tmp_path / "bundle"))
+        assert isinstance(loaded.weights.matrix, np.ndarray)
+        assert loaded.weights.matrix.tobytes() == w.matrix.tobytes()
+        assert peak <= w.matrix.nbytes + 2**20  # W and a band of records
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_repeated_weights_entries_are_summed(self, tmp_path, storage):
+        rng = np.random.default_rng(57)
+        coords = GeoCoordinates(lat=rng.uniform(-33, -3, 60), lon=rng.uniform(-73, -35, 60))
+        w = exponential_weights(30, 0.5) if storage == "dense" else knn_weights(coords, 4)
+        rec = whole_triplets(w)
+        rec["w"][0] /= 2  # and the other half repeated last: halves sum back exactly
+        np.save(tmp_path / "w.npy", np.concatenate([rec, rec[:1]]))
+        back = sio._read_weights_npy(tmp_path / "w.npy", w.n, True, w.kind).matrix
+        assert type(back) is type(w.matrix)
+
+        def arrays(m):
+            return (m.data, m.indices, m.indptr) if sp.issparse(m) else (m,)
+
+        for got, want in zip(arrays(back), arrays(w.matrix)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_baseline_bundle_round_trip(self, tmp_path):
         rng = np.random.default_rng(57)

@@ -288,6 +288,17 @@ class TestGenResponse:
         with pytest.raises(GenerationError, match="miss the model identity"):
             gen_response(x, make(n), 0.9, rng)
 
+    @pytest.mark.parametrize("kind, alpha", [("exponential", 0.9), ("inverse", 0.1)])
+    def test_memory_is_bounded(self, kind, alpha, traced_peak):
+        # 1000 curves on 101 points take 0.77 MiB; with P^-1 and P applied
+        # to all 1000 rows as one block each, the peak was 6.23 MiB
+        cfg = SimConfig(n_train=250, n_test=1000, alpha=alpha, weight_kind=kind, seed=1)
+        w = cfg.make_weights(1000)
+        rng = np.random.default_rng(18)
+        x = gen_predictors(1000, cfg.grid, rng)
+        gen_response(x, w, alpha, rng)  # caches W's eigenbasis and the grid's operators
+        assert traced_peak(lambda: gen_response(x, w, alpha, rng))[1] <= 4.5 * 2**20
+
     def test_alpha_range_validated(self):
         rng = np.random.default_rng(10)
         x = gen_predictors(5, GRID, rng)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy import linalg
 
 from sfofr import spatial
 from sfofr import (
@@ -246,15 +247,9 @@ class TestStorage:
         assert isinstance(w.matrix, np.ndarray)
         np.testing.assert_array_equal(w.diag_wtw(), (w.matrix * w.matrix).sum(axis=0))
 
-    def test_diag_wtw_makes_no_n_by_n_temporary(self):
+    def test_diag_wtw_makes_no_n_by_n_temporary(self, traced_peak):
         w = exponential_weights(2000)
-        tracemalloc.start()
-        try:
-            w.diag_wtw()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.25 * 8 * w.n**2
+        assert traced_peak(w.diag_wtw)[1] <= 0.25 * 8 * w.n**2
 
     @pytest.mark.parametrize("decay, n", [(0.5, 40), (40.0, 500)])
     def test_balance_vector_must_satisfy_detailed_balance(self, decay, n):
@@ -370,8 +365,11 @@ class TestSpectralForm:
         mat = w.toarray()
         d = root**2
         np.testing.assert_allclose(d[:, None] * mat, (d[:, None] * mat).T, rtol=1e-14)
-        p_mat = w._from_eigenbasis(np.eye(w.n))
-        p_inv = w._to_eigenbasis(np.eye(w.n))
+        # P = D^{-1/2} T' diag(blocks) and P^-1 = diag(blocks)' T D^{1/2}, T the fold
+        fold = np.vstack(oracle_fold(np.eye(w.n))) if len(blocks) == 2 else np.eye(w.n)
+        q = linalg.block_diag(*blocks)
+        p_mat = fold.T @ q / root[:, None]
+        p_inv = q.T @ fold * root
         np.testing.assert_allclose(p_mat @ np.diag(lam) @ p_inv, mat, atol=1e-14)
         np.testing.assert_allclose(p_inv @ p_mat, np.eye(w.n), atol=1e-13)
         assert np.max(lam) == pytest.approx(np.max(np.abs(np.linalg.eigvals(mat))), abs=1e-13)
@@ -418,6 +416,118 @@ class TestSpectralForm:
         assert cfg.make_weights(18) is not w
         with pytest.raises(ValueError):
             w.matrix[0, 1] = 0.5
+
+
+def shift_forms():
+    """(T, Z, Z^-1) of each kind ``solve_lag`` takes: diagonal and real, with 41
+    columns, as ``gen_response`` hands it over; real upper triangular, the real
+    Schur form of a rho with real eigenvalues; and complex, the complex Schur
+    form of a rho with a complex eigenvalue pair, as ``reduced_form_solve`` makes."""
+    rng = np.random.default_rng(41)
+    v = np.linalg.qr(rng.standard_normal((41, 41)))[0]
+    d = rng.uniform(0.5, 1.5, 41)
+    forms = {"diagonal": (np.diag(rng.uniform(-0.6, 0.6, 41)), v * d, (v / d).T)}
+    real = [[0.5, 0.2, 0, 0.1], [0.1, 0.3, 0.1, 0], [0, 0.05, 0.2, 0.1], [0.1, 0, 0, -0.2]]
+    pair = [[0.3, -0.4, 0.1], [0.4, 0.3, 0], [0, 0.1, 0.1]]
+    for kind, rho in (("triangular", real), ("complex", pair)):
+        t, z = linalg.schur(np.array(rho))
+        if np.any(np.diag(t, -1)):
+            t, z = linalg.rsf2csf(t, z)
+        forms[kind] = (t, z, z.conj().T)
+    return forms
+
+
+SHIFT_FORMS = shift_forms()
+
+
+def whole_block_solve(w, t, z, z_inv, c):
+    """``solve_lag`` in W's eigenbasis as P^-1 and P applied whole: C scaled,
+    folded and taken to the eigenbasis as one n-row block, then Z, the solve,
+    Z^-1, and P back as one block, unfolded and unscaled."""
+    lam, blocks, root = w._spectrum
+    shifts = np.diag(t)
+    scaled = root[:, None] * c
+    parts = spatial._fold(scaled) if len(blocks) == 2 else (scaled,)
+    rhs = np.concatenate([q.T @ x for q, x in zip(blocks, parts)]) @ z
+    denom = 1 - np.outer(lam, shifts)
+    if not np.any(np.triu(t, 1)):
+        y = rhs / denom
+    else:
+        y = np.empty_like(rhs)
+        for k in range(shifts.size):
+            y[:, k] = (rhs[:, k] + lam * (y[:, :k] @ t[:k, k])) / denom[:, k]
+    back = [q @ x for q, x in zip(blocks, np.split((y @ z_inv).real, [len(blocks[0])]))]
+    return (spatial._unfold(*back) if len(blocks) == 2 else back[0]) / root[:, None]
+
+
+def eye_lu_solve(w, t, z, z_inv, c):
+    """``solve_lag`` by dense LU with each I - T[k, k] W made as np.eye(n) - T[k, k] W."""
+    rhs = c @ z
+    out = np.empty_like(rhs)
+    for k in range(len(t)):
+        lag = out[:, :k] @ t[:k, k]
+        b = rhs[:, k] + w.matmul(lag.real)
+        if np.iscomplexobj(lag):
+            b = b + 1j * w.matmul(lag.imag)
+        out[:, k] = np.linalg.solve(np.eye(w.n) - t[k, k] * w.matrix, b)
+    return np.ascontiguousarray((out @ z_inv).real)
+
+
+def dense_custom(n):
+    """A dense row-normalized W with no balance vector and many exact zeros."""
+    a = np.random.default_rng(n).random((n, n))
+    a[a < 0.5] = 0.0
+    np.fill_diagonal(a, 0.0)
+    return SpatialWeights(matrix=a / a.sum(axis=1, keepdims=True), normalized=True)
+
+
+class TestSolveLag:
+    def test_shift_forms_are_of_their_kind(self):
+        for kind, (t, z, z_inv) in SHIFT_FORMS.items():
+            assert np.iscomplexobj(t) == (kind == "complex")
+            assert np.any(np.triu(t, 1)) == (kind != "diagonal")
+            assert np.max(np.abs(np.diag(t))) < 1
+            np.testing.assert_allclose(z @ z_inv, np.eye(len(t)), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SHIFT_FORMS))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # n = 250 with 41 columns: OpenBLAS 0.3.31's AVX-512 kernels round
+            # the product of Z with all 250 rows apart from that with two
+            # 125-row halves, so Z and Z^-1 must meet all n rows at once
+            lambda: exponential_weights(250, 0.5),
+            lambda: inverse_distance_weights(251),
+            lambda: balanced_mirror_free(60),
+            lambda: balanced_mirror_free(61),
+        ],
+        ids=["exponential_even", "inverse_distance_odd", "custom_balanced", "custom_balanced_odd"],
+    )
+    def test_eigenbasis_solve_equals_the_whole_block_maps(self, make, kind):
+        w = make()
+        t, z, z_inv = SHIFT_FORMS[kind]
+        c = np.random.default_rng(w.n).standard_normal((w.n, len(t)))
+        assert same_bits(w.solve_lag(t, z, z_inv, c), whole_block_solve(w, t, z, z_inv, c))
+
+    @pytest.mark.parametrize("kind", list(SHIFT_FORMS))
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_dense_lu_equals_the_identity_minus_shift_form(self, n, kind):
+        w = dense_custom(n)
+        assert isinstance(w.matrix, np.ndarray) and w._spectrum is None
+        t, z, z_inv = SHIFT_FORMS[kind]
+        c = np.random.default_rng(n).standard_normal((n, len(t)))
+        assert same_bits(w.solve_lag(t, z, z_inv, c), eye_lu_solve(w, t, z, z_inv, c))
+
+    @pytest.mark.parametrize("kind", list(SHIFT_FORMS))
+    def test_dense_lu_holds_one_shifted_array(self, kind, traced_peak):
+        # I - T[k, k] W is one n x n array, two arrays' bytes when T is complex;
+        # eye, T[k, k] W and their difference peaked at 3 and 5 of them
+        n = 500
+        w = dense_custom(n)
+        t, z, z_inv = SHIFT_FORMS[kind]
+        c = np.random.default_rng(5).standard_normal((n, len(t)))
+        peak = traced_peak(lambda: w.solve_lag(t, z, z_inv, c))[1]
+        assert peak <= (2.25 if kind == "complex" else 1.25) * w.matrix.nbytes
 
 
 def banded_balanced(n):
