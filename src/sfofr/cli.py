@@ -31,7 +31,7 @@ import numpy as np
 
 from . import io as sio
 from .exceptions import DataError, NumericalError, ParameterError
-from .fdbasis import FunctionalDataset, center, make_bspline_basis, smooth_curves
+from .fdbasis import center, make_bspline_basis, smooth_curves
 from .pipeline import FIT_OPTIONS, fit_sfofr, fitted_values, predict, resolve_fit_options
 from .simgen import SimConfig, generate, run_benchmark, summarize_benchmark
 from .spatial import (
@@ -53,7 +53,6 @@ _REQUIRED = object()  # the default of an option that every run must set; it res
 
 
 def _option(flag: str, default=None, **kwargs) -> tuple:
-    """One option: its flag, its default (or ``_REQUIRED``), and its argparse keywords."""
     return flag, default, kwargs
 
 
@@ -84,7 +83,6 @@ def _manifest(command: str, cfg: dict, outputs: list) -> dict:
 
 
 def _sim_config(cfg: dict, **sizes) -> SimConfig:
-    """The SimConfig whose fields the resolved options name, plus ``sizes``."""
     names = {f.name for f in dataclasses.fields(SimConfig)}
     return SimConfig(**{k: v for k, v in cfg.items() if k in names}, **sizes)
 
@@ -137,11 +135,7 @@ def cmd_fit(cfg: dict, out: Path) -> None:
     x = sio.read_curves_csv(cfg["x"])
     weights = _read_weights(cfg, "w")
     fit = fit_sfofr(y, x, weights, options=options)
-    fitted = fitted_values(fit)
-    sio.write_curves_csv(
-        out / "fitted.csv",
-        FunctionalDataset(grid=fitted.grid, values=fitted.values, ids=y.ids),
-    )
+    sio.write_curves_csv(out / "fitted.csv", dataclasses.replace(fitted_values(fit), ids=y.ids))
     outputs = ["fitted.csv", *sio.BUNDLE_FILES]
     if cfg["dump_fpca"]:
         file_of = {paths[0]: name for name, paths in sio.BUNDLE_MATRICES.items()}
@@ -192,9 +186,6 @@ def cmd_mc_bench(cfg: dict, out: Path) -> list:
     return ["results.csv", "summary.json"]
 
 
-# Each command's handler, help and options, each option declared once:
-# build_parser adds them as flags and resolve_config takes their defaults.
-# Every command also takes --config.
 _COMMANDS = {
     "simulate": (cmd_simulate, "generate one synthetic dataset", (
         _option("--n", 100, type=int, help="number of spatial units"),
@@ -254,9 +245,8 @@ def build_parser() -> _Parser:
 
 
 def _check_file_value(flag: str, default, kwargs: dict, value):
-    """Check a config-file value against its flag's type and choices; a
-    store_true flag takes a JSON boolean, and null is allowed where the
-    default is unset."""
+    """A store_true flag's config value is a JSON boolean; null is allowed
+    where the default is unset."""
     if value is None and default in (None, _REQUIRED):
         return
     kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)

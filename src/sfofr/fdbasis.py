@@ -1,9 +1,8 @@
 """B-spline representation of discretized curves.
 
 A curve sampled at grid points in [0, 1] is expanded as x(t) = sum_l a_l g_l(t)
-on a clamped (open) uniform B-spline basis g_1..g_L. The Gram matrix
-Gamma[i, j] = int_0^1 g_i g_j is computed by Gauss-Legendre quadrature, which is
-exact for the piecewise-polynomial product degree, so inner products of
+on a clamped (open) uniform B-spline basis g_1..g_L. With the Gram matrix
+Gamma[i, j] = int_0^1 g_i g_j (exact; see make_bspline_basis), inner products of
 expanded functions reduce to coefficient-space bilinear forms a' Gamma b.
 """
 

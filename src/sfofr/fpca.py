@@ -9,11 +9,6 @@ guaranteeing real eigenpairs. Eigenvectors u map back to coefficient space as
 chi = Gamma^{-1/2} u, so the eigenfunctions eta(t) = chi' g(t) are orthonormal
 in L2, and scores are exact L2 inner products: xi = A Gamma chi.
 
-One routine serves both kinds, and W enters only through the criterion
-matrix (n^{-1} D'D without W, n^{-1} D' Ws D with it); centering checks,
-eigen-solve, tie-breaking, ordering, signs, scores and truncation are shared,
-so spatial FPCA with an all-zero W is classical FPCA.
-
 Spatial eigenvalues equal Var(score) * MoranI(score) and may be negative;
 components are therefore ranked by absolute eigenvalue (ties broken by score
 variance), and explained-variance shares always use sample score variances.
@@ -21,7 +16,7 @@ variance), and explained-variance shares always use sample score variances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,14 +56,9 @@ class FpcDecomposition:
     def truncate(self, k: int) -> "FpcDecomposition":
         """Keep the leading k components."""
         k = _check_count("k", k, 1, self.n_components)
-        return FpcDecomposition(
-            kind=self.kind,
-            chi=self.chi[:, :k],
-            eigenvalues=self.eigenvalues[:k],
-            scores=self.scores[:, :k],
-            basis=self.basis,
-            variance_explained=self.variance_explained[:k],
-            total_variance=self.total_variance,
+        return replace(
+            self, chi=self.chi[:, :k], eigenvalues=self.eigenvalues[:k],
+            scores=self.scores[:, :k], variance_explained=self.variance_explained[:k],
         )
 
     def eigenfunctions(self, tgrid) -> np.ndarray:
@@ -77,7 +67,6 @@ class FpcDecomposition:
 
 
 def _fix_signs(chi: np.ndarray) -> np.ndarray:
-    """Flip component signs so the first non-negligible coefficient is positive."""
     out = chi.copy()
     for k in range(out.shape[1]):
         col = out[:, k]
@@ -123,7 +112,8 @@ def _canonicalize_degenerate(eigvals, eigvecs, cov):
 
 
 def _decompose(coeffs, weights, variance_threshold) -> FpcDecomposition:
-    """FPCA of centered coefficients, spatial when ``weights`` is given."""
+    """FPCA of centered coefficients, spatial when ``weights`` is given; W
+    enters only the criterion matrix (n^{-1} D'D without W)."""
     if not coeffs.is_centered():
         raise PreconditionError(
             "coefficients must be centered; run fdbasis.center before smoothing"
@@ -138,7 +128,7 @@ def _decompose(coeffs, weights, variance_threshold) -> FpcDecomposition:
     d = coeffs.coef @ basis.gram_sqrt
     cov = d.T @ d / n
     crit = cov
-    if weights is not None:  # the only place W enters: D' Ws D / n, without forming Ws
+    if weights is not None:  # D' Ws D / n, without forming Ws
         crit = d.T @ ((weights.matmul(d) + weights.rmatmul(d)) / 2) / n
     eigvals, eigvecs = np.linalg.eigh((crit + crit.T) / 2)
     rep, eigvecs, variances = _canonicalize_degenerate(eigvals, eigvecs, cov)

@@ -1,15 +1,14 @@
 """Stable file formats: curve CSVs, weight CSVs, surfaces, and fit bundles.
 
-All numeric text is written with 17 significant digits, which round-trips
-IEEE doubles bit-exactly; the one binary file, a fit bundle's w_train.npy,
-holds the doubles themselves. Files are written atomically (temp file in the
-target directory, then rename) so a crashed run never leaves a partial file.
-Numbers are parsed by numpy's reader, so Python-only spellings such as
-``1_000`` are rejected. Lines are split by Python's text reader: a line ends
-at a line feed, a carriage return or the pair, and at no other Unicode break.
-Every reader error names its file: a malformed line with its physical line
-number, blank lines included; data the object it builds rejects (a decreasing
-grid, a negative weight) with the object's error type.
+All numeric text round-trips IEEE doubles bit-exactly (``fmt``); the one
+binary file, a fit bundle's w_train.npy, holds the doubles themselves. Files
+are written atomically (``atomic_write``), so a crashed run never leaves a
+partial file. Numbers are parsed by numpy's reader, so Python-only spellings
+such as ``1_000`` are rejected. Lines are split by Python's text reader: a
+line ends at a line feed, a carriage return or the pair, and at no other
+Unicode break. Every reader error names its file: a malformed line with its
+physical line number, blank lines included; data the object it builds
+rejects (a decreasing grid, a negative weight) with the object's error type.
 
 No CSV reader or writer holds a whole file's text. Writers format and write
 one band of rows at a time, a sparse W's dense layout included, and readers
@@ -30,15 +29,14 @@ Coordinates CSV: header ``id,lat,lon``.
 Surface CSV    : tidy triples with header ``u,t,value``.
 Moran CSV      : tidy pairs with header ``t,value``.
 Fit bundle     : a directory holding manifest.json, the nine CSV matrices
-                 ``BUNDLE_MATRICES`` maps to fit fields, and both fitted
+                 ``BUNDLE_MATRICES`` maps to fit fields (a mean file holds
+                 its grid and its mean curve as two rows), and both fitted
                  surfaces on a 101 x 101 grid. Version 2 stores the training
                  W as w_train.npy: one ``np.save`` (no pickle) of its nonzero
                  (i, j, w) triplets in row-major order, as a 1-D
                  int64/int64/float64 record array, with n taken from the
-                 manifest's ``dims.n``; the file's bytes depend on W alone
-                 (written as the header, then one band of rows at a time).
-                 W's ``balance`` field, when set (lattice W), goes to
-                 w_balance.csv. Only version 2 loads.
+                 manifest's ``dims.n``. W's ``balance`` field, when set
+                 (lattice W), goes to w_balance.csv. Only version 2 loads.
 """
 
 from __future__ import annotations
@@ -105,9 +103,7 @@ def atomic_write(path, data):
     try:
         with os.fdopen(fd, "w" if isinstance(first, str) else "wb") as handle:
             os.chmod(tmp, 0o666 & ~umask)
-            handle.write(first)
-            for chunk in chunks:
-                handle.write(chunk)
+            handle.writelines(chain([first], chunks))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,14 +126,6 @@ def _build(path, cls, **kwargs):
 
 
 # --- numeric codec -----------------------------------------------------------
-#
-# Every numeric reader and writer works in bounded row bands, so no file's
-# whole text is ever held. A writer formats about _TEXT_BAND values at a time,
-# one %-format string per row shape ("%.17g" gives the same text as fmt()),
-# and hands each band's text to atomic_write. A reader streams the file's
-# lines, read by Python's text reader in batches of about _READ_BYTES
-# characters, into one np.loadtxt call, checking field counts as they pass;
-# it walks the file again only to name a line in an error.
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _TEXT_BAND = 1 << 15  # values per band of text written, about 0.6 MB of it
@@ -145,9 +133,9 @@ _READ_BYTES = 1 << 18  # characters of text read at a time
 
 
 def _format_rows(mat, labels=None):
-    """CSV text of the rows of a 2-D array or CSR matrix, all values "%.17g",
-    each row led by its label when ``labels`` is given; one chunk per band of
-    rows, a CSR band densified on its own."""
+    """CSV text of the rows of a 2-D array or CSR matrix, all values "%.17g"
+    (the text of ``fmt``), each row led by its label when ``labels`` is given;
+    one chunk per band of rows, a CSR band densified on its own."""
     row = ",".join(["%.17g"] * mat.shape[1])
     if labels is not None:
         row = "%s," + row
@@ -189,8 +177,7 @@ def _open(path):
 def _batches(handle):
     """The non-blank lines of an open text file, newlines kept, a list of
     about _READ_BYTES characters at a time, so numpy takes them with no
-    Python call a line. Lines are Python's universal newlines: one ends at a
-    line feed, a carriage return or the pair, and at no other break."""
+    Python call a line."""
     while lines := handle.readlines(_READ_BYTES):
         if lines := [line for line in lines if line.strip()]:
             yield lines
@@ -231,12 +218,11 @@ def _parse_numeric(path, skip=0, width=None, first_col=0, dtype=float, ids=None,
     file's first non-blank line (None if it has none) before any line is
     parsed, so a reader checks its header from the one pass over the file.
 
-    Field counts are checked as the lines stream past, so a ragged row is
-    named by its physical line. When numpy rejects a value, the rest of the
-    stream is still checked for field counts, so a ragged row anywhere is
-    named first; then the line of numpy's row is named, with the message of
-    Python's parsers where they reject it too (``int`` for the integer
-    fields of a structured ``dtype``) and numpy's own otherwise (``1_000``).
+    When numpy rejects a value, the rest of the stream is still checked for
+    field counts (``_checked``), so a ragged row anywhere is named first;
+    then the line of numpy's row is named, with the message of Python's
+    parsers where they reject it too (``int`` for the integer fields of a
+    structured ``dtype``) and numpy's own otherwise (``1_000``).
     """
     with _open(path) as handle:
         batches = _batches(handle)
@@ -309,7 +295,6 @@ def read_curves_csv(path) -> FunctionalDataset:
 
 
 def _triplet_text(weights: SpatialWeights):
-    """A triplet weights CSV, one chunk per band of W's rows."""
     yield "i,j,w\n"
     last, named = weights.n - 1, False  # the reader sizes W by the largest index
     for rec in filter(len, _triplets(weights)):  # a band of zeros writes nothing
@@ -352,7 +337,6 @@ def read_weights_csv(path, layout: str = "dense") -> SpatialWeights:
         # a repeated (i, j) keeps its last value, as the file reads
         keys, first = np.unique((rec["i"] * n + rec["j"])[::-1], return_index=True)
         values = rec["w"][::-1][first]
-        # CSR, as _read_weights_npy builds: counting a COO's nonzeros sorts it
         mat = sp.csr_array((values, np.divmod(keys, n)), shape=(n, n))
         mat.eliminate_zeros()
     else:
@@ -384,7 +368,6 @@ def read_coords_csv(path):
 
 
 def _surface_text(surface: SurfaceEstimate):
-    """A surface CSV, one chunk per band of u rows."""
     yield "u,t,value\n"
     t_text = ["%.17g," % t for t in surface.tgrid.tolist()]  # each grid value formatted once
     for band in _bands(len(surface.ugrid), len(t_text), _TEXT_BAND):
@@ -460,8 +443,9 @@ def _write_triplets_npy(path, weights: SpatialWeights):
 
 def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
     """Read the n x n W that ``_write_triplets_npy`` saved; stored as CSR or
-    dense by W's density, as when it was built. The records are read a band
-    at a time into W's storage, so no copy of the whole file is held."""
+    dense by W's density, as when it was built (the file holds each nonzero
+    once). The records are read a band at a time into W's storage, so no copy
+    of the whole file is held."""
     try:
         rec = np.load(path, mmap_mode="r", allow_pickle=False)  # reads the header only
     except (OSError, ValueError, EOFError) as exc:
@@ -470,8 +454,6 @@ def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeigh
         raise DataError(f"{path}: expected a 1-D (i, j, w) record array")
     count, offset = len(rec), rec.offset
     del rec  # pages read through the map would count as the process's own memory
-    # the storage _CSR_MAX_DENSITY gives W, as the file holds each nonzero once:
-    # a dense W is filled in place, a CSR W's triplets are gathered field by field
     dense = count > _CSR_MAX_DENSITY * n * n
     mat = np.zeros((n, n)) if dense else [np.empty(count, _TRIPLET[f]) for f in "ijw"]
     with open(path, "rb") as handle:
@@ -498,8 +480,7 @@ def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeigh
 
 # --- fit bundle --------------------------------------------------------------
 
-# The nine matrix files of a fit bundle, each with the fit field it holds; a
-# mean file holds its grid and its mean curve as two rows.
+# The nine matrix files of a fit bundle, each with the fit fields it holds
 BUNDLE_MATRICES = {
     "chi_y.csv": ("response_decomp.chi",),
     "chi_x.csv": ("predictor_decomp.chi",),
@@ -645,7 +626,6 @@ def _read_bundle(directory: Path, manifest: dict) -> SfofrFit:
             total_variance=meta["total_variance"],
         )
     conv = {f.name: conv[f.name] for f in _CONVERGENCE}
-    # JSON holds the tuple-valued fields (the traces) as lists
     conv = {k: tuple(v) if isinstance(v, list) else v for k, v in conv.items()}
     msar = MsarFit(params=MsarParams(**arrays["msar_fit.params"]), **conv)
     weights = _read_weights_npy(

@@ -11,26 +11,11 @@ The objective is the least-squares criterion
 
     Q(Theta) = || m (.) S'(Omega_e (x) I)(S y - X* b) ||_F^2
 
-with Omega_e the error precision and m the entrywise inverse of diag(Omega),
-m[i, k] = 1 / (Omega_e[k, k] + (rho Omega_e rho')[k, k] * (W'W)[i, i]).
-
-Omega_e is parameterized through its upper-triangular Cholesky factor U with
-log-diagonal (zeta), which keeps it positive definite without constraints.
-B enters the residual linearly, so Q is a separable least-squares problem: the fit
-profiles B out by one thin SVD per evaluation (variable projection, Golub and
-Pereyra 1973) and runs Levenberg-Marquardt over (vec rho, zeta) on the
-projected residual, with Kaufman's (1975) Jacobian J. Each step models Q's
-Hessian as 2 J'J (Gauss-Newton) or, as NL2SOL does (Dennis, Gay and Welsch
-1981), 2 (J'J + S) with S a secant estimate of sum_i r_i Hess(r_i), whichever
-predicted the last accepted change in Q better. The residual's analytic
-Jacobian is Q's only derivative: the gradient is 2 J'(m (.) G). Q(c Omega_e) =
-Q(Omega_e) for any c > 0, so the first log-diagonal entry of U is held fixed.
-Every iterate keeps the spectral radius of rho below 1 - iota, and a fit that
-ends at that bound is checked against one capped rerun (see fit_msar).
-
-Fitted values come from the reduced form M - W M rho = C: reduced_form_solve
-hands the Schur form of rho (real unless rho has a complex eigenvalue pair) to
-SpatialWeights.solve_lag.
+with Omega_e the error precision and m the entrywise inverse of diag(Omega)
+(``preconditioner_m``). Omega_e is parameterized through its upper-triangular
+Cholesky factor U with log-diagonal (zeta), which keeps it positive definite
+without constraints. fit_msar minimizes Q; reduced_form_solve gives fitted
+values from the reduced form M - W M rho = C.
 """
 
 from __future__ import annotations
@@ -326,8 +311,7 @@ def _profiled(theta: np.ndarray, data: MsarData):
     m (.) G = m (.) G0 - D vec(B), with G0 its value at B = 0 and D from
     ``_b_design``. The thin SVD of D gives the minimum-norm B, an orthonormal
     basis Q of range(D) and r = (I - QQ')(m (.) G0), which is m (.) G at that
-    B. Returns theta
-    with B filled, r, Q and ``_chain`` at that B.
+    B. Returns theta with B filled, r, Q and ``_chain`` at that B.
     """
     k_y, k_x = data.k_y, data.k_x
     block = slice(k_y * k_y, k_y * (k_y + k_x))
@@ -347,7 +331,6 @@ def _profiled(theta: np.ndarray, data: MsarData):
 
 
 def _start_chol(data: MsarData) -> np.ndarray:
-    """Cholesky factor of the inverse OLS residual covariance (identity if singular)."""
     b0, *_ = np.linalg.lstsq(data.xmat, data.ymat, rcond=None)
     resid = data.ymat - data.xmat @ b0
     sigma = resid.T @ resid / data.n
@@ -385,15 +368,17 @@ def fit_msar(
 ) -> MsarFit:
     """Levenberg-Marquardt (Moré 1978) on the variable-projection residual of Q.
 
-    The search runs over x = (vec rho, zeta without its first entry), from
-    rho = 0 and the inverse OLS residual covariance. Each evaluation
-    profiles B out (``_profiled``); Kaufman's Jacobian J = (I - QQ') dr/dx
-    (``_jacobian``) gives the damped step, which solves (H + lam I) step =
-    -J'r for one of two models of Q's Hessian 2H: Gauss-Newton's H = J'J, or
-    H = J'J + S with NL2SOL's secant term S (``_secant_update``). S starts at
-    zero and is updated after every accepted step; the next step takes the
-    model that predicted that step's change in Q better, so a fit whose
-    Gauss-Newton model keeps predicting better takes Gauss-Newton steps only.
+    B enters the residual linearly, so each evaluation profiles it out
+    (``_profiled``; Golub and Pereyra 1973). The search runs over x = (vec rho,
+    zeta without its first entry, as Q(c Omega_e) = Q(Omega_e) for c > 0), from
+    rho = 0 and the inverse OLS residual covariance. Kaufman's (1975) Jacobian
+    J = (I - QQ') dr/dx (``_jacobian``) gives the damped step, which solves
+    (H + lam I) step = -J'r for one of two models of Q's Hessian 2H:
+    Gauss-Newton's H = J'J, or H = J'J + S with NL2SOL's secant term S
+    (``_secant_update``). S starts at zero and is updated after every
+    accepted step; the next step takes the model that predicted that step's
+    change in Q better, so a fit whose Gauss-Newton model keeps predicting
+    better takes Gauss-Newton steps only.
     As r is orthogonal to the B design, 2 J'r is dQ/dx at the profiled B
     (the envelope gradient): the one stop test and ``grad_norm`` read its
     norm. Candidates with |lambda_1(rho)| at the cap 1 - iota are refused by
@@ -492,8 +477,7 @@ def fit_msar(
     if sr_trace[-1] >= 1 - 2 * IOTA:
         # Near the boundary S approaches singularity and Q loses its power to
         # discriminate, so weakly dependent data can show a spurious
-        # maximal-dependence minimum. A rerun capped at spectral radius 0.5
-        # wins when it costs at most 5% of Q; strong dependence costs more.
+        # maximal-dependence minimum; strong dependence costs more than 5%.
         capped = descend(0.5)
         if capped[1] <= 1.05 * q:
             theta, q, norm, trace, sr_trace, message = capped

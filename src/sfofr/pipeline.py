@@ -1,16 +1,8 @@
 """End-to-end spatial function-on-function regression.
 
-Fitting proceeds in four stages: center both curve sets, smooth them onto a
-B-spline basis, decompose (spatial FPCA on the response, classical FPCA on the
-predictor, each truncated at a variance threshold), and estimate the induced
-multivariate spatial autoregression on the score matrices. The fitted score-
-space matrices map back to bivariate surfaces through the eigenfunctions:
-rho(u, t) = phi(u)' rho_hat phi(t) and beta(s, t) = psi(s)' beta_hat phi(t).
-
-Fitted values and out-of-sample predictions both solve the reduced form
-M - W M rho = X B with the error scores at their zero mean; predictions use
-the test set's own weight matrix. compare_fits fits this model and the
-non-spatial FPC baseline from one front end, and scores both.
+Both curve sets are centered before the stages of the package docstring, and
+each FPCA is truncated at a variance threshold. Fitted values and predictions
+solve the reduced form M - W M rho = X B.
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ from .msar import (
 )
 from .spatial import SpatialWeights
 
-# Source files under this directory are the package's own frames
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
@@ -177,18 +168,12 @@ def resolve_fit_options(options: dict | None) -> dict:
 
 
 def _front_end(y_data: FunctionalDataset, x_data: FunctionalDataset, options: dict | None):
-    """The stages both fits share: resolve the options, build the basis,
-    center and smooth both curve sets, and decompose the predictor.
-
-    Returns the response's basis coefficients and the SfofrFit fields that
-    both fits fill alike.
-    """
+    """The stages both fits share; returns the response's basis coefficients
+    and the SfofrFit fields that both fits fill alike."""
     opts = resolve_fit_options(options)
     if y_data.n != x_data.n:
         raise ParameterError("response and predictor must have the same n")
-    basis = _staged(
-        "basis construction", make_bspline_basis, opts["num_basis"], opts["degree"]
-    )
+    basis = make_bspline_basis(opts["num_basis"], opts["degree"])  # options checked above
     y_centered, y_mean = center(y_data)
     x_centered, x_mean = center(x_data)
     y_coeffs = _staged("response smoothing", smooth_curves, y_centered, basis, opts["ridge"])
@@ -221,7 +206,6 @@ def fit_sfofr(
 
 
 def _fit_spatial(y_coeffs, shared: dict, weights: SpatialWeights) -> SfofrFit:
-    """fit_sfofr after ``_front_end``: response SFPCA, then the score-space fit."""
     if weights.n != y_coeffs.n:
         raise ParameterError("weight matrix size must match the number of units")
     opts = shared["options"]
@@ -249,7 +233,6 @@ def fit_fofr_fpc(
 
 
 def _fit_baseline(y_coeffs, shared: dict) -> SfofrFit:
-    """fit_fofr_fpc after ``_front_end``: response FPCA, then least squares."""
     y_decomp = _staged(
         "response decomposition", fit_fpc, y_coeffs,
         variance_threshold=shared["options"]["var_threshold"],
@@ -303,7 +286,6 @@ def reconstruct_beta(fit: SfofrFit, sgrid=None, tgrid=None) -> SurfaceEstimate:
 
 
 def _curves(fit: SfofrFit, y_scores: np.ndarray, ids=None) -> FunctionalDataset:
-    """Response curves from response scores, with the training mean re-added."""
     curves = reconstruct(y_scores, fit.response_decomp, fit.y_grid) + fit.y_mean
     return FunctionalDataset(grid=fit.y_grid, values=curves, ids=ids)
 
@@ -321,18 +303,15 @@ def fitted_values(fit: SfofrFit) -> FunctionalDataset:
 
 
 def _smooth(fit: SfofrFit, data: FunctionalDataset, mean, basis) -> BasisCoefficients:
-    """Center curves by a training mean and smooth them with the fit's ridge."""
     centered = FunctionalDataset(grid=data.grid, values=data.values - mean)
     return smooth_curves(centered, basis, fit.options.get("ridge", FIT_OPTIONS["ridge"]))
 
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two sample grids have the same points, to 1e-12."""
     return a.size == b.size and bool(np.max(np.abs(a - b), initial=0.0) <= 1e-12)
 
 
 def _new_scores(fit: SfofrFit, x_new: FunctionalDataset, weights_new: SpatialWeights):
-    """``predict``'s checks, then the scores of new predictor curves."""
     if not _same_grid(x_new.grid, fit.x_grid):
         raise ParameterError("new predictor grid differs from the training grid")
     if weights_new.n != x_new.n:
@@ -349,15 +328,12 @@ def predict(
 
 
 def _response_coeffs(fit: SfofrFit, y_data: FunctionalDataset) -> BasisCoefficients:
-    """``represent_response``'s check, then the smoothed, centered curves."""
     if not _same_grid(y_data.grid, fit.y_grid):
         raise ParameterError("response grid differs from the training grid")
     return _smooth(fit, y_data, fit.y_mean, fit.y_basis)
 
 
 def _represent(fit: SfofrFit, y_coeffs: BasisCoefficients, ids=None) -> FunctionalDataset:
-    """Smoothed, centered response curves projected onto the fit's retained
-    components, reconstructed, with the training mean re-added."""
     return _curves(fit, project(y_coeffs, fit.response_decomp), ids)
 
 

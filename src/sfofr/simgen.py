@@ -1,31 +1,16 @@
 """Simulation-study data generator and Monte Carlo harness.
 
 Predictors are finite Fourier series with k^{-3/2} coefficient decay; the
-response solves the model identity Y = W Y R + G exactly, where G collects the
-regression integral of the predictor plus noise and R is the rho surface
-weighted by the trapezoid rule. That identity is a reduced form of the same
-kind the fitted model predicts through, and gen_response solves it with the
-same SpatialWeights.solve_lag, in R's real eigenbasis (the eigenvalue route of
-Ord 1975, on both sides). The result is certified by its residual
-max|Y - W Y R - G|, taken with W's own matrix (``weights.matmul``). The
-check reads none of what the solve computed from W (its eigenvectors,
-eigenvalues or D^{1/2}); on a lattice W both share only the orthogonal fold
-T, and a fault planted in T still fails the check (tests/test_simgen.py,
-test_certificate_catches_a_faulty_shared_fold). SimConfig.make_weights
-hands out one shared, read-only weight matrix per (kind, decay, n), so every
-replication reuses its eigendecomposition; R's is computed once per
-(grid, alpha).
+response solves the model identity Y = W Y R + G exactly (gen_response), with
+the same SpatialWeights.solve_lag the fitted model predicts through, and is
+certified by its residual.
 
 True surfaces:
     beta(s, t) = 2 + s + t + 0.5 sin(2 pi s t)
     rho(u, t)  = alpha (1 + u t) / (1 + |u - t|)
 
-run_replication generates disjoint train/test sets (each with its own weight
-matrix of the same kind), compares the spatial model with the non-spatial FPC
-baseline on them through pipeline.compare_fits, which shares every step the
-two fits have in common, and adds the ISE of both surfaces to its in-sample
-MSE and out-of-sample MSPE. Replications draw from independent streams keyed
-by (seed, replication_index), so any subset of replications is reproducible.
+Replications draw from independent streams keyed by (seed, replication_index)
+(replication_rng), so any subset of them is reproducible.
 """
 
 from __future__ import annotations
@@ -86,7 +71,8 @@ class SimConfig:
         return np.arange(1, g + 1) / g
 
     def make_weights(self, n: int) -> SpatialWeights:
-        """The shared, read-only lattice weight matrix of this kind for n units."""
+        """The shared, read-only lattice weight matrix of this kind for n units,
+        so every replication reuses its eigendecomposition."""
         return _shared_weights(self.weight_kind, self.decay, n)
 
 
@@ -146,7 +132,6 @@ def _noise(n: int, grid: np.ndarray, sd: float, smooth: bool, rng) -> np.ndarray
     eps = sd * rng.standard_normal((n, grid.size))
     if not smooth:
         return eps
-    # smooth-noise option: project the white noise onto a cubic spline basis
     basis = make_bspline_basis(min(20, grid.size), 3)
     coeffs = smooth_curves(FunctionalDataset(grid=grid, values=eps), basis)
     return coeffs.coef @ evaluate_basis(basis, grid).T
@@ -154,9 +139,9 @@ def _noise(n: int, grid: np.ndarray, sd: float, smooth: bool, rng) -> np.ndarray
 
 @functools.lru_cache(maxsize=4)
 def _grid_operators(grid_bytes: bytes, alpha: float) -> tuple:
-    """The read-only quantities that depend on the grid and alpha only: the
-    trapezoid weights D_w, beta and K = rho on the grid, R = D_w K, and R's
-    real eigen-triple (diag mu, S, S^-1)."""
+    """The read-only quantities that depend on the grid and alpha only, made
+    once per (grid, alpha): the trapezoid weights D_w, beta and K = rho on the
+    grid, R = D_w K, and R's real eigen-triple (diag mu, S, S^-1)."""
     grid = np.frombuffer(grid_bytes)
     w_quad = trapezoid_weights(grid)
     kernel = true_rho(grid[:, None], grid[None, :], alpha)
@@ -185,13 +170,13 @@ def gen_response(
     D_w the trapezoid weights and K = rho(s, t) symmetric. One ``eigh`` of
     D_w^{1/2} K D_w^{1/2} = V diag(mu) V' gives R = S diag(mu) S^-1 with
     S = D_w^{1/2} V and S^-1 = V' D_w^{-1/2}, all real, which
-    ``weights.solve_lag`` takes as R's triangular form (it raises
-    DivergenceError when the system diverges). The result is certified
-    directly, with W's own matrix (``weights.matmul``, which on a lattice W
-    shares the fold T with the solve but none of its eigenvectors,
-    eigenvalues or D^{1/2}): GenerationError is raised unless
-    max|Y - W Y R - G| <= ``neumann_tol``.
-    ``neumann_max_terms`` is accepted for compatibility and unused.
+    ``weights.solve_lag`` takes as R's triangular form (Ord's 1975 eigenvalue
+    route, on both sides; it raises DivergenceError when the system diverges).
+    The result is certified directly, with W's own matrix (``weights.matmul``,
+    which on a lattice W shares the fold T with the solve but none of its
+    eigenvectors, eigenvalues or D^{1/2}, so a fault planted in T still fails
+    the check): GenerationError is raised unless max|Y - W Y R - G| <=
+    ``neumann_tol``. ``neumann_max_terms`` is accepted for compatibility and unused.
     """
     if not 0 <= alpha < 1:
         raise ParameterError("alpha must lie in [0, 1)")
@@ -213,7 +198,6 @@ def gen_response(
 
 
 def _draw(cfg: SimConfig, n: int, rng):
-    """Weights, predictors and responses of one n-unit data set."""
     weights = cfg.make_weights(n)
     x_data = gen_predictors(n, cfg.grid, rng)
     y_data = gen_response(
@@ -224,7 +208,6 @@ def _draw(cfg: SimConfig, n: int, rng):
 
 
 def _true_surfaces(cfg: SimConfig):
-    """The true beta and rho surfaces on the configuration's grid."""
     grid = cfg.grid
     _, beta_mat, kernel, *_ = _grid_operators(grid.tobytes(), cfg.alpha)
     return (
@@ -254,8 +237,9 @@ def replication_rng(seed: int, replication_index: int):
 
 
 def run_replication(cfg: SimConfig, replication_index: int = 0) -> dict:
-    """One Monte Carlo replication: draw disjoint train and test sets, compare
-    both methods on them (``compare_fits``), and add each surface's ISE.
+    """One Monte Carlo replication: draw disjoint train and test sets, each
+    with its own weight matrix of the same kind, compare both methods on them
+    (``compare_fits``), and add each surface's ISE.
 
     Returns {"sfofr": {...}, "fpc": {...}} where each inner dict holds
     ise_beta, ise_rho (nan for the baseline), and compare_fits' mse and mspe,

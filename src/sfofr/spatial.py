@@ -7,18 +7,10 @@ exp(-d|i-i'|), and K-nearest-neighbor weights from great-circle (Haversine)
 distances. Moran's I comes in the scalar flavor x'Wx / x'x (on centered x)
 and the functional flavor evaluated pointwise along curves.
 
-Both lattice kernels K are symmetric, so W = D^-1 K declares the row sums d
-of K as its ``balance`` field (d_i w_ij = d_j w_ji) and is similar to the
-symmetric D^{1/2} W D^{-1/2}, whose cached ``eigh`` diagonalizes W; such a
-W is read-only, so the cache cannot go stale. As K depends on |i - j| only,
-W is unchanged by the reversal i -> n-1-i, and a fold T splits that ``eigh``
-into two half-size ones (Cantoni and Butler 1976). T also splits W itself,
-T W T' = diag(W+, W-), so such a W's ``matmul`` takes two half-size products.
-A lattice W keeps W, W+- and the eigenvector blocks Q+- (about 2 x 8n^2 bytes),
-and making them takes no n x n temporary: K becomes W in place, and the rest
-reads W in row bands.
-SpatialWeights.solve_lag is the one solve with W: in that eigenbasis, a fold
-block at a time, else by dense LU (one n x n array per shift) or sparse LU.
+A lattice W (``_lattice_weights``) has a balance vector and mirror symmetry,
+which give it a spectral form and a fold T into half-size blocks
+(``SpatialWeights._spectrum`` and ``_fold_blocks``; Cantoni and Butler 1976).
+SpatialWeights.solve_lag is the one solve with W.
 """
 
 from __future__ import annotations
@@ -67,7 +59,8 @@ class SpatialWeights:
     """n x n spatial weight matrix with finite nonnegative entries and zero diagonal.
 
     ``balance``, when given, is W's balance vector d: positive, with
-    d_i w_ij = d_j w_ji. It gives W a spectral form and makes W read-only.
+    d_i w_ij = d_j w_ji. It gives W a spectral form and makes W read-only,
+    so what is cached from W cannot go stale.
     """
 
     matrix: np.ndarray | sp.csr_array
@@ -140,17 +133,11 @@ class SpatialWeights:
         return np.asarray(self.matrix.T @ m)
 
     def diag_wtw(self) -> np.ndarray:
-        """Diagonal of W'W, i.e. squared column norms. A dense W is squared in row
-        bands whose column sums continue in row order, as (W * W).sum(axis=0)'s do."""
+        """Diagonal of W'W, i.e. squared column norms, with no n x n temporary."""
         mat = self.matrix
         if sp.issparse(mat):
             return np.asarray((mat * mat).sum(axis=0)).ravel()
-        acc = np.zeros(self.n)
-        for rows in _bands(*mat.shape):
-            band = mat[rows] * mat[rows]
-            band[0] += acc
-            acc = band.sum(axis=0)
-        return acc
+        return np.einsum("ij,ij->j", mat, mat)
 
     def spectral_radius(self) -> float:
         """Upper bound on rho(W): ||W||_inf, the maximum row sum (W is nonnegative).
@@ -172,9 +159,8 @@ class SpatialWeights:
         """(lambda, blocks, sqrt(d)) with W = P diag(lambda) P^-1 and P = D^{-1/2} Q,
         Q the eigenvectors of sym = D^{1/2} W D^{-1/2}; None without a balance
         vector. ``blocks`` is (Q,), or (Q+, Q-) with Q = T' diag(Q+, Q-) for
-        the fold T (``_fold``) when sym equals sym[::-1, ::-1] bit for bit; sym's
-        halves then come from W's rows in bands (``_split``), with no n x n
-        temporary, and a mirror-free sym is formed whole. Q+- take 8n^2 / 2 bytes."""
+        the fold T (``_fold``) when sym equals sym[::-1, ::-1] bit for bit
+        (``_split``); a mirror-free sym is formed whole. Q+- take 8n^2 / 2 bytes."""
         if self.balance is None:
             return None
         root = np.sqrt(self.balance)
@@ -187,9 +173,8 @@ class SpatialWeights:
 
     @cached_property
     def _fold_blocks(self):
-        """(W+, W-) with T W T' = diag(W+, W-), or None unless W is read-only (has
-        a balance vector), dense, and equal to W[::-1, ::-1] bit for bit; W+-
-        (8n^2 / 2 bytes) are made from W's rows in bands, with no n x n temporary."""
+        """(W+, W-) = ``_split(W)`` when W is read-only (has a balance vector) and
+        dense, else None. W+- take 8n^2 / 2 bytes."""
         mat = self.matrix
         halves = None if self.balance is None or sp.issparse(mat) else _split(mat)
         return halves and tuple(map(_read_only, halves))
@@ -444,8 +429,13 @@ def functional_morans_i(
 
     At each t the statistic is (g(t)' A' W A g(t)) / (g(t)' A' A g(t)) with A the
     coefficient matrix and g the basis vector, i.e. the scalar Moran's I of the
-    curve values at t.
+    curve values at t. Identical coefficient rows (curves that do not vary
+    across units) raise UndefinedStatisticError before the centering check.
     """
+    if not np.any(coeffs.coef != coeffs.coef[:1]):  # centering may leave a residue in each row
+        raise UndefinedStatisticError(
+            "functional Moran's I undefined (zero variance): curves do not vary across units"
+        )
     if not coeffs.is_centered():
         raise PreconditionError("coefficients must be centered (column means zero)")
     if coeffs.n != weights.n:

@@ -254,6 +254,17 @@ class TestMoran:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(np.isfinite(values))
 
+    def test_constant_curves_exit_1_naming_zero_variance(self, sim_dir, tmp_path, capsys):
+        # curves all equal to 0.1 keep a centering residue that is_centered refuses
+        grid = np.linspace(0, 1, 41)
+        flat = sfofr.FunctionalDataset(grid=grid, values=np.full((30, 41), 0.1))
+        sfofr.io.write_curves_csv(tmp_path / "flat.csv", flat)
+        argv = ["moran", "--y", str(tmp_path / "flat.csv"), "--w", str(sim_dir / "w.csv")]
+        assert main([*argv, "--out", str(tmp_path / "moran")]) == 1
+        err = capsys.readouterr().err
+        assert "zero variance" in err and "do not vary across units" in err
+        assert not (tmp_path / "moran" / "moran.csv").exists()
+
 
 class TestMcBench:
     def test_small_benchmark(self, tmp_path):

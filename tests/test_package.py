@@ -1,9 +1,11 @@
 """Tests of the package's structure: its export list and who calls it, its
-module imports, where it checks counts and raises warnings, and where it
-reads a whole file."""
+module imports, where it checks counts and raises warnings, where it reads a
+whole file, and its size."""
 
 import ast
 import inspect
+import shutil
+import subprocess
 from pathlib import Path
 
 import sfofr
@@ -135,3 +137,39 @@ def test_only_read_json_reads_a_whole_file():
         "e = f.readlines(4096)\ng = f.read()\nh = p.read_bytes()\n"
     )
     assert _whole_file_reads(ast.parse(planted)) == [1, 3, 4, 6, 7]
+
+
+# Non-blank lines of src/sfofr/*.py, as ``cat src/sfofr/*.py | grep -cv '^\s*$'``
+# counts them. A change that must grow the package raises this number and says why.
+SRC_LINE_BUDGET = 2801
+
+
+def _non_blank(data: bytes) -> int:
+    """Lines holding more than whitespace, as ``grep -cv '^\\s*$'`` counts them in
+    the C locale: a line ends at a line feed only, and space, tab, carriage
+    return, form feed and vertical tab are whitespace."""
+    return sum(1 for line in data.split(b"\n") if line.strip(b" \t\r\f\v"))
+
+
+def _grep_non_blank(data: bytes) -> int | None:
+    """``grep -cv '^\\s*$'`` on ``data`` in the C locale, or None without grep."""
+    grep = shutil.which("grep")
+    if grep is None:
+        return None
+    env = {"LC_ALL": "C"}
+    return int(subprocess.run([grep, "-cv", r"^\s*$"], input=data, capture_output=True, env=env).stdout)
+
+
+def test_src_line_budget():
+    paths = sorted(SRC.glob("*.py"))
+    text = b"".join(p.read_bytes() for p in paths)  # as cat joins them
+    total = _non_blank(text)
+    counts = ", ".join(f"{p.name} {_non_blank(p.read_bytes())}" for p in paths)
+    assert total <= SRC_LINE_BUDGET, (
+        f"src/sfofr has {total} non-blank lines, over SRC_LINE_BUDGET = "
+        f"{SRC_LINE_BUDGET} ({counts})"
+    )
+    planted = b"a\n\n  \n\t \r\n\x0c\x0b\nb\x0cc\r\nd"
+    assert _non_blank(planted) == 3  # a, b<FF>c<CR> and d; the other lines are blank
+    assert _grep_non_blank(planted) in (None, 3)
+    assert _grep_non_blank(text) in (None, total)

@@ -858,13 +858,15 @@ def test_zero_variance_checks_are_scale_free(scale):
 
     assert r2(scale * pred, scale * obs) == pytest.approx(r2(pred, obs), rel=1e-12)
 
-    for flat in (np.zeros(20), np.full(20, scale)):
+    for flat in (np.zeros(20), np.full(20, scale), np.full(20, 3.7 * scale)):
         curves = np.outer(flat, np.ones(30))
         with pytest.raises(UndefinedStatisticError):
             morans_i(flat, w)
         with pytest.raises(UndefinedStatisticError):
             r2(scale * pred[:2], curves[:2])
         # centering constant curves can leave one rounding residue in every
-        # row, which is_centered refuses
-        with pytest.raises((UndefinedStatisticError, PreconditionError)):
-            functional_morans_i(_smooth_centered(curves, grid, basis), w, grid)
+        # row, which is_centered refuses; identical rows are named first
+        coeffs = _smooth_centered(curves, grid, basis)
+        assert np.all(coeffs.coef == coeffs.coef[0])
+        with pytest.raises(UndefinedStatisticError, match="zero variance.*do not vary"):
+            functional_morans_i(coeffs, w, grid)
