@@ -31,21 +31,23 @@ Moran CSV      : tidy pairs with header ``t,value``.
 Fit bundle     : a directory holding manifest.json, the nine CSV matrices
                  ``BUNDLE_MATRICES`` maps to fit fields (a mean file holds
                  its grid and its mean curve as two rows), and both fitted
-                 surfaces on a 101 x 101 grid. Version 2 stores the training
-                 W as w_train.npy: one ``np.save`` (no pickle) of its nonzero
-                 (i, j, w) triplets in row-major order, as a 1-D
-                 int64/int64/float64 record array, with n taken from the
-                 manifest's ``dims.n``. W's ``balance`` field, when set
-                 (lattice W), goes to w_balance.csv. Only version 2 loads.
+                 surfaces on a 101 x 101 grid. Version 3 stores the training
+                 W as w_train.npy in the layout W has: ``np.save`` (no pickle)
+                 of a dense W's n x n float64 array, or of a CSR W's nonzero
+                 (i, j, w) triplets in row-major order as a 1-D
+                 int64/int64/float64 record array, n being the manifest's
+                 ``dims.n``; version 2 saved every W as triplets, and both
+                 versions load. W's ``balance`` field, when set (lattice W),
+                 goes to w_balance.csv.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import fields, replace
-from functools import partial, reduce
+from contextlib import suppress
+from dataclasses import fields
+from functools import reduce
 from io import BytesIO
 from itertools import chain, islice
 from operator import attrgetter, getitem
@@ -67,17 +69,10 @@ from .pipeline import (
     reconstruct_rho,
     warn_if_unconverged,
 )
-from .spatial import (
-    _CSR_MAX_DENSITY,
-    GeoCoordinates,
-    SpatialWeights,
-    _bands,
-    _count_nonzero,
-    _rows_sum_to_one,
-)
+from .spatial import GeoCoordinates, SpatialWeights, _bands, _count_nonzero, _rows_sum_to_one
 
 BUNDLE_FORMAT = "sfofr-fit-bundle"
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 
 def fmt(x: float) -> str:
@@ -91,18 +86,20 @@ def atomic_write(path, data):
     ``data`` is text, or an iterable of chunks that are all text or all
     bytes-like (such as arrays); each chunk goes to the file in one write as
     it comes, so the whole file is never held at once. The file gets the mode
-    ``open(path, "w")`` gives a new file: 0o666 less the umask.
+    ``open(path, "w")`` gives a new file: 0o666 less the umask, which the
+    kernel applies when the temp file is created.
     """
     chunks = iter([data] if isinstance(data, str) else data)
     first = next(chunks, "")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    umask = os.umask(0o077)  # Python reads the umask only by setting it
-    os.umask(umask)
+    while True:  # a fresh random name until one is free
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        with suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
         with os.fdopen(fd, "w" if isinstance(first, str) else "wb") as handle:
-            os.chmod(tmp, 0o666 & ~umask)
             handle.writelines(chain([first], chunks))
         os.replace(tmp, path)
     except BaseException:
@@ -154,7 +151,7 @@ def _write_rows(path, mat):
 
 def _triplets(weights: SpatialWeights):
     """W's nonzero (i, j, w) triplets in row-major order, as one ``_TRIPLET``
-    record array per band of rows: the triplet CSV's rows and a bundle's
+    record array per band of rows: the triplet CSV's rows and a CSR W's
     w_train.npy. Repeated entries are summed and zeros dropped."""
     mat, n = weights.matrix, weights.n
     per_row = mat.nnz // max(n, 1) if sp.issparse(mat) else n  # entries, at most or on average
@@ -429,53 +426,58 @@ def check_json_type(value, kind: type, what: str):
 # --- bundle weights (binary) -------------------------------------------------
 
 
-def _write_triplets_npy(path, weights: SpatialWeights):
-    """Write the bytes ``np.save`` gives for all of W's ``_triplets`` as one
-    record array (they depend on W alone): the ``.npy`` header, then each
-    band's records."""
-    count = _count_nonzero(weights.matrix)
+def _write_weights_npy(path, weights: SpatialWeights):
+    """Write the bytes ``np.save`` gives for a dense W's array, or for all of a
+    CSR W's ``_triplets`` as one record array (they depend on W alone): the
+    ``.npy`` header, then a band of rows or of records at a time."""
+    mat = weights.matrix
+    dense = not sp.issparse(mat)
     header = BytesIO()
     np.lib.format.write_array_header_1_0(header, {
-        "descr": np.lib.format.dtype_to_descr(_TRIPLET), "fortran_order": False, "shape": (count,)
+        "descr": np.lib.format.dtype_to_descr(mat.dtype if dense else _TRIPLET),
+        "fortran_order": False,
+        "shape": mat.shape if dense else (_count_nonzero(mat),),
     })
-    atomic_write(path, chain([header.getvalue()], _triplets(weights)))
+    rows = (np.ascontiguousarray(mat[band]) for band in _bands(*mat.shape, _TEXT_BAND))
+    atomic_write(path, chain([header.getvalue()], rows if dense else _triplets(weights)))
 
 
-def _read_weights_npy(path, n: int, normalized: bool, kind: str) -> SpatialWeights:
-    """Read the n x n W that ``_write_triplets_npy`` saved; stored as CSR or
-    dense by W's density, as when it was built (the file holds each nonzero
-    once). The records are read a band at a time into W's storage, so no copy
-    of the whole file is held."""
+def _read_weights_npy(path, n: int, balance_csv=None, **fields) -> SpatialWeights:
+    """The n x n W that ``_write_weights_npy`` saved (version 3) or that
+    version 2 saved as records for every W, with W's other ``fields`` and
+    the balance vector in the file ``balance_csv`` when given. Records go to
+    CSR a band at a time, and ``SpatialWeights`` stores W by its density."""
+    balance = None if balance_csv is None else read_matrix_csv(balance_csv)
     try:
         rec = np.load(path, mmap_mode="r", allow_pickle=False)  # reads the header only
+        dense = getattr(rec, "dtype", None) == np.float64 and rec.shape == (n, n)
+        mat = np.load(path, allow_pickle=False) if dense else None
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"cannot read weights {path}: {exc}") from None
-    if not isinstance(rec, np.ndarray) or rec.dtype != _TRIPLET or rec.ndim != 1:
-        raise DataError(f"{path}: expected a 1-D (i, j, w) record array")
-    count, offset = len(rec), rec.offset
-    del rec  # pages read through the map would count as the process's own memory
-    dense = count > _CSR_MAX_DENSITY * n * n
-    mat = np.zeros((n, n)) if dense else [np.empty(count, _TRIPLET[f]) for f in "ijw"]
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        for band in _bands(count, 3, _TEXT_BAND):
-            rec = np.fromfile(handle, _TRIPLET, band.stop - band.start)
-            i, j, w = rec["i"], rec["j"], rec["w"]
-            bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
-            if bad.size:
-                k = bad[0]
-                raise DataError(
-                    f"{path}: entry {band.start + k} index ({i[k]}, {j[k]}) outside 0..{n - 1}"
-                )
-            if dense:
-                np.add.at(mat, (i, j), w)  # repeated entries summed, as CSR sums them
-            else:
-                for field, values in zip(mat, (i, j, w)):
+    if not dense:
+        if not isinstance(rec, np.ndarray) or rec.dtype != _TRIPLET or rec.ndim != 1:
+            raise DataError(f"{path}: expected an {n} x {n} float64 array or (i, j, w) records")
+        count, offset = len(rec), rec.offset
+        del rec  # pages read through the map would count as the process's own memory
+        mat = [np.empty(count, _TRIPLET[f]) for f in "ijw"]
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            for band in _bands(count, 3, _TEXT_BAND):
+                rec = np.fromfile(handle, _TRIPLET, band.stop - band.start)
+                for field, values in zip(mat, (rec["i"], rec["j"], rec["w"])):
                     field[band] = values
-    if not dense:  # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
         i, j, w = mat
-        mat = sp.csr_array((w, (i, j)), shape=(n, n))
-    return _build(path, SpatialWeights, matrix=mat, normalized=normalized, kind=kind)
+        bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+        if bad.size:
+            k = bad[0]
+            raise DataError(f"{path}: entry {k} index ({i[k]}, {j[k]}) outside 0..{n - 1}")
+        # CSR from triplets, not COO: counting a COO's nonzeros first sorts it
+        mat = sp.csr_array((w, (i, j)), shape=(n, n))  # repeated entries summed
+    try:
+        return SpatialWeights(matrix=mat, balance=balance, **fields)
+    except DataError as exc:
+        blame = balance_csv if str(exc).startswith("balance vector") else path
+        raise type(exc)(f"{blame}: {exc}") from None
 
 
 # --- fit bundle --------------------------------------------------------------
@@ -517,13 +519,11 @@ def save_fit_bundle(fit: SfofrFit, directory, extra_manifest: dict | None = None
     """Serialize a fitted model to a directory; returns the manifest dict."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    surface_grid = np.linspace(0.0, 1.0, 101)
-    rho_surface = reconstruct_rho(fit, surface_grid, surface_grid)
-    beta_surface = reconstruct_beta(fit, surface_grid, surface_grid)
+    rho_surface, beta_surface = reconstruct_rho(fit), reconstruct_beta(fit)  # 101 x 101 grids
 
     for name, paths in BUNDLE_MATRICES.items():
         write_matrix_csv(directory / name, np.vstack([attrgetter(p)(fit) for p in paths]))
-    _write_triplets_npy(directory / "w_train.npy", fit.weights)
+    _write_weights_npy(directory / "w_train.npy", fit.weights)
     balance = fit.weights.balance
     if balance is not None:
         write_matrix_csv(directory / "w_balance.csv", balance)
@@ -571,7 +571,7 @@ def decomp_meta(decomp: FpcDecomposition) -> dict:
 
 
 def load_fit_bundle(directory) -> SfofrFit:
-    """Rebuild a fitted model from a version-2 bundle directory.
+    """Rebuild a fitted model from a version-2 or version-3 bundle directory.
 
     A manifest that is not a JSON object, lacks a required key, holds a value
     of the wrong JSON type (``_MANIFEST_TYPES``) or has dims that disagree
@@ -582,7 +582,7 @@ def load_fit_bundle(directory) -> SfofrFit:
     if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
         raise DataError(f"{directory}: not a {BUNDLE_FORMAT} directory")
     version = manifest.get("version")
-    if version != BUNDLE_VERSION:
+    if version not in (2, BUNDLE_VERSION):  # version 2 differs only in w_train.npy
         raise DataError(f"{directory}: unsupported {BUNDLE_FORMAT} version {version!r}")
     try:
         for key, kind in _MANIFEST_TYPES.items():
@@ -628,14 +628,10 @@ def _read_bundle(directory: Path, manifest: dict) -> SfofrFit:
     conv = {f.name: conv[f.name] for f in _CONVERGENCE}
     conv = {k: tuple(v) if isinstance(v, list) else v for k, v in conv.items()}
     msar = MsarFit(params=MsarParams(**arrays["msar_fit.params"]), **conv)
+    balance = directory / "w_balance.csv" if manifest["weights_balanced"] else None
     weights = _read_weights_npy(
-        directory / "w_train.npy",
-        dims["n"],
-        normalized=manifest["weights_normalized"],
-        kind=manifest["weights_kind"],
+        directory / "w_train.npy", dims["n"], balance,
+        normalized=manifest["weights_normalized"], kind=manifest["weights_kind"],
     )
-    if manifest["weights_balanced"]:
-        path = directory / "w_balance.csv"
-        weights = _build(path, partial(replace, weights), balance=read_matrix_csv(path))
     options = manifest["options"]
     return SfofrFit(**decomps, msar_fit=msar, weights=weights, options=options, **arrays[""])

@@ -178,6 +178,9 @@ def _front_end(y_data: FunctionalDataset, x_data: FunctionalDataset, options: di
     x_centered, x_mean = center(x_data)
     y_coeffs = _staged("response smoothing", smooth_curves, y_centered, basis, opts["ridge"])
     x_coeffs = _staged("predictor smoothing", smooth_curves, x_centered, basis, opts["ridge"])
+    for side, coeffs in (("response", y_coeffs), ("predictor", x_coeffs)):
+        if not np.any(coeffs.coef != coeffs.coef[:1]):  # functional_morans_i's rule
+            raise UndefinedStatisticError(f"zero variance: {side} curves do not vary across units")
     x_decomp = _staged(
         "predictor decomposition", fit_fpc, x_coeffs, variance_threshold=opts["var_threshold"]
     )

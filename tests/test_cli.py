@@ -389,6 +389,16 @@ class TestExitCodes:
         assert "error: " in result.stderr
         assert "w_ragged.csv:3: expected 30 fields, got 29" in result.stderr
 
+    def test_constant_response_fit_exits_1_naming_zero_variance(self, sim_dir, tmp_path, capsys):
+        flat = sfofr.FunctionalDataset(grid=np.linspace(0, 1, 41), values=np.full((30, 41), 0.1))
+        sfofr.io.write_curves_csv(tmp_path / "flat.csv", flat)
+        argv = ["fit", "--y", str(tmp_path / "flat.csv"), "--x", str(sim_dir / "x.csv"),
+                "--w", str(sim_dir / "w.csv"), "--out", str(tmp_path / "fit")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "zero variance: response curves do not vary across units" in err
+        assert not (tmp_path / "fit" / "manifest.json").exists()
+
     def test_numerical_failure_is_exit_two(self, tmp_path):
         # grid confined to [0, 0.3]: basis functions supported on the right
         # part of [0, 1] vanish at every sample, so with ridge 0 the smoothing

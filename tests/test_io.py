@@ -382,13 +382,17 @@ def whole_triplets(weights):
 
 
 def banded_weights():
-    """Dense lattice W (several text bands), CSR KNN W, a W whose last unit
-    has no entry, and an all-zero W."""
+    """Dense lattice W (several text bands), a dense W with no balance vector
+    as a weights CSV gives it, CSR KNN W, a W whose last unit has no entry,
+    and an all-zero W."""
     rng = np.random.default_rng(8)
     coords = GeoCoordinates(lat=rng.uniform(-33, -3, 300), lon=rng.uniform(-73, -35, 300))
     trailing = sp.csr_array(([0.5, 1.0, 0.5], ([0, 1, 0], [1, 0, 2])), shape=(5, 5))
+    custom = rng.uniform(size=(300, 300))
+    np.fill_diagonal(custom, 0.0)
     return {
         "lattice": inverse_distance_weights(300),
+        "custom": SpatialWeights(matrix=custom),
         "knn": knn_weights(coords, 5),
         "trailing": SpatialWeights(matrix=trailing),
         "zero": SpatialWeights(matrix=np.zeros((4, 4))),
@@ -424,11 +428,14 @@ class TestBandedCodec:
         assert path.read_text() == joined(rows)
         assert bits(read_weights_csv(path, layout="triplet").toarray()) == bits(w.toarray())
 
-    @pytest.mark.parametrize("name", ["lattice", "knn", "zero"])
-    def test_bundle_weights_match_np_save_of_whole_triplets(self, tmp_path, band, name):
+    @pytest.mark.parametrize("name", ["lattice", "custom", "knn", "zero"])
+    def test_bundle_weights_match_np_save_of_their_layout(self, tmp_path, band, name):
+        # a dense W as its array, a CSR W as all its triplets in one record array
         w = banded_weights()[name]
-        sio._write_triplets_npy(tmp_path / "w.npy", w)
-        np.save(tmp_path / "ref.npy", whole_triplets(w), allow_pickle=False)
+        assert sp.issparse(w.matrix) == (name in ("knn", "zero"))
+        sio._write_weights_npy(tmp_path / "w.npy", w)
+        whole = whole_triplets(w) if sp.issparse(w.matrix) else w.matrix
+        np.save(tmp_path / "ref.npy", whole, allow_pickle=False)
         assert (tmp_path / "w.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
     @pytest.mark.parametrize("ids", [None, [f"unit {i}" for i in range(400)]])
@@ -593,11 +600,37 @@ def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path):
             pass
         write_matrix_csv(tmp_path / "m.csv", np.eye(2))
         write_json(tmp_path / "manifest.json", {"a": 1})
-        sio._write_triplets_npy(tmp_path / "w.npy", banded_weights()["trailing"])
+        sio._write_weights_npy(tmp_path / "w.npy", banded_weights()["trailing"])
     finally:
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == dict.fromkeys(["open.txt", "m.csv", "manifest.json", "w.npy"], 0o644)
+
+
+def test_writes_never_set_the_umask(tmp_path, monkeypatch):
+    # setting the umask, even to read it, changes it for every thread a while
+    def umask(mask):
+        raise AssertionError("os.umask called during a write")
+
+    monkeypatch.setattr(os, "umask", umask)
+    write_matrix_csv(tmp_path / "m.csv", np.eye(2))
+    write_json(tmp_path / "manifest.json", {"a": 1})
+    for name in ("lattice", "knn"):
+        sio._write_weights_npy(tmp_path / f"{name}.npy", banded_weights()[name])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "knn.npy", "lattice.npy", "m.csv", "manifest.json"
+    ]
+
+
+def test_taken_temp_name_is_skipped(tmp_path, monkeypatch):
+    draws = iter([bytes(6), bytes(6), b"\x01" * 6])
+    monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+    taken = tmp_path / f".m.csv.{bytes(6).hex()}.tmp"
+    taken.write_text("not ours")
+    write_matrix_csv(tmp_path / "m.csv", np.eye(2))
+    assert taken.read_text() == "not ours"
+    assert (tmp_path / "m.csv").read_text() == "1,0\n0,1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "m.csv"]
 
 
 class TestCoordsCsv:
@@ -651,6 +684,12 @@ def save_with(path, rec, field, k, value):
     rec = rec.copy()
     rec[field][k] = value
     np.save(path, rec)
+
+
+def save_zip(path, arr):
+    """Save ``arr`` to ``path`` as an ``.npz`` archive, whatever the suffix."""
+    with path.open("wb") as handle:
+        np.savez(handle, w=arr)
 
 
 class TestFitBundle:
@@ -732,7 +771,7 @@ class TestFitBundle:
         rec = whole_triplets(w)
         rec["w"][0] /= 2  # and the other half repeated last: halves sum back exactly
         np.save(tmp_path / "w.npy", np.concatenate([rec, rec[:1]]))
-        back = sio._read_weights_npy(tmp_path / "w.npy", w.n, True, w.kind).matrix
+        back = sio._read_weights_npy(tmp_path / "w.npy", w.n, normalized=True, kind=w.kind).matrix
         assert type(back) is type(w.matrix)
 
         def arrays(m):
@@ -789,32 +828,94 @@ class TestFitBundle:
         with pytest.raises(DataError, match=f"{re.escape(str(tmp_path / 'bundle'))}.*{version}"):
             load_fit_bundle(tmp_path / "bundle")
 
+    @pytest.fixture(scope="class")
+    def knn_bundle_fit(self):
+        return knn_fit()
+
     @pytest.mark.parametrize(
-        "corrupt",
+        "layout, corrupt",
         [
-            pytest.param(lambda path, rec: path.write_bytes(path.read_bytes()[:200]), id="truncated"),
+            *(pytest.param(layout, corrupt, id=f"{layout}-{name}")
+              for layout in ("dense", "csr") for name, corrupt in [
+                  ("truncated", lambda path, a: path.write_bytes(path.read_bytes()[:200])),
+                  ("object", lambda path, a: np.save(path, np.array([{"i": 0}], dtype=object))),
+                  ("zip", lambda path, a: save_zip(path, a)),
+                  ("missing", lambda path, a: path.unlink()),
+              ]),
+            # a dense W's n x n array
+            pytest.param("dense", lambda path, w: np.save(path, w[:, :-1]), id="dense-wrong-shape"),
+            pytest.param("dense", lambda path, w: np.save(path, w.ravel()), id="dense-flat"),
             pytest.param(
-                lambda path, rec: np.save(path, np.array([{"i": 0}], dtype=object)), id="object"
+                "dense", lambda path, w: np.save(path, w.astype(np.float32)), id="dense-float32"
             ),
             pytest.param(
-                lambda path, rec: np.save(path, np.zeros((rec.size, 3))), id="float-dtype"
+                "dense", lambda path, w: save_with(path, w, 0, 1, np.nan), id="dense-non-finite"
             ),
-            pytest.param(lambda path, rec: np.save(path, rec.reshape(-1, 1)), id="two-dim"),
-            pytest.param(lambda path, rec: save_with(path, rec, "i", 0, -1), id="negative-index"),
             pytest.param(
-                lambda path, rec: save_with(path, rec, "j", 0, rec["j"].max() + 1), id="index-n"
+                "dense", lambda path, w: save_with(path, w, 0, 1, -1.0), id="dense-negative-weight"
             ),
-            pytest.param(lambda path, rec: save_with(path, rec, "w", 0, -1.0), id="negative-weight"),
-            pytest.param(lambda path, rec: path.unlink(), id="missing"),
+            pytest.param(
+                "dense", lambda path, w: save_with(path, w, 0, 0, 0.5), id="dense-diagonal"
+            ),
+            # a CSR W's (i, j, w) records
+            pytest.param(
+                "csr", lambda path, rec: np.save(path, np.zeros((rec.size, 3))), id="csr-float-dtype"
+            ),
+            pytest.param(
+                "csr", lambda path, rec: np.save(path, rec.reshape(-1, 1)), id="csr-two-dim"
+            ),
+            pytest.param(
+                "csr", lambda path, rec: save_with(path, rec, "i", 0, -1), id="csr-negative-index"
+            ),
+            pytest.param(
+                "csr", lambda path, rec: save_with(path, rec, "j", 0, rec["i"].max() + 1),
+                id="csr-index-n",
+            ),
+            pytest.param(
+                "csr", lambda path, rec: save_with(path, rec, "w", 0, np.inf), id="csr-non-finite"
+            ),
+            pytest.param(
+                "csr", lambda path, rec: save_with(path, rec, "w", 0, -1.0),
+                id="csr-negative-weight",
+            ),
         ],
     )
-    def test_bad_weights_file_rejected(self, tmp_path, small_fit, corrupt):
-        fit, _, _ = small_fit
+    def test_bad_weights_file_rejected(self, tmp_path, small_fit, knn_bundle_fit, layout, corrupt):
+        fit = small_fit[0] if layout == "dense" else knn_bundle_fit
         save_fit_bundle(fit, tmp_path / "bundle")
         path = tmp_path / "bundle" / "w_train.npy"
-        corrupt(path, np.load(path))
+        stored = np.load(path)
+        assert stored.shape == ((fit.weights.n,) * 2 if layout == "dense" else (stored.size,))
+        corrupt(path, stored)
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_fit_bundle(tmp_path / "bundle")
+
+    def test_version_2_bundle_with_dense_weights_as_triplets_loads(self, tmp_path, small_fit):
+        fit, x, w = small_fit
+        save_fit_bundle(fit, tmp_path / "bundle")
+        current = load_fit_bundle(tmp_path / "bundle")
+        np.save(tmp_path / "bundle" / "w_train.npy", whole_triplets(fit.weights))
+        manifest = read_json(tmp_path / "bundle" / "manifest.json")
+        manifest["version"] = 2
+        write_json(tmp_path / "bundle" / "manifest.json", manifest)
+        old = load_fit_bundle(tmp_path / "bundle")
+        assert isinstance(old.weights.matrix, np.ndarray)
+        assert bits(old.weights.matrix) == bits(fit.weights.matrix)
+        assert bits(old.weights.balance) == bits(fit.weights.balance)
+        for loaded in (old, current):
+            assert bits(predict(loaded, x, w).values) == bits(predict(fit, x, w).values)
+            assert bits(fitted_values(loaded).values) == bits(fitted_values(fit).values)
+
+    def test_balanced_load_builds_weights_once(self, tmp_path, small_fit, monkeypatch):
+        fit, _, _ = small_fit
+        save_fit_bundle(fit, tmp_path / "bundle")
+        built, post_init = [], SpatialWeights.__post_init__
+        monkeypatch.setattr(
+            SpatialWeights, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        loaded = load_fit_bundle(tmp_path / "bundle")
+        assert loaded.weights.balance is not None
+        assert len(built) == 1 and built[0] is loaded.weights
 
     def test_fit_without_options_saves_the_ridge_predict_uses(self, tmp_path, small_fit):
         fit, x_new, w_new = small_fit

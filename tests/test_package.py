@@ -141,7 +141,7 @@ def test_only_read_json_reads_a_whole_file():
 
 # Non-blank lines of src/sfofr/*.py, as ``cat src/sfofr/*.py | grep -cv '^\s*$'``
 # counts them. A change that must grow the package raises this number and says why.
-SRC_LINE_BUDGET = 2801
+SRC_LINE_BUDGET = 2800
 
 
 def _non_blank(data: bytes) -> int:

@@ -531,3 +531,24 @@ class TestCompareFits:
         with pytest.warns(UserWarning, match="did not converge: max_iter reached") as record:
             compare_fits(y, x, w, y_test, x_test, w_test, {"num_basis": 12, "msar_max_iter": 1})
         assert [r.filename for r in record] == [__file__]
+
+
+class TestConstantCurves:
+    """Curves that do not vary across units are named as zero variance, on
+    either side, whether or not centering leaves a residue (1.0 centers
+    exactly; 0.1 and 3.7 do not)."""
+
+    @pytest.mark.parametrize("value", [0.1, 3.7, 1.0])
+    @pytest.mark.parametrize("side", ["response", "predictor"])
+    def test_fits_raise_zero_variance_naming_the_side(self, value, side):
+        rng = np.random.default_rng(33)
+        w = exponential_weights(30)
+        varying = gen_predictors(30, np.arange(1, 42) / 41, rng)
+        flat = FunctionalDataset(grid=np.arange(1, 42) / 41, values=np.full((30, 41), value))
+        y, x = (flat, varying) if side == "response" else (varying, flat)
+        message = f"^zero variance: {side} curves do not vary across units$"
+        for fit in (lambda: fit_sfofr(y, x, w), lambda: fit_fofr_fpc(y, x)):
+            with pytest.raises(UndefinedStatisticError, match=message):
+                fit()
+        with pytest.raises(UndefinedStatisticError, match=message):
+            compare_fits(y, x, w, y, x, w)
